@@ -11,13 +11,29 @@ fairly; the predictor routes optimally), which is what makes the
 paper's prediction-accuracy experiment (Fig. 13) non-circular.
 
 Resources are arbitrary hashable keys with capacities in bytes/second;
-flows are (resource-key list, demand bytes) pairs.
+flows are (resource-key list, demand bytes) pairs.  Flows over the same
+resource set always get the same max-min rate, so the NumPy kernel
+groups flows into *path classes* and water-fills a resources x classes
+incidence matrix, one vectorized iteration per distinct rate level.
+The plain per-flow loop it replaced is kept as the reference in the
+test suite (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+import numpy as np
 
 from repro.utils.validation import check_nonnegative, check_positive
 
@@ -67,6 +83,74 @@ class FairShareResult:
     _tags: List[Tuple[float, Hashable]] = field(default_factory=list, repr=False)
 
 
+def _check_capacities(capacities: Dict[ResourceKey, float]) -> None:
+    for key, cap in capacities.items():
+        check_positive(f"capacity[{key!r}]", cap)
+
+
+def _path_classes(
+    flows: Sequence[Flow], index: Dict[ResourceKey, int], idx: Iterable[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Group ``flows[idx]`` by resource set: ``(class_of, incidence)``.
+
+    Max-min fairness gives flows over the same resource set the same
+    rate, so the kernel fills path classes, not flows.  ``class_of[i]``
+    is flow ``i``'s class (-1 for an empty path or a flow outside
+    ``idx``); ``incidence`` is the resources x classes 0/1 matrix over
+    ``index``.  Raises ``KeyError`` for a resource not in ``index``.
+    """
+    class_of = np.full(len(flows), -1, dtype=np.intp)
+    classes: Dict[FrozenSet[ResourceKey], int] = {}
+    rows: List[int] = []
+    cols: List[int] = []
+    for i in idx:
+        path = flows[i].path
+        if not path:
+            continue
+        members = frozenset(path)
+        c = classes.get(members)
+        if c is None:
+            c = classes[members] = len(classes)
+            for key in members:
+                if key not in index:
+                    raise KeyError(f"flow {i} uses unknown resource {key!r}")
+                rows.append(index[key])
+                cols.append(c)
+        class_of[i] = c
+    incidence = np.zeros((len(index), len(classes)))
+    incidence[rows, cols] = 1.0
+    return class_of, incidence
+
+
+def _water_fill(
+    incidence: np.ndarray, capacity: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Max-min fair rate per class with ``counts[c]`` live flows in class c.
+
+    Each iteration fixes every class through a bottleneck resource — one
+    whose remaining capacity per unfixed flow is the smallest — at that
+    share, so there is one iteration per distinct rate level.  Every
+    class with a live flow must use at least one resource.
+    """
+    rates = np.zeros(incidence.shape[1])
+    unfixed = counts.astype(float)  # live flows per class not yet fixed
+    cap_left = capacity.copy()
+    # a resource left with no unfixed user shares inf (or nan at 0/0),
+    # which the nan-skipping minimum never picks
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while unfixed.any():
+            share = cap_left / (incidence @ unfixed)
+            level = np.fmin.reduce(share)
+            bottleneck = share == level
+            fixed = (bottleneck @ incidence > 0) & (unfixed > 0)
+            rates[fixed] = level
+            cap_left -= incidence @ (unfixed * fixed) * level
+            np.maximum(cap_left, 0.0, out=cap_left)
+            cap_left[bottleneck] = 0.0
+            unfixed[fixed] = 0.0
+    return rates
+
+
 def max_min_rates(
     flows: Sequence[Flow],
     capacities: Dict[ResourceKey, float],
@@ -78,48 +162,19 @@ def max_min_rates(
     path is empty get ``inf``.  Raises ``KeyError`` if a flow references
     an unknown resource and ``ValueError`` on non-positive capacities.
     """
-    for key, cap in capacities.items():
-        check_positive(f"capacity[{key!r}]", cap)
+    _check_capacities(capacities)
     n = len(flows)
-    idx_active = list(range(n)) if active is None else list(active)
-    rates = [0.0] * n
-    # resource -> list of active flow indices using it
-    users: Dict[ResourceKey, List[int]] = {}
-    for i in idx_active:
-        if flows[i].path == ():
-            rates[i] = float("inf")
-            continue
-        for key in set(flows[i].path):
-            if key not in capacities:
-                raise KeyError(f"flow {i} uses unknown resource {key!r}")
-            users.setdefault(key, []).append(i)
-
-    cap_left = {key: capacities[key] for key in users}
-    unfixed = {i for i in idx_active if flows[i].path != ()}
-    while unfixed:
-        # fair share offered by each resource to its unfixed users
-        best_key, best_share = None, float("inf")
-        for key, flow_ids in users.items():
-            live = [i for i in flow_ids if i in unfixed]
-            if not live:
-                continue
-            share = cap_left[key] / len(live)
-            if share < best_share:
-                best_share, best_key = share, key
-        if best_key is None:
-            # remaining flows are on resources with no contention left
-            for i in unfixed:
-                rates[i] = float("inf")
-            break
-        # fix every unfixed flow through the bottleneck at the share
-        newly_fixed = [i for i in users[best_key] if i in unfixed]
-        for i in newly_fixed:
-            rates[i] = best_share
-            unfixed.discard(i)
-            for key in set(flows[i].path):
-                cap_left[key] = max(0.0, cap_left[key] - best_share)
-        cap_left[best_key] = 0.0
-    return rates
+    idx = np.arange(n) if active is None else np.asarray(active, dtype=np.intp)
+    index = {key: r for r, key in enumerate(capacities)}
+    class_of, incidence = _path_classes(flows, index, idx)
+    capacity = np.array([capacities[key] for key in index], dtype=float)
+    cls = class_of[idx]
+    routed = cls >= 0
+    counts = np.bincount(cls[routed], minlength=incidence.shape[1])
+    rates = np.zeros(n)
+    rates[idx[~routed]] = np.inf
+    rates[idx[routed]] = _water_fill(incidence, capacity, counts)[cls[routed]]
+    return rates.tolist()
 
 
 def degrade_capacities(
@@ -151,70 +206,59 @@ def degrade_capacities(
 def progressive_fill(
     flows: Sequence[Flow],
     capacities: Dict[ResourceKey, float],
-    max_rounds: Optional[int] = None,
 ) -> FairShareResult:
     """Simulate all flows to completion under max-min fair sharing.
 
     Each round: compute fair rates, advance to the earliest completion,
     retire finished flows, release their bandwidth, repeat.  Runs at
-    most ``len(flows)`` rounds (one flow finishes per round, minimum).
+    most ``len(flows) + 1`` rounds (one flow finishes per round,
+    minimum).  Zero-demand and local (empty-path) flows finish at 0.
     """
     n = len(flows)
-    finish = [0.0] * n
-    remaining = [f.demand for f in flows]
-    resource_bytes: Dict[ResourceKey, float] = {}
-    peak_rates: Dict[ResourceKey, float] = {}
-    active = [i for i in range(n) if remaining[i] > 0]
-    # zero-demand and local flows are instantaneous
+    finish = np.zeros(n)
+    remaining = np.array([f.demand for f in flows], dtype=float)
+    index = {key: r for r, key in enumerate(capacities)}
+    resource_bytes = np.zeros(len(index))
+    peak_rates = np.zeros(len(index))
+    active = np.flatnonzero(remaining > 0)
     now = 0.0
+    if active.size:
+        _check_capacities(capacities)
+        class_of, incidence = _path_classes(flows, index, active)
+        capacity = np.array([capacities[key] for key in index], dtype=float)
+        active = active[class_of[active] >= 0]
     rounds = 0
-    cap_rounds = max_rounds if max_rounds is not None else n + 1
-    while active:
+    while active.size:
         rounds += 1
-        if rounds > cap_rounds:
+        if rounds > n + 1:
             raise RuntimeError("progressive filling failed to converge")
-        rates = max_min_rates(flows, capacities, active)
-        # local (inf-rate) flows finish now
-        next_active = []
-        dt = float("inf")
-        for i in active:
-            if rates[i] == float("inf"):
-                finish[i] = now
-                remaining[i] = 0.0
-            else:
-                if rates[i] <= 0:
-                    raise RuntimeError(
-                        f"flow {i} starved (zero rate) — capacity exhausted"
-                    )
-                dt = min(dt, remaining[i] / rates[i])
-                next_active.append(i)
-        active = next_active
-        if not active:
-            break
+        cls = class_of[active]
+        counts = np.bincount(cls, minlength=incidence.shape[1])
+        class_rates = _water_fill(incidence, capacity, counts)
+        rates = class_rates[cls]
+        starved = np.flatnonzero(rates <= 0)
+        if starved.size:
+            raise RuntimeError(
+                f"flow {active[starved[0]]} starved (zero rate) — capacity exhausted"
+            )
+        dt = float(np.min(remaining[active] / rates))
         # advance to the first completion
-        rate_on: Dict[ResourceKey, float] = {}
-        for i in active:
-            for key in set(flows[i].path):
-                rate_on[key] = rate_on.get(key, 0.0) + rates[i]
-        for key, r in rate_on.items():
-            peak_rates[key] = max(peak_rates.get(key, 0.0), r)
-            resource_bytes[key] = resource_bytes.get(key, 0.0) + r * dt
+        rate_on = incidence @ (counts * class_rates)
+        np.maximum(peak_rates, rate_on, out=peak_rates)
+        resource_bytes += rate_on * dt
         now += dt
-        still = []
-        for i in active:
-            remaining[i] -= rates[i] * dt
-            if remaining[i] <= 1e-6:
-                finish[i] = now
-                remaining[i] = 0.0
-            else:
-                still.append(i)
-        active = still
+        remaining[active] -= rates * dt
+        done = remaining[active] <= 1e-6
+        finish[active[done]] = now
+        active = active[~done]
 
+    keys = list(index)
+    used = np.flatnonzero(peak_rates > 0)
     result = FairShareResult(
         makespan=now,
-        finish_times=finish,
-        resource_bytes=resource_bytes,
-        peak_rates=peak_rates,
+        finish_times=finish.tolist(),
+        resource_bytes={keys[r]: float(resource_bytes[r]) for r in used},
+        peak_rates={keys[r]: float(peak_rates[r]) for r in used},
     )
-    result._tags = [(finish[i], flows[i].tag) for i in range(n)]
+    result._tags = [(t, f.tag) for t, f in zip(result.finish_times, flows)]
     return result

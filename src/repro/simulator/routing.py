@@ -148,7 +148,7 @@ def fair_storage_rates(
     flows = [
         Flow(router.path(s, g), 1.0, (s, g)) for s in stores for g in gpus
     ]
-    rates = max_min_rates(flows, router.capacities, list(range(len(flows))))
+    rates = max_min_rates(flows, router.capacities)
     out = {s: 0.0 for s in stores}
     for f, r in zip(flows, rates):
         if r != float("inf"):

@@ -1,9 +1,11 @@
 """Tests for max-min fair sharing and progressive filling."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simulator.bandwidth import Flow, max_min_rates, progressive_fill
+from tests import oracles
 
 
 class TestMaxMinRates:
@@ -142,3 +144,200 @@ class TestProgressiveFill:
         flows = [Flow(("l",), d) for d in (5.0, 10.0, 15.0)]
         res = progressive_fill(flows, {"l": 10.0})
         assert res.makespan == pytest.approx(3.0)
+
+
+# --- differential checks against the reference loop (tests/oracles.py) ---
+
+#: Kernel vs. reference-loop agreement bound (relative).
+REL = 1e-12
+
+
+def _close(a, b, rel=REL):
+    return a == b or abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+def _assert_same_rates(got, want, rel=REL):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert _close(g, w, rel), (got, want)
+
+
+def _assert_same_fill(got, want):
+    assert _close(got.makespan, want.makespan)
+    _assert_same_rates(got.finish_times, want.finish_times)
+    for field in ("resource_bytes", "peak_rates"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.keys() == w.keys(), field
+        for key in w:
+            assert _close(g[key], w[key]), (field, key, g[key], w[key])
+    assert got.finish_by_tag() == pytest.approx(want.finish_by_tag(), rel=REL)
+
+
+@st.composite
+def fair_share_instances(draw, max_flows=100, max_resources=20):
+    """Random flows over random resources, as ``(flows, capacities)``.
+
+    Paths may repeat a resource or be empty, and demands may be zero.
+    Demands stay at or below 1e9 bytes, above the largest flow the epoch
+    simulator issues (~3e8 on machine A): a flow retires once its
+    remaining bytes fall to 1e-6, an absolute residue that drops below
+    one ulp near 1e15 bytes, where either implementation can run out of
+    rounds on its own.
+    """
+    n_res = draw(st.integers(1, max_resources))
+    keys = [f"r{j}" if j % 2 else ("link", j) for j in range(n_res)]
+    capacities = {k: draw(st.floats(1.0, 100.0)) for k in keys}
+    paths = st.lists(st.sampled_from(keys), max_size=4).map(tuple)
+    demands = st.one_of(st.just(0.0), st.floats(1e-3, 1e9))
+    specs = draw(
+        st.lists(st.tuples(paths, demands), min_size=1, max_size=max_flows)
+    )
+    flows = [Flow(p, d, tag=i % 3) for i, (p, d) in enumerate(specs)]
+    return flows, capacities
+
+
+class TestKernelMatchesOracle:
+    @given(fair_share_instances(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_max_min_rates(self, instance, data):
+        flows, caps = instance
+        active = data.draw(
+            st.one_of(
+                st.none(),
+                st.sets(st.integers(0, len(flows) - 1)).map(sorted),
+            )
+        )
+        _assert_same_rates(
+            max_min_rates(flows, caps, active),
+            oracles.max_min_rates(flows, caps, active),
+        )
+
+    @given(fair_share_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_progressive_fill(self, instance):
+        flows, caps = instance
+        _assert_same_fill(
+            progressive_fill(flows, caps), oracles.progressive_fill(flows, caps)
+        )
+
+    @given(
+        fair_share_instances(max_flows=12, max_resources=5),
+        st.sampled_from(["drop", 0.0, -1.0, float("nan"), float("inf")]),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_same_errors(self, instance, fault, data):
+        flows, caps = instance
+        key = data.draw(st.sampled_from(sorted(caps, key=repr)))
+        if fault == "drop":
+            del caps[key]
+        else:
+            caps[key] = fault
+
+        def raised(fn):
+            try:
+                fn(flows, caps)
+            except (KeyError, ValueError, RuntimeError) as exc:
+                return type(exc)
+            return None
+
+        for fn, ref in (
+            (max_min_rates, oracles.max_min_rates),
+            (progressive_fill, oracles.progressive_fill),
+        ):
+            assert raised(fn) is raised(ref), fn.__name__
+
+    def test_degraded_epoch_step(self, monkeypatch):
+        """A real fault step: ssd0 failed, its recovery path in use."""
+        from repro.faults import FaultSchedule, recovery_key
+        from repro.graphs.datasets import IGB_HOM
+        from repro.hardware.machines import classic_layouts, machine_a
+        from repro.runtime.spec import RunSpec
+        from repro.runtime.system import MomentSystem
+        from repro.simulator import pipeline
+
+        captured = []
+
+        def recording_fill(flows, capacities):
+            captured.append((list(flows), dict(capacities)))
+            return progressive_fill(flows, capacities)
+
+        monkeypatch.setattr(pipeline, "progressive_fill", recording_fill)
+        machine = machine_a()
+        spec = RunSpec(
+            dataset=IGB_HOM.build(scale=IGB_HOM.default_scale * 16, seed=0),
+            placement=classic_layouts(machine)["c"],
+            sample_batches=6,
+            faults=FaultSchedule.parse("fail@2:ssd0"),
+        )
+        MomentSystem(machine).run(spec)
+        degraded = [
+            (flows, caps)
+            for flows, caps in captured
+            if recovery_key("ssd0") in caps
+        ]
+        assert degraded and len(degraded) < len(captured)
+        for flows, caps in degraded:
+            assert ("egress", "ssd0") not in caps
+            assert any(recovery_key("ssd0") in f.path for f in flows)
+            _assert_same_fill(
+                progressive_fill(flows, caps), oracles.progressive_fill(flows, caps)
+            )
+
+
+def _lex_max_min(flows, capacities):
+    """Lexicographic max-min fair rates by a sequence of HiGHS LPs.
+
+    Each level maximizes the smallest rate not yet fixed, subject to the
+    capacities and the rates already fixed; every flow that cannot then
+    exceed that level is fixed at it.  Independent of water-filling, so
+    it proves fairness rather than agreement with another filler.
+    """
+    from scipy.optimize import linprog
+
+    routed = [i for i, f in enumerate(flows) if f.path]
+    keys = list(capacities)
+    a_cap = np.array(
+        [[1.0 if k in flows[i].path else 0.0 for i in routed] for k in keys]
+    )
+    b_cap = np.array([capacities[k] for k in keys])
+    m = len(routed)
+    fixed = {}
+
+    def solve(objective, floor):
+        # variables: the m rates, then the level t; rates >= t if unfixed
+        a_floor = np.zeros((m, m + 1))
+        for j in range(m):
+            if j not in fixed:
+                a_floor[j, j], a_floor[j, m] = -1.0, 1.0
+        bounds = [(fixed[j], fixed[j]) if j in fixed else (0, None) for j in range(m)]
+        res = linprog(
+            -objective,
+            A_ub=np.vstack([np.hstack([a_cap, np.zeros((len(keys), 1))]), a_floor]),
+            b_ub=np.concatenate([b_cap, np.zeros(m)]),
+            bounds=bounds + [floor],
+            method="highs",
+        )
+        assert res.status == 0, res.message
+        return res.x
+
+    while len(fixed) < m:
+        level = solve(np.eye(m + 1)[m], (0, None))[m]
+        for j in [j for j in range(m) if j not in fixed]:
+            best = solve(np.eye(m + 1)[j], (level, level))[j]
+            if best <= level * (1 + 1e-9):
+                fixed[j] = level
+    rates = [float("inf")] * len(flows)
+    for j, i in enumerate(routed):
+        rates[i] = fixed[j]
+    return rates
+
+
+class TestFairness:
+    @given(fair_share_instances(max_flows=6, max_resources=4))
+    @settings(max_examples=60, deadline=None)
+    def test_rates_are_lexicographic_max_min(self, instance):
+        flows, caps = instance
+        _assert_same_rates(
+            max_min_rates(flows, caps), _lex_max_min(flows, caps), rel=1e-9
+        )
