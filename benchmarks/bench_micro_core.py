@@ -1,9 +1,9 @@
 """Micro-benchmarks of the core algorithms.
 
 Unlike the per-figure benches (single-shot simulations), these measure
-the hot kernels the automatic module runs many times: max-flow solves,
-time-bisection, the multicommodity LP, progressive filling, DDAK
-placement, and neighbour sampling.
+the hot kernels the automatic module runs many times: the
+minimum-completion-time max flow, the multicommodity LP, progressive
+filling, DDAK placement, and neighbour sampling.
 """
 
 import numpy as np
@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.ddak import ddak_place, hash_place, make_bins
 from repro.core.flowmodel import SSD_CLASS, TrafficDemand, min_completion_time
-from repro.core.maxflow import FlowNetwork, dinic, edmonds_karp
 from repro.core.mcmf import multicommodity_min_time
 from repro.core.optimizer import concrete_demand
 from repro.graphs.generators import power_law_graph
@@ -34,34 +33,7 @@ def demand(topo):
     return d
 
 
-def _grid_network(n=12):
-    net = FlowNetwork()
-    for i in range(n):
-        for j in range(n):
-            if i + 1 < n:
-                net.add_edge((i, j), (i + 1, j), 10.0)
-            if j + 1 < n:
-                net.add_edge((i, j), (i, j + 1), 7.0)
-    return net, (0, 0), (n - 1, n - 1)
-
-
-def test_dinic_grid(benchmark):
-    def run():
-        net, s, t = _grid_network()
-        return dinic(net, s, t)
-
-    assert benchmark(run) > 0
-
-
-def test_edmonds_karp_grid(benchmark):
-    def run():
-        net, s, t = _grid_network()
-        return edmonds_karp(net, s, t)
-
-    assert benchmark(run) > 0
-
-
-def test_time_bisection_on_machine(benchmark, topo, demand):
+def test_min_completion_time_on_machine(benchmark, topo, demand):
     result = benchmark(min_completion_time, topo, demand)
     assert result.time > 0
 

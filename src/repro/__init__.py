@@ -19,7 +19,6 @@ from repro.core import (
     Topology,
     TrafficDemand,
     build_topology,
-    dedupe_placements,
     enumerate_placements,
     min_completion_time,
     plain_max_flow,
@@ -39,7 +38,7 @@ from repro.runtime.system import MomentSystem, SystemResult
 from repro.api import run
 from repro.warehouse import RunTable
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Chassis",
@@ -48,7 +47,6 @@ __all__ = [
     "Topology",
     "TrafficDemand",
     "build_topology",
-    "dedupe_placements",
     "enumerate_placements",
     "min_completion_time",
     "plain_max_flow",

@@ -20,12 +20,8 @@ __all__ = ["run", "system_for", "RunSpec", "SystemResult"]
 
 
 def run(system: GnnSystem, spec: RunSpec) -> SystemResult:
-    """Run one epoch of ``system`` as described by ``spec``."""
-    if not isinstance(spec, RunSpec):
-        raise TypeError(
-            f"repro.api.run takes a RunSpec, got {type(spec).__name__}; "
-            "the legacy kwargs form lives on GnnSystem.run"
-        )
+    """Run one epoch of ``system`` as described by ``spec`` (anything
+    but a :class:`RunSpec` is a ``TypeError``, raised by ``system.run``)."""
     return system.run(spec)
 
 

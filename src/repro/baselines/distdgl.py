@@ -17,7 +17,7 @@ with DDP gradient sync on top.  Sampled-subgraph sizes come from the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -102,24 +102,17 @@ class DistDglSystem:
         ledger.reserve("os+runtime", 16e9)
         ledger.reserve("graph_partition_5x", need)
 
-    def run(
-        self,
-        dataset,
-        model: str = "graphsage",
-        fanouts: Tuple[int, ...] = (25, 10),
-        sample_batches: int = 10,
-    ) -> DistDglResult:
-        """Run one epoch; accepts a :class:`~repro.RunSpec` or the
-        legacy loose arguments (DistDGL ignores the spec's placement
-        and GPU-count fields — the cluster shape is fixed)."""
-        from repro.runtime.spec import RunSpec
+    def run(self, spec, **extra) -> DistDglResult:
+        """Run one epoch of a :class:`~repro.RunSpec` (DistDGL ignores
+        the spec's placement and GPU-count fields — the cluster shape is
+        fixed).  Anything but a lone ``RunSpec`` is a ``TypeError``."""
+        from repro.runtime.spec import require_run_spec
 
-        if isinstance(dataset, RunSpec):
-            spec = dataset
-            dataset = spec.dataset
-            model = spec.model
-            fanouts = spec.fanouts
-            sample_batches = spec.sample_batches
+        require_run_spec(f"{type(self).__name__}.run", spec, extra)
+        dataset = spec.dataset
+        model = spec.model
+        fanouts = spec.fanouts
+        sample_batches = spec.sample_batches
         result = DistDglResult(
             system=self.name,
             dataset=dataset.spec.key,

@@ -2,14 +2,6 @@
 placement search with symmetry pruning, and DDAK data placement."""
 
 from repro.core.topology import LinkKind, Node, NodeKind, Link, Topology
-from repro.core.maxflow import (
-    FlowNetwork,
-    bisect_min_time,
-    dinic,
-    edmonds_karp,
-    max_flow,
-    min_cut,
-)
 from repro.core.placement import (
     Chassis,
     Placement,
@@ -19,7 +11,6 @@ from repro.core.placement import (
 )
 from repro.core.symmetry import (
     chassis_automorphisms,
-    dedupe_placements,
     slot_group_symmetries,
 )
 from repro.core.flowmodel import (
@@ -29,7 +20,6 @@ from repro.core.flowmodel import (
     TrafficDemand,
     min_completion_time,
     plain_max_flow,
-    predict_throughput,
 )
 
 __all__ = [
@@ -38,19 +28,12 @@ __all__ = [
     "NodeKind",
     "Link",
     "Topology",
-    "FlowNetwork",
-    "bisect_min_time",
-    "dinic",
-    "edmonds_karp",
-    "max_flow",
-    "min_cut",
     "Chassis",
     "Placement",
     "SlotGroup",
     "build_topology",
     "enumerate_placements",
     "chassis_automorphisms",
-    "dedupe_placements",
     "slot_group_symmetries",
     "CPU_CLASS",
     "SSD_CLASS",
@@ -58,5 +41,4 @@ __all__ = [
     "TrafficDemand",
     "min_completion_time",
     "plain_max_flow",
-    "predict_throughput",
 ]

@@ -1,29 +1,62 @@
 """Throughput prediction via max flow (paper Section 3.2).
 
-Builds the paper's augmented single-source single-sink network from a
-runtime :class:`~repro.core.topology.Topology` plus a *traffic demand*
-(bytes each GPU must receive from each storage bin), and answers:
+Builds the paper's augmented single-source single-sink network (Figure
+9) from a runtime :class:`~repro.core.topology.Topology` plus a *traffic
+demand* (bytes each GPU must receive from each storage bin), and
+answers:
 
-* :func:`min_completion_time` — the paper's "time-bisection
-  Ford–Fulkerson procedure": the minimum time T in which every demand
-  can be routed when each physical edge carries ``capacity * T`` bytes;
-* :func:`predict_throughput` — aggregate GPU inlet bytes/s at that T;
-* per-storage-node optimal flows — the ``Bin_traffic`` input of the
-  DDAK data-placement algorithm (Section 3.3).
+* :func:`min_completion_time` — the paper's placement score: the
+  minimum time T in which every demand can be routed when each physical
+  edge carries ``capacity * T`` bytes, with per-storage-node optimal
+  flows (the ``Bin_traffic`` input of DDAK, Section 3.3) and the
+  saturated links;
+* :func:`score_batch` — the same for a batch of candidates in NumPy
+  lockstep (the pass-1 kernel behind ``FlexibleMaxFlowScorer``);
+* :func:`plain_max_flow` — the unconstrained max flow of the base
+  formulation.
 
 Demands may name a concrete storage node (``"ssd3"``) or the flexible
 class ``SSD_CLASS`` ("any SSD"), which the flow solver splits across
 drives optimally — this is how hardware placements are scored *before*
 a per-vertex data placement exists.
+
+Every max flow here is one Dinic (:meth:`FlowGraph.max_flow`).  The
+time network is built **once** per candidate (a :class:`FlowTemplate`)
+with every edge budget split into ``base + rate * t`` (constant bytes +
+bytes/s scaled by the probed time), so
+
+* each probe only refreshes a capacity vector with NumPy;
+* a batch of candidates stacks its ``rate``/``base`` vectors into
+  ``(B, E)`` matrices and refreshes every active candidate's
+  capacities in one vectorized operation per round;
+* the time search is **cut-parametric**, not bisection:
+  ``maxflow(t)`` is a concave piecewise-linear function — the minimum
+  over cuts C of ``base(C) + rate(C) * t`` — so from any infeasible
+  probe the min cut's root ``(total - base(C)) / rate(C)`` is the next
+  candidate time.  Iterating terminates at the **exact** breakpoint
+  where the demand first fits (typically 3–5 max-flow solves), and the
+  final min cut doubles as an optimality certificate: its source-side
+  node set is returned as :attr:`FlowPrediction.cut_partition`.
+
+Warm starts: any node partition with the source inside and the sink
+outside is a valid cut in *any* network over the same node labels, so a
+parent's binding partition (a scored neighbor placement, or the healthy
+fabric before a :class:`~repro.core.topology.TopologyMask` degraded it)
+gives a sound lower-bound line — the search starts at that line's root
+instead of zero and usually converges in one or two solves.  The final
+answer is the root of the binding cut either way, so warm and cold
+solves agree exactly (see the warm-start regression tests).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.maxflow import FlowNetwork, bisect_min_time, dinic, min_cut
-from repro.core.topology import NodeKind, Topology
+import numpy as np
+
+from repro.core.topology import LinkKind, NodeKind, Topology
 
 #: Flexible demand keys: "serve this from whichever member is best".
 SSD_CLASS = "__ssd_class__"
@@ -31,6 +64,28 @@ CPU_CLASS = "__cpu_class__"
 
 _SOURCE = "__source__"
 _SINK = "__sink__"
+
+#: Residual capacities at or below this are treated as saturated.
+_EPS = 1e-9
+#: Demands below this many bytes are treated as zero: sub-microbyte
+#: quantities are residues of float arithmetic, and the residual-graph
+#: epsilon would otherwise misclassify them as unroutable.
+_MIN_DEMAND = 1e-6
+#: Feasibility slack.  Cut-root probes land exactly on breakpoints,
+#: where the max flow matches the binding cut's value to float
+#: accumulation error (~1e-14 relative).  A loose slack would let a
+#: probe *below* the true breakpoint pass, making the answer depend on
+#: the probe path (warm vs cold) — with 1e-12 both paths terminate at
+#: the binding cut's root.
+_FEAS_TOL = 1e-12
+#: Ceiling on the completion time — a root beyond this means the demand
+#: is disconnected.
+_T_HI = 1e6
+#: Cut-root iterations before giving up (each one strictly advances the
+#: probe to a later breakpoint of a piecewise-linear function whose
+#: breakpoint count is bounded by the number of distinct cuts met —
+#: in practice 3–5; 64 is a float-safety backstop).
+_MAX_ITERS = 64
 
 
 @dataclass
@@ -82,7 +137,7 @@ class TrafficDemand:
 
 @dataclass
 class FlowPrediction:
-    """Result of the time-bisection procedure."""
+    """Result of the minimum-completion-time search."""
 
     #: Minimum completion time for the demand (seconds).
     time: float
@@ -96,8 +151,7 @@ class FlowPrediction:
     #: Human-readable saturated links at the optimum (bottlenecks).
     bottlenecks: List[str] = field(default_factory=list)
     #: Source-side node labels of the binding min cut (the certificate
-    #: that ``time`` is optimal).  Filled by the vectorized kernel
-    #: (:mod:`repro.core.flowbatch`); reusable as a warm-start hint when
+    #: that ``time`` is optimal); reusable as a warm-start hint when
     #: re-scoring a similar placement or a degraded fabric.
     cut_partition: Tuple[str, ...] = ()
 
@@ -112,150 +166,480 @@ def _storage_members(topo: Topology, class_key: str) -> List[str]:
     raise KeyError(class_key)
 
 
-def build_time_network(
-    topo: Topology,
-    demand: TrafficDemand,
-    time: float,
-) -> FlowNetwork:
-    """The augmented network of Figure 9 with edge budgets ``cap * time``.
+class FlowGraph:
+    """A flow network over interned node labels, and its Dinic.
+
+    Forward edge ``e`` has residual slot ``2 * e`` and its reverse
+    ``2 * e + 1`` (so ``eid ^ 1`` flips direction); ``adj[u]`` lists the
+    residual slots leaving ``u``.  Each forward edge carries a budget
+    ``base + rate * t`` (constant bytes plus bytes/s over a probed
+    time); solvers take the residual capacities as a list and mutate it.
+    """
+
+    def __init__(self) -> None:
+        self._index: Dict[str, int] = {}
+        self.labels: List[str] = []
+        self.adj: List[List[int]] = []
+        self._to: List[int] = []
+        self.base: List[float] = []
+        self.rate: List[float] = []
+        self.source = self.sink = -1
+
+    def node_id(self, label: str) -> int:
+        """Intern a node label, creating it on first use."""
+        nid = self._index.get(label)
+        if nid is None:
+            nid = len(self.labels)
+            self._index[label] = nid
+            self.labels.append(label)
+            self.adj.append([])
+        return nid
+
+    def add_edge(self, u: str, v: str, base: float, rate: float = 0.0) -> int:
+        """Add forward edge ``u -> v``; returns its edge index."""
+        ui, vi = self.node_id(u), self.node_id(v)
+        slot = len(self._to)
+        self._to.append(vi)
+        self.adj[ui].append(slot)
+        self._to.append(ui)
+        self.adj[vi].append(slot + 1)
+        self.base.append(base)
+        self.rate.append(rate)
+        return slot // 2
+
+    def attach_terminals(self) -> None:
+        """Intern the virtual source and sink.  Called once every edge
+        is in, so node ids follow edge insertion order."""
+        self.source = self.node_id(_SOURCE)
+        self.sink = self.node_id(_SINK)
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.base)
+
+    def max_flow(self, caps: List[float]) -> float:
+        """Dinic from source to sink; mutates ``caps`` residuals."""
+        adj, to = self.adj, self._to
+        s, t = self.source, self.sink
+        n = len(adj)
+        inf = float("inf")
+        total = 0.0
+        while True:
+            level = [-1] * n
+            level[s] = 0
+            q = deque([s])
+            while q:
+                u = q.popleft()
+                lu = level[u] + 1
+                for eid in adj[u]:
+                    v = to[eid]
+                    if level[v] < 0 and caps[eid] > _EPS:
+                        level[v] = lu
+                        q.append(v)
+            if level[t] < 0:
+                return total
+            it = [0] * n
+
+            def dfs(u: int, pushed: float) -> float:
+                if u == t:
+                    return pushed
+                adj_u = adj[u]
+                while it[u] < len(adj_u):
+                    eid = adj_u[it[u]]
+                    v = to[eid]
+                    if caps[eid] > _EPS and level[v] == level[u] + 1:
+                        got = dfs(v, min(pushed, caps[eid]))
+                        if got > _EPS:
+                            caps[eid] -= got
+                            caps[eid ^ 1] += got
+                            return got
+                    it[u] += 1
+                return 0.0
+
+            while True:
+                pushed = dfs(s, inf)
+                if pushed <= _EPS:
+                    break
+                total += pushed
+
+    def reachable(self, caps: List[float]) -> bytearray:
+        """Source-reachable node mask in the residual graph."""
+        adj, to = self.adj, self._to
+        reach = bytearray(len(adj))
+        reach[self.source] = 1
+        stack = [self.source]
+        while stack:
+            u = stack.pop()
+            for eid in adj[u]:
+                v = to[eid]
+                if not reach[v] and caps[eid] > _EPS:
+                    reach[v] = 1
+                    stack.append(v)
+        return reach
+
+
+class FlowTemplate(FlowGraph):
+    """One candidate's time-parametric augmented network (Figure 9).
 
     Physical edges keep their direction structure; each storage node is
-    split (``name/in -> name/out``) to enforce its device egress ceiling.
-    Virtual edges: source -> bins (capacity = demanded bytes), GPUs ->
-    sink (capacity = per-GPU demanded bytes).  Class demands route
-    through a class super-node feeding every member.
+    split (``name/in -> name/out``) to enforce its device egress
+    ceiling.  Virtual edges: source -> bins (capacity = demanded bytes),
+    GPUs -> sink (capacity = per-GPU demanded bytes).  Class demands
+    route through a class super-node feeding every member.  Each edge is
+    stored as ``(base_bytes, rate_bytes_per_s)`` so the capacity vector
+    at any probed time is ``base + rate * t``.
     """
-    net = FlowNetwork()
-    storage_names = {n.name for n in topo.storage_nodes}
 
-    def out_name(node: str) -> str:
-        return f"{node}/out" if node in storage_names else node
+    def __init__(self, topo: Topology, demand: TrafficDemand) -> None:
+        from repro.hardware.specs import QPI_P2P_BW
 
-    # A GPU cache serving a *peer* physically leaves through the owner
-    # GPU's fabric ports, not at HBM speed.  The single-commodity
-    # relaxation would otherwise let peer-cache demand be absorbed by
-    # the owner's own sink at 1.2 TB/s; capping the HBM edge at the
-    # owner's aggregate fabric egress restores the binding constraint
-    # (local cache hits are excluded from demands by convention).
-    gpu_fabric_egress: Dict[str, float] = {}
-    for gpu in topo.gpus():
-        total = 0.0
-        for succ in topo.successors(gpu):
-            if topo.node(succ).kind is not NodeKind.GPU_MEM:
-                total += topo.link(gpu, succ).capacity
-        gpu_fabric_egress[gpu] = total
+        super().__init__()
+        add_edge = self.add_edge
+        storage_names = {n.name for n in topo.storage_nodes}
 
-    # node splitting for storage egress ceilings
-    for node in topo.storage_nodes:
-        egress = node.egress_bw if node.egress_bw is not None else float("inf")
-        if node.kind is NodeKind.GPU_MEM:
-            owner = node.name[: -len(":mem")]
-            egress = min(egress, gpu_fabric_egress.get(owner, egress))
-        net.add_edge(f"{node.name}/in", f"{node.name}/out", egress * time)
+        def out_name(node: str) -> str:
+            return f"{node}/out" if node in storage_names else node
 
-    # physical links (QPI carries device-to-device DMA at the reduced
-    # cross-socket P2P forwarding rate; CPU-memory flows are a small
-    # minority of what the predictor routes, so the cap applies globally)
-    from repro.core.topology import LinkKind
-    from repro.hardware.specs import QPI_P2P_BW
+        # A GPU cache serving a *peer* physically leaves through the
+        # owner GPU's fabric ports, not at HBM speed.  The
+        # single-commodity relaxation would otherwise let peer-cache
+        # demand be absorbed by the owner's own sink at 1.2 TB/s;
+        # capping the HBM edge at the owner's aggregate fabric egress
+        # restores the binding constraint (local cache hits are
+        # excluded from demands by convention).
+        gpu_fabric_egress: Dict[str, float] = {}
+        for gpu in topo.gpus():
+            total = 0.0
+            for succ in topo.successors(gpu):
+                if topo.node(succ).kind is not NodeKind.GPU_MEM:
+                    total += topo.link(gpu, succ).capacity
+            gpu_fabric_egress[gpu] = total
 
-    for link in topo.links:
-        src = out_name(link.src)
-        dst = f"{link.dst}/in" if link.dst in storage_names else link.dst
-        cap = link.capacity
-        if link.kind is LinkKind.QPI:
-            cap = min(cap, QPI_P2P_BW)
-        net.add_edge(src, dst, cap * time)
+        # storage egress ceilings (node splitting); an unbounded egress
+        # is a constant-infinity edge, never a scaled one (inf * t is
+        # undefined at t = 0)
+        self.storage_edge: Dict[str, int] = {}
+        for node in topo.storage_nodes:
+            egress = (
+                node.egress_bw if node.egress_bw is not None else float("inf")
+            )
+            if node.kind is NodeKind.GPU_MEM:
+                owner = node.name[: -len(":mem")]
+                egress = min(egress, gpu_fabric_egress.get(owner, egress))
+            if np.isfinite(egress):
+                eid = add_edge(f"{node.name}/in", f"{node.name}/out", 0.0, egress)
+            else:
+                eid = add_edge(
+                    f"{node.name}/in", f"{node.name}/out", float("inf"), 0.0
+                )
+            self.storage_edge[node.name] = eid
 
-    # virtual source edges per demanded bin
-    per_bin = demand.per_bin()
-    for bin_name, nbytes in sorted(per_bin.items()):
-        if bin_name in (SSD_CLASS, CPU_CLASS):
-            class_node = f"{bin_name}/class"
-            net.add_edge(_SOURCE, class_node, nbytes)
-            for member in _storage_members(topo, bin_name):
-                net.add_edge(class_node, f"{member}/in", float("inf"))
-        else:
-            if bin_name not in topo:
-                raise KeyError(f"demand references unknown bin {bin_name!r}")
-            net.add_edge(_SOURCE, f"{bin_name}/in", nbytes)
+        # physical links (QPI carries device-to-device DMA at the
+        # reduced cross-socket P2P forwarding rate; CPU-memory flows are
+        # a small minority of what the predictor routes, so the cap
+        # applies globally)
+        for link in topo.links:
+            src = out_name(link.src)
+            dst = f"{link.dst}/in" if link.dst in storage_names else link.dst
+            cap = link.capacity
+            if link.kind is LinkKind.QPI:
+                cap = min(cap, QPI_P2P_BW)
+            add_edge(src, dst, 0.0, cap)
 
-    # virtual sink edges per GPU
-    for gpu, nbytes in sorted(demand.per_gpu().items()):
-        if gpu not in topo:
-            raise KeyError(f"demand references unknown GPU {gpu!r}")
-        net.add_edge(gpu, _SINK, nbytes)
-    return net
+        # virtual source edges per demanded bin
+        per_bin = demand.per_bin()
+        for bin_name, nbytes in sorted(per_bin.items()):
+            if bin_name in (SSD_CLASS, CPU_CLASS):
+                class_node = f"{bin_name}/class"
+                add_edge(_SOURCE, class_node, nbytes)
+                for member in _storage_members(topo, bin_name):
+                    add_edge(class_node, f"{member}/in", float("inf"))
+            else:
+                if bin_name not in topo:
+                    raise KeyError(
+                        f"demand references unknown bin {bin_name!r}"
+                    )
+                add_edge(_SOURCE, f"{bin_name}/in", nbytes)
+
+        # virtual sink edges per GPU
+        self.demands_by_sink = demand.per_gpu()
+        for gpu, nbytes in sorted(self.demands_by_sink.items()):
+            if gpu not in topo:
+                raise KeyError(f"demand references unknown GPU {gpu!r}")
+            add_edge(gpu, _SINK, nbytes)
+
+        self.attach_terminals()
+        self.base = np.asarray(self.base)
+        self.rate = np.asarray(self.rate)
+        self.total = demand.total
+
+    # -- per-probe machinery -------------------------------------------
+    def residual_caps(self, t: float) -> List[float]:
+        """Fresh residual capacities at probe time ``t`` (forward edges
+        interleaved with zeroed reverse edges)."""
+        caps = np.zeros(2 * len(self.base))
+        caps[0::2] = self.base + self.rate * t
+        return caps.tolist()
+
+    def cut_line(self, reach: Sequence[int]) -> Tuple[float, float]:
+        """``(base_bytes, rate)`` of the cut induced by a node mask.
+
+        Edge terms are accumulated in edge-id order, so the same cut
+        always sums to bit-identical coefficients — warm and cold
+        searches ending on the same binding cut return the same float.
+        """
+        to = self._to
+        b = r = 0.0
+        for e in range(len(self.base)):
+            if reach[to[2 * e + 1]] and not reach[to[2 * e]]:
+                b += self.base[e]
+                r += self.rate[e]
+        return b, r
+
+    def partition_mask(
+        self, partition: Iterable[str]
+    ) -> Optional[bytearray]:
+        """A warm-start label set as a node mask, or ``None`` if it is
+        not a valid s-t partition here (labels from a different fabric
+        are simply ignored; dropped nodes vanish from the mask)."""
+        reach = bytearray(len(self.labels))
+        for label in partition:
+            nid = self._index.get(label)
+            if nid is not None:
+                reach[nid] = 1
+        if not reach[self.source] or reach[self.sink]:
+            return None
+        return reach
+
+    def warm_root(self, partition: Optional[Iterable[str]]) -> float:
+        """The hint cut's root: a sound lower bound on the completion
+        time (``0.0`` when the hint does not transfer)."""
+        if not partition:
+            return 0.0
+        reach = self.partition_mask(partition)
+        if reach is None:
+            return 0.0
+        b, r = self.cut_line(reach)
+        if not np.isfinite(b) or r <= _EPS or b >= self.total:
+            return 0.0
+        return max(0.0, (self.total - b) / r)
+
+    # -- result assembly ------------------------------------------------
+    def prediction(
+        self,
+        t_star: float,
+        caps: List[float],
+        cut_mask: Optional[Sequence[int]],
+    ) -> FlowPrediction:
+        """Build the :class:`FlowPrediction` from the final feasible
+        solve's residuals and the binding cut's node mask."""
+        storage_rate: Dict[str, float] = {}
+        for node, eid in self.storage_edge.items():
+            flow = caps[2 * eid + 1]
+            if flow > 0:
+                storage_rate[node] = flow / t_star
+        bottlenecks: List[str] = []
+        partition: Tuple[str, ...] = ()
+        if cut_mask is not None:
+            to = self._to
+            for e in range(len(self.base)):
+                ui, vi = to[2 * e + 1], to[2 * e]
+                if not (cut_mask[ui] and not cut_mask[vi]):
+                    continue
+                if ui == self.source or vi == self.sink:
+                    continue  # demand-limited, not a physical bottleneck
+                u_s, v_s = self.labels[ui], self.labels[vi]
+                if u_s.endswith("/out"):
+                    u_s = u_s[: -len("/out")]
+                if v_s.endswith("/in"):
+                    v_s = v_s[: -len("/in")]
+                bottlenecks.append(
+                    f"{u_s}->{v_s} ({self.rate[e] / 1e9:.1f} GB/s)"
+                )
+            partition = tuple(
+                sorted(
+                    self.labels[i]
+                    for i in range(len(self.labels))
+                    if cut_mask[i]
+                )
+            )
+        per_gpu_rate = {
+            g: d / t_star for g, d in self.demands_by_sink.items()
+        }
+        return FlowPrediction(
+            time=t_star,
+            throughput=self.total / t_star,
+            per_gpu_rate=per_gpu_rate,
+            storage_rate=storage_rate,
+            bottlenecks=bottlenecks,
+            cut_partition=partition,
+        )
+
+
+def _next_probe(
+    tpl: FlowTemplate, caps: List[float], t: float
+) -> Tuple[float, bytearray]:
+    """After an infeasible solve at ``t``: the residual min cut's node
+    mask and its root, the next probe time."""
+    reach = tpl.reachable(caps)
+    b, r = tpl.cut_line(reach)
+    if r <= _EPS:
+        raise RuntimeError(
+            f"demands infeasible even in {_T_HI} s — disconnected topology?"
+        )
+    t_next = (tpl.total - b) / r
+    if t_next > _T_HI:
+        raise RuntimeError(
+            f"demands infeasible even in {_T_HI} s — disconnected topology?"
+        )
+    if t_next <= t:  # float backstop: the root must strictly advance
+        t_next = np.nextafter(t, np.inf)
+    return t_next, reach
+
+
+def _solve_template(
+    tpl: FlowTemplate, t0: float, hint_mask: Optional[bytearray]
+) -> FlowPrediction:
+    """Cut-parametric search from probe ``t0`` (with ``hint_mask`` as
+    the provisional binding cut when ``t0`` came from a warm hint)."""
+    threshold = tpl.total * (1.0 - _FEAS_TOL)
+    t = t0
+    cut_mask: Optional[bytearray] = hint_mask
+    for _ in range(_MAX_ITERS):
+        caps = tpl.residual_caps(t)
+        got = tpl.max_flow(caps)
+        if got >= threshold:
+            return tpl.prediction(t, caps, cut_mask)
+        t, cut_mask = _next_probe(tpl, caps, t)
+    raise RuntimeError(
+        f"cut-parametric time search did not converge in {_MAX_ITERS} "
+        "iterations"
+    )
 
 
 def min_completion_time(
     topo: Topology,
     demand: TrafficDemand,
-    rel_tol: float = 1e-4,
+    warm_partition: Optional[Iterable[str]] = None,
 ) -> FlowPrediction:
     """Minimum time to route all demands; the paper's placement score.
 
-    Also extracts per-storage-node flows at the optimum (DDAK traffic
-    targets) and the saturated links (bottleneck report).
+    Returns the exact minimum completion time (no bisection slack), the
+    per-storage-node flows at the optimum (DDAK traffic targets) and
+    the saturated links (bottleneck report).  A ``warm_partition`` from
+    a previously scored neighbor/healthy fabric only changes how fast
+    the search converges, not its answer.
     """
-    from repro.core.maxflow import _MIN_DEMAND
-
     if demand.total <= _MIN_DEMAND:
         return FlowPrediction(0.0, 0.0, {}, {})
-
-    demands_by_sink = demand.per_gpu()
-
-    def build(t: float) -> FlowNetwork:
-        return build_time_network(topo, demand, t)
-
-    t_star = bisect_min_time(
-        build, demands_by_sink, source=_SOURCE, sink=_SINK, rel_tol=rel_tol
-    )
-
-    # Re-solve at the optimum to read off per-storage flows.
-    net = build(t_star)
-    dinic(net, _SOURCE, _SINK)
-    storage_rate: Dict[str, float] = {}
-    for eid in range(0, net.num_edges * 2, 2):
-        u, v = net.edge_endpoints(eid)
-        flow = net.flow_on(eid)
-        if isinstance(u, str) and u.endswith("/in") and isinstance(v, str):
-            node = u[: -len("/in")]
-            if v == f"{node}/out" and flow > 0:
-                storage_rate[node] = flow / t_star
-
-    # Bottlenecks: the min cut *just below* the feasible time is made of
-    # the physical links that prevent finishing any faster.
-    bottlenecks: List[str] = []
-    t_tight = t_star * (1.0 - 16.0 * rel_tol)
-    if t_tight > 0:
-        tight = build(t_tight)
-        dinic(tight, _SOURCE, _SINK)
-        for eid in min_cut(tight, _SOURCE):
-            u, v = tight.edge_endpoints(eid)
-            cap = tight.capacity_of(eid)
-            if u == _SOURCE or v == _SINK:
-                continue  # demand-limited, not a physical bottleneck
-            u_s, v_s = str(u), str(v)
-            if u_s.endswith("/out"):
-                u_s = u_s[: -len("/out")]
-            if v_s.endswith("/in"):
-                v_s = v_s[: -len("/in")]
-            bottlenecks.append(f"{u_s}->{v_s} ({cap / t_tight / 1e9:.1f} GB/s)")
-
-    per_gpu_rate = {g: d / t_star for g, d in demands_by_sink.items()}
-    return FlowPrediction(
-        time=t_star,
-        throughput=demand.total / t_star,
-        per_gpu_rate=per_gpu_rate,
-        storage_rate=storage_rate,
-        bottlenecks=bottlenecks,
-    )
+    tpl = FlowTemplate(topo, demand)
+    t0 = tpl.warm_root(warm_partition)
+    hint = tpl.partition_mask(warm_partition) if t0 > 0.0 else None
+    return _solve_template(tpl, t0, hint)
 
 
-def predict_throughput(topo: Topology, demand: TrafficDemand) -> float:
-    """Aggregate GPU inlet bytes/s for the demand (convenience)."""
-    return min_completion_time(topo, demand).throughput
+def score_batch(
+    jobs: Sequence[Tuple[Topology, TrafficDemand]],
+    warm_partition: Optional[Iterable[str]] = None,
+    chain: bool = True,
+) -> Tuple[List[Optional[FlowPrediction]], int]:
+    """Score a batch of (topology, demand) candidates in lockstep.
+
+    The first candidate is solved alone (seeded by ``warm_partition``
+    when given); with ``chain`` on, its binding cut becomes the warm
+    hint for every other candidate in the batch — enumeration-adjacent
+    placements share most of their fabric, so the hint's root usually
+    lands in the binding segment and the rest of the batch converges in
+    one or two rounds.  Each lockstep round refreshes every still-active
+    candidate's capacity vector from the stacked ``(B, E)`` rate/base
+    matrices in a single NumPy operation, then advances each active
+    candidate's max flow one probe.
+
+    Returns ``(predictions, warm_starts)`` where ``warm_starts`` counts
+    candidates whose search actually started from a warm (non-zero)
+    root.  Zero-demand jobs yield the empty prediction.
+    """
+    predictions: List[Optional[FlowPrediction]] = [None] * len(jobs)
+    warm_starts = 0
+    templates: List[Optional[FlowTemplate]] = []
+    for i, (topo, demand) in enumerate(jobs):
+        if demand.total <= _MIN_DEMAND:
+            predictions[i] = FlowPrediction(0.0, 0.0, {}, {})
+            templates.append(None)
+        else:
+            templates.append(FlowTemplate(topo, demand))
+
+    live = [i for i, tpl in enumerate(templates) if tpl is not None]
+    if not live:
+        return predictions, warm_starts
+
+    # head of the batch: solo solve, seeded by the caller's hint
+    head = live[0]
+    tpl = templates[head]
+    t0 = tpl.warm_root(warm_partition)
+    hint = tpl.partition_mask(warm_partition) if t0 > 0.0 else None
+    if t0 > 0.0:
+        warm_starts += 1
+    predictions[head] = _solve_template(tpl, t0, hint)
+
+    rest = live[1:]
+    if not rest:
+        return predictions, warm_starts
+    hint_partition = (
+        predictions[head].cut_partition if chain else warm_partition
+    ) or warm_partition
+
+    # stacked capacity matrices for the rest of the batch (ragged edge
+    # counts are padded; padding columns never enter a solve)
+    width = max(templates[i].num_edges for i in rest)
+    base_mat = np.zeros((len(rest), width))
+    rate_mat = np.zeros((len(rest), width))
+    for row, i in enumerate(rest):
+        tpl_i = templates[i]
+        base_mat[row, : tpl_i.num_edges] = tpl_i.base
+        rate_mat[row, : tpl_i.num_edges] = tpl_i.rate
+
+    t_vec = np.zeros(len(rest))
+    masks: List[Optional[bytearray]] = [None] * len(rest)
+    for row, i in enumerate(rest):
+        tpl_i = templates[i]
+        root = tpl_i.warm_root(hint_partition)
+        if root > 0.0:
+            t_vec[row] = root
+            masks[row] = tpl_i.partition_mask(hint_partition)
+            warm_starts += 1
+
+    active = list(range(len(rest)))
+    for _ in range(_MAX_ITERS):
+        if not active:
+            break
+        # one vectorized capacity refresh for every active candidate
+        caps_mat = base_mat[active] + rate_mat[active] * t_vec[active, None]
+        still_active: List[int] = []
+        for k, row in enumerate(active):
+            i = rest[row]
+            tpl_i = templates[i]
+            ne = tpl_i.num_edges
+            caps = np.zeros(2 * ne)
+            caps[0::2] = caps_mat[k, :ne]
+            caps_list = caps.tolist()
+            got = tpl_i.max_flow(caps_list)
+            if got >= tpl_i.total * (1.0 - _FEAS_TOL):
+                predictions[i] = tpl_i.prediction(
+                    float(t_vec[row]), caps_list, masks[row]
+                )
+                continue
+            t_vec[row], masks[row] = _next_probe(
+                tpl_i, caps_list, t_vec[row]
+            )
+            still_active.append(row)
+        active = still_active
+    if active:
+        raise RuntimeError(
+            f"cut-parametric time search did not converge in {_MAX_ITERS} "
+            "iterations"
+        )
+    return predictions, warm_starts
 
 
 def plain_max_flow(topo: Topology) -> float:
@@ -266,18 +650,21 @@ def plain_max_flow(topo: Topology) -> float:
     cache is not communication.  Matches the paper's base formulation;
     mostly useful for sanity checks and reports, since it ignores what
     data each tier actually holds."""
-    net = FlowNetwork()
+    graph = FlowGraph()
     storage_names = {n.name for n in topo.storage_nodes}
 
     for node in topo.storage_nodes:
         egress = node.egress_bw if node.egress_bw is not None else float("inf")
-        net.add_edge(f"{node.name}/in", f"{node.name}/out", egress)
+        graph.add_edge(f"{node.name}/in", f"{node.name}/out", egress)
         if node.kind is not NodeKind.GPU_MEM:
-            net.add_edge(_SOURCE, f"{node.name}/in", egress)
+            graph.add_edge(_SOURCE, f"{node.name}/in", egress)
     for link in topo.links:
         src = f"{link.src}/out" if link.src in storage_names else link.src
         dst = f"{link.dst}/in" if link.dst in storage_names else link.dst
-        net.add_edge(src, dst, link.capacity)
+        graph.add_edge(src, dst, link.capacity)
     for gpu in topo.gpus():
-        net.add_edge(gpu, _SINK, float("inf"))
-    return dinic(net, _SOURCE, _SINK)
+        graph.add_edge(gpu, _SINK, float("inf"))
+    graph.attach_terminals()
+    caps = [0.0] * (2 * graph.num_edges)
+    caps[0::2] = graph.base
+    return graph.max_flow(caps)

@@ -7,7 +7,7 @@ Pipeline, run once per (machine, device pool, dataset):
    capacity gives the fraction of feature traffic each tier serves;
 3. **Enumerate** — all slot-feasible hardware placements, pruned by
    chassis-symmetry canonicalisation;
-4. **Score** — each candidate topology gets the time-bisection max-flow
+4. **Score** — each candidate topology gets the min-completion-time max-flow
    treatment on a demand built from the tier fractions (per-GPU demand
    is even: data-parallel training); highest predicted throughput wins;
 5. **DDAK** — the winner's per-storage-node optimal flows become the
@@ -218,7 +218,6 @@ class OptimizerConfig:
     #: "partitioned" (per-GPU content, peer reads over the fabric).
     gpu_cache_policy: str = "replicated"
     fanouts: Tuple[int, ...] = (25, 10)
-    score_rel_tol: float = 1e-3
     #: Keep at most this many top candidates in the report.
     report_top_k: int = 10
     #: Run the exact multicommodity LP only on this many of the best
@@ -279,7 +278,7 @@ class MomentOptimizer:
         placement: Placement,
         fractions: Tuple[float, float, float],
     ) -> ScoredPlacement:
-        """Two-pass time-bisection max-flow score of one candidate.
+        """Two-pass max-flow score of one candidate.
 
         Pass 1 uses flexible class demands: the solver decides how much
         traffic each drive/bank should ideally serve (these weights are
@@ -295,7 +294,6 @@ class MomentOptimizer:
         coarse = FlexibleMaxFlowScorer(
             fractions=fractions,
             gpu_cache_policy=cfg.gpu_cache_policy,
-            rel_tol=cfg.score_rel_tol,
         )
         exact = MulticommodityScorer(
             fractions=fractions, gpu_cache_policy=cfg.gpu_cache_policy
@@ -341,7 +339,6 @@ class MomentOptimizer:
             fractions=fractions,
             gpu_cache_policy=cfg.gpu_cache_policy,
             nvlink_pairs=cfg.nvlink_pairs,
-            score_rel_tol=cfg.score_rel_tol,
             lp_top_k=max(1, cfg.lp_top_k),
             top_k=max(1, cfg.report_top_k),
             workers=cfg.search_workers,

@@ -15,7 +15,7 @@ multi-node driver, baselines and experiments) all speak the same
    :func:`repro.core.placement.count_placements`.
 2. **Coarse scoring (pass 1)** — :class:`FlexibleMaxFlowScorer`, the
    paper's time-search max flow on *flexible* class demands, solved by
-   the vectorized cut-parametric kernel (:mod:`repro.core.flowbatch`):
+   the vectorized cut-parametric kernel (:mod:`repro.core.flowmodel`):
    candidates are scored in batches whose capacity matrices are stacked
    into NumPy arrays, and each batch's first solution warm-starts the
    rest (``search.warm_starts``).  Its throughput is an upper bound on
@@ -65,12 +65,13 @@ from typing import (
 import numpy as np
 
 from repro import obs
-from repro.core.flowbatch import fast_min_completion_time, fast_score_batch
 from repro.core.flowmodel import (
     CPU_CLASS,
     SSD_CLASS,
     FlowPrediction,
     TrafficDemand,
+    min_completion_time,
+    score_batch,
 )
 from repro.core.mcmf import McfPrediction, multicommodity_min_time
 from repro.core.placement import Chassis, Placement, count_placements
@@ -81,7 +82,7 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only, avoids import cycle
     from repro.hardware.machines import MachineSpec
 
 
-#: Relative slack for bound pruning.  Pass-1 bisection and the pass-2 LP
+#: Relative slack for bound pruning.  Pass-1 max flow and the pass-2 LP
 #: can land within float/solver noise of each other when both clamp on
 #: the same analytic bottleneck (e.g. the SSD aggregate), so an exact
 #: ``bound < floor`` test never fires on tied searches.  Pruning instead
@@ -301,11 +302,11 @@ class EnumeratedSource:
     Streams :func:`repro.core.symmetry.iter_canonical_placements`: one
     representative per symmetry orbit, produced directly (the rejected
     orbit members are never constructed, unlike the historical
-    enumerate-then-:class:`~repro.core.symmetry.CanonicalFilter`
-    pipeline this replaces).  The yielded key is the representative's
-    own count tuple — under the direct scheme the representative *is*
-    the orbit's enumeration-order minimum, so its tuple is already a
-    unique orbit id.
+    enumerate-then-filter pipeline this replaces, kept as the reference
+    ``CanonicalFilter`` in ``tests/oracles.py``).  The yielded key is
+    the representative's own count tuple — under the direct scheme the
+    representative *is* the orbit's enumeration-order minimum, so its
+    tuple is already a unique orbit id.
 
     ``num_seen`` is the raw pre-dedupe count, computed analytically by
     :func:`repro.core.placement.count_placements` (and cached); the
@@ -403,16 +404,12 @@ class FlexibleMaxFlowScorer:
     exact pass-2 score.
 
     Solved by the vectorized cut-parametric kernel
-    (:mod:`repro.core.flowbatch`), which returns the *exact* breakpoint
-    time — no bisection, no tolerance.  ``rel_tol`` is kept for API
-    compatibility with the legacy bisection path
-    (:func:`repro.core.flowmodel.min_completion_time`, retained as the
-    differential-test reference) but is unused here.
+    (:mod:`repro.core.flowmodel`), which returns the *exact* breakpoint
+    time — no bisection, no tolerance.
     """
 
     fractions: Tuple[float, float, float]
     gpu_cache_policy: str = "replicated"
-    rel_tol: float = 1e-3
 
     name = "pass1.maxflow"
 
@@ -427,7 +424,7 @@ class FlexibleMaxFlowScorer:
         """Score one candidate.  ``prior``, when given, is a warm-start
         cut partition (node labels) from a related solve."""
         warm = prior if prior else None
-        return fast_min_completion_time(
+        return min_completion_time(
             topo, self._demand(topo), warm_partition=warm
         )
 
@@ -440,10 +437,10 @@ class FlexibleMaxFlowScorer:
         """Score a batch of candidate topologies in NumPy lockstep.
 
         Returns ``(predictions, warm_starts)``; see
-        :func:`repro.core.flowbatch.fast_score_batch`.
+        :func:`repro.core.flowmodel.score_batch`.
         """
         jobs = [(topo, self._demand(topo)) for topo in topos]
-        return fast_score_batch(
+        return score_batch(
             jobs, warm_partition=warm_partition, chain=chain
         )
 
@@ -694,7 +691,6 @@ class SearchRequest:
     fractions: Tuple[float, float, float]
     gpu_cache_policy: str = "replicated"
     nvlink_pairs: Optional[Tuple[Tuple[int, int], ...]] = None
-    score_rel_tol: float = 1e-3
     #: Pass-1 → pass-2 funnel width (pass 1 is optimistic, so generous).
     lp_top_k: int = 48
     #: Candidates kept in the ranked result (also the pruning floor k).
@@ -1022,7 +1018,6 @@ def run_search(request: SearchRequest) -> SearchResult:
     coarse = FlexibleMaxFlowScorer(
         fractions=request.fractions,
         gpu_cache_policy=request.gpu_cache_policy,
-        rel_tol=request.score_rel_tol,
     )
     exact = MulticommodityScorer(
         fractions=request.fractions,

@@ -185,64 +185,11 @@ def slot_group_symmetries(chassis: Chassis) -> List[Dict[str, str]]:
 # ----------------------------------------------------------------------
 # Canonicalisation of placements
 # ----------------------------------------------------------------------
-def canonical_key(
-    placement: Placement, symmetries: Sequence[Dict[str, str]]
-) -> Tuple:
-    """Orbit-canonical key: the lexicographically smallest count tuple
-    over all chassis symmetries."""
-    order = placement.chassis.group_names
-    best = None
-    for sym in symmetries:
-        permuted = tuple(
-            (
-                placement.count(_preimage(sym, g), "gpu"),
-                placement.count(_preimage(sym, g), "ssd"),
-            )
-            for g in order
-        )
-        if best is None or permuted < best:
-            best = permuted
-    return best
-
-
 def _preimage(sym: Dict[str, str], target: str) -> str:
     for src, dst in sym.items():
         if dst == target:
             return src
     raise KeyError(target)
-
-
-class CanonicalFilter:
-    """Incremental symmetry dedupe: admit one placement per orbit.
-
-    Computes the chassis automorphisms once, then filters a *stream* of
-    placements — :meth:`admit` returns the orbit-canonical key the first
-    time an orbit is seen and ``None`` for every later member, so the
-    search engine can prune candidates as they are produced instead of
-    materialising the full enumeration first.
-    """
-
-    def __init__(self, chassis: Chassis) -> None:
-        self.chassis = chassis
-        self.symmetries = slot_group_symmetries(chassis)
-        self._seen: set = set()
-
-    @property
-    def num_admitted(self) -> int:
-        """Distinct orbits admitted so far."""
-        return len(self._seen)
-
-    def key(self, placement: Placement) -> Tuple:
-        """Orbit-canonical key of ``placement`` (no admission)."""
-        return canonical_key(placement, self.symmetries)
-
-    def admit(self, placement: Placement) -> "Tuple | None":
-        """The canonical key if this orbit is new, else ``None``."""
-        key = self.key(placement)
-        if key in self._seen:
-            return None
-        self._seen.add(key)
-        return key
 
 
 def iter_canonical_placements(
@@ -253,18 +200,19 @@ def iter_canonical_placements(
 ) -> Iterator[Placement]:
     """Yield only canonical placements, without generating duplicates.
 
-    Produces exactly the placements (in exactly the order) that
-    streaming :func:`~repro.core.placement.iter_placements` through
-    :class:`CanonicalFilter` admits, but never constructs the rejected
-    orbit members: the enumeration ascends lexicographically on the
-    concatenated ``(gpu counts, ssd counts)`` vector, so the first-seen
-    orbit member is the orbit's concat-order minimum — a placement is
-    canonical iff its concat vector is ``<=`` every symmetric
-    relabeling of itself.  That test is run vectorized over the whole
-    count matrix with NumPy (one column permutation + lexicographic
-    compare per non-trivial symmetry).
+    Produces exactly the placements (in exactly the order) that a
+    first-seen-per-orbit filter over
+    :func:`~repro.core.placement.iter_placements` admits (the reference
+    ``CanonicalFilter`` in ``tests/oracles.py``), but never constructs
+    the rejected orbit members: the enumeration ascends
+    lexicographically on the concatenated ``(gpu counts, ssd counts)``
+    vector, so the first-seen orbit member is the orbit's concat-order
+    minimum — a placement is canonical iff its concat vector is ``<=``
+    every symmetric relabeling of itself.  That test is run vectorized
+    over the whole count matrix with NumPy (one column permutation +
+    lexicographic compare per non-trivial symmetry).
 
-    Note the concat order differs from :func:`canonical_key`'s
+    Note the concat order differs from the reference orbit key's
     *interleaved* order — an orbit's interleaved-lex minimum can be a
     different member than its concat-lex minimum — so the admission
     test deliberately uses concat order to reproduce the filter's
@@ -316,19 +264,3 @@ def iter_canonical_placements(
             for i, name in enumerate(group_names)
         }
         yield Placement(chassis, counts)
-
-
-def dedupe_placements(
-    placements: Sequence[Placement],
-    chassis: Chassis = None,
-) -> List[Placement]:
-    """Keep one representative per symmetry orbit, preserving input order.
-
-    This is the paper's "isomorphic graph reduction" step; on Machine A
-    it roughly halves the candidate count (the two sides are mirrors).
-    """
-    if not placements:
-        return []
-    chassis = chassis or placements[0].chassis
-    filt = CanonicalFilter(chassis)
-    return [p for p in placements if filt.admit(p) is not None]

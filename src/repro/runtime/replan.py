@@ -35,7 +35,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.ddak import make_bins
-from repro.core.flowbatch import fast_min_completion_time
+from repro.core.flowmodel import min_completion_time
 from repro.core.optimizer import CapacityPlan
 from repro.core.search import SearchRequest, run_search, scoring_demand
 from repro.core.topology import TopologyMask
@@ -215,7 +215,7 @@ class ReplanPolicy:
             if self._warm_cut is None:
                 # first replan: score the healthy fabric once and keep
                 # its binding cut as the warm seed for the masked search
-                healthy = fast_min_completion_time(
+                healthy = min_completion_time(
                     self.sim.topo,
                     scoring_demand(
                         self.sim.topo,

@@ -177,3 +177,18 @@ class RunSpec:
         return self.replace(
             repetition=repetition, seed=derive_seed(base, repetition)
         )
+
+
+def require_run_spec(where: str, spec, extra: Dict[str, object]) -> None:
+    """Raise ``TypeError`` unless ``spec`` is a :class:`RunSpec` and no
+    loose keyword options ride along (the pre-2.0 ``run(dataset,
+    **kwargs)`` form)."""
+    if isinstance(spec, RunSpec) and not extra:
+        return
+    got = type(spec).__name__
+    if extra:
+        got += f" plus keyword options {sorted(extra)}"
+    raise TypeError(
+        f"{where} takes a RunSpec, got {got}; wrap the dataset and "
+        "options in repro.RunSpec(dataset=..., ...)"
+    )

@@ -11,7 +11,6 @@ placement it runs on.  :meth:`GnnSystem.run` returns a
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,7 +46,7 @@ from repro.simulator.routing import reconcile_storage_rates
 from repro.simulator.traffic import TrafficAccount
 from repro.core.flowmodel import TrafficDemand
 from repro.runtime.replan import ReplanPolicy
-from repro.runtime.spec import RunSpec
+from repro.runtime.spec import RunSpec, require_run_spec
 from repro.utils.rng import SeedLike
 from repro.utils.units import GiB
 
@@ -403,39 +402,20 @@ class GnnSystem:
         return placement, None
 
     # -- main entry point --------------------------------------------------
-    def run(self, spec=None, **kwargs) -> SystemResult:
-        """Budget memory, place data, and simulate one epoch.
-
-        The canonical form takes one :class:`~repro.runtime.spec.RunSpec`::
+    def run(self, spec: RunSpec, **extra) -> SystemResult:
+        """Budget memory, place data, and simulate one epoch of ``spec``::
 
             system.run(RunSpec(dataset=ds, sample_batches=6))
 
-        The historical loose-kwargs form
-        (``system.run(ds, placement=..., num_gpus=4, ...)``) still works
-        — it builds the equivalent ``RunSpec`` and emits a
-        ``DeprecationWarning`` — and produces identical results.
+        Anything but a lone :class:`~repro.runtime.spec.RunSpec` — a
+        dataset, or loose keyword options — is a ``TypeError``.
 
         With telemetry enabled (:func:`repro.obs.enable` /
         :func:`~repro.obs.capture`), the run executes inside a
         ``system.run`` span and the result's :attr:`SystemResult.telemetry`
         carries the spans and metric deltas it produced.
         """
-        if not isinstance(spec, RunSpec):
-            if spec is not None:
-                kwargs["dataset"] = spec
-            warnings.warn(
-                "GnnSystem.run(dataset, **kwargs) is deprecated and will "
-                "be removed in 2.0; pass a repro.RunSpec instead "
-                "(identical results)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            spec = RunSpec(**kwargs)
-        elif kwargs:
-            raise TypeError(
-                "pass either a RunSpec or legacy kwargs, not both: "
-                f"{sorted(kwargs)}"
-            )
+        require_run_spec(f"{type(self).__name__}.run", spec, extra)
         scope = obs.scope()
         with obs.span(
             "system.run",

@@ -3,12 +3,49 @@
 They are deliberately plain: direct transcriptions of the algorithm, one
 Python loop per step, kept here so a differential test can pin the
 vectorized production code to them.
+
+* max-min water-filling — :func:`max_min_rates` / :func:`progressive_fill`
+  (reference for :mod:`repro.simulator.bandwidth`);
+* max flow — :class:`FlowNetwork` with Edmonds–Karp and Dinic, min cut,
+  and the paper's time-bisection procedure (:func:`bisect_min_time`);
+  :func:`build_time_network` + :func:`bisect_min_completion_time` are
+  the bisection reference for :func:`repro.core.flowmodel.min_completion_time`
+  and :func:`plain_max_flow` for its namesake;
+* symmetry dedupe — :func:`canonical_key` / :class:`CanonicalFilter` /
+  :func:`dedupe_placements`, the enumerate-then-filter pipeline
+  :func:`repro.core.symmetry.iter_canonical_placements` reproduces;
+* :func:`legacy_machine_a` / :func:`legacy_machine_b` — the hand-built
+  chassis the compiled fabric specs must equal.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from collections import deque
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.flowmodel import (
+    _SINK,
+    _SOURCE,
+    CPU_CLASS,
+    SSD_CLASS,
+    FlowPrediction,
+    TrafficDemand,
+    _storage_members,
+)
+from repro.core.placement import GPU, SSD, Chassis, Placement, SlotGroup
+from repro.core.symmetry import _preimage, slot_group_symmetries
+from repro.core.topology import LinkKind, NodeKind, Topology
+from repro.hardware.machines import MachineSpec
+from repro.hardware.specs import (
+    A100_40GB,
+    P5510,
+    PCIE4_X16,
+    PCIE4_X4,
+    QPI_BW,
+    XEON_GOLD_5320,
+    XEON_GOLD_6426Y,
+    CpuSpec,
+)
 from repro.simulator.bandwidth import FairShareResult, Flow, ResourceKey
 from repro.utils.validation import check_positive
 
@@ -138,3 +175,610 @@ def progressive_fill(
     )
     result._tags = [(finish[i], flows[i].tag) for i in range(n)]
     return result
+
+
+# ----------------------------------------------------------------------
+# Max flow: Edmonds–Karp, Dinic, min cut, time bisection
+# ----------------------------------------------------------------------
+INF = float("inf")
+_EPS = 1e-9
+#: Demands below this many bytes are treated as zero: sub-microbyte
+#: quantities are residues of float arithmetic, and the residual-graph
+#: epsilon would otherwise misclassify them as unroutable.
+_MIN_DEMAND = 1e-6
+
+
+class FlowNetwork:
+    """Directed flow network with residual bookkeeping.
+
+    Nodes are arbitrary hashable labels, added implicitly by
+    :meth:`add_edge`.  Parallel edges are kept distinct so per-edge flow
+    can be reported (needed to read off per-storage-node traffic for
+    DDAK).
+    """
+
+    def __init__(self) -> None:
+        self._index: Dict[object, int] = {}
+        self._labels: List[object] = []
+        # Edge arrays: to[i], cap[i] (residual), paired edge i^1 is the
+        # reverse.  adj[u] lists edge ids leaving u.
+        self._to: List[int] = []
+        self._cap: List[float] = []
+        self._init_cap: List[float] = []
+        self.adj: List[List[int]] = []
+
+    # -- construction ---------------------------------------------------
+    def node_id(self, label: object) -> int:
+        """Intern a node label, creating it on first use."""
+        if label not in self._index:
+            self._index[label] = len(self._labels)
+            self._labels.append(label)
+            self.adj.append([])
+        return self._index[label]
+
+    def label(self, node_id: int) -> object:
+        """The label of an interned node id."""
+        return self._labels[node_id]
+
+    @property
+    def num_nodes(self) -> int:
+        """Number of interned nodes."""
+        return len(self._labels)
+
+    @property
+    def num_edges(self) -> int:
+        """Number of forward (capacity-bearing) edges."""
+        return len(self._to) // 2
+
+    def add_edge(self, u: object, v: object, capacity: float) -> int:
+        """Add directed edge ``u -> v``; returns its edge id.
+
+        ``capacity`` may be ``float('inf')`` for virtual edges.
+        """
+        if capacity < 0:
+            raise ValueError(f"negative capacity {capacity!r}")
+        ui, vi = self.node_id(u), self.node_id(v)
+        eid = len(self._to)
+        self._to.append(vi)
+        self._cap.append(capacity)
+        self._init_cap.append(capacity)
+        self.adj[ui].append(eid)
+        # reverse (residual) edge
+        self._to.append(ui)
+        self._cap.append(0.0)
+        self._init_cap.append(0.0)
+        self.adj[vi].append(eid + 1)
+        return eid
+
+    def set_capacity(self, eid: int, capacity: float) -> None:
+        """Reset one edge's capacity (clears any routed flow on it)."""
+        if capacity < 0:
+            raise ValueError(f"negative capacity {capacity!r}")
+        self._cap[eid] = capacity
+        self._init_cap[eid] = capacity
+        self._cap[eid ^ 1] = 0.0
+        self._init_cap[eid ^ 1] = 0.0
+
+    def reset(self) -> None:
+        """Erase all routed flow, restoring initial capacities."""
+        self._cap = list(self._init_cap)
+
+    # -- inspection -----------------------------------------------------
+    def flow_on(self, eid: int) -> float:
+        """Flow currently routed on forward edge ``eid``."""
+        return self._cap[eid ^ 1]
+
+    def residual(self, eid: int) -> float:
+        """Remaining capacity on edge ``eid``."""
+        return self._cap[eid]
+
+    def capacity_of(self, eid: int) -> float:
+        """Original capacity of edge ``eid``."""
+        return self._init_cap[eid]
+
+    def edge_endpoints(self, eid: int) -> Tuple[object, object]:
+        return self._labels[self._to[eid ^ 1]], self._labels[self._to[eid]]
+
+
+# ----------------------------------------------------------------------
+# Edmonds–Karp (BFS Ford–Fulkerson)
+# ----------------------------------------------------------------------
+def edmonds_karp(net: FlowNetwork, source: object, sink: object) -> float:
+    """Max flow via shortest augmenting paths.  O(V E^2)."""
+    s, t = net.node_id(source), net.node_id(sink)
+    total = 0.0
+    while True:
+        parent_edge = [-1] * net.num_nodes
+        parent_edge[s] = -2
+        q = deque([s])
+        while q and parent_edge[t] == -1:
+            u = q.popleft()
+            for eid in net.adj[u]:
+                v = net._to[eid]
+                if parent_edge[v] == -1 and net._cap[eid] > _EPS:
+                    parent_edge[v] = eid
+                    q.append(v)
+        if parent_edge[t] == -1:
+            return total
+        # find bottleneck
+        push = INF
+        v = t
+        while v != s:
+            eid = parent_edge[v]
+            push = min(push, net._cap[eid])
+            v = net._to[eid ^ 1]
+        # apply
+        v = t
+        while v != s:
+            eid = parent_edge[v]
+            net._cap[eid] -= push
+            net._cap[eid ^ 1] += push
+            v = net._to[eid ^ 1]
+        total += push
+
+
+# ----------------------------------------------------------------------
+# Dinic
+# ----------------------------------------------------------------------
+def dinic(net: FlowNetwork, source: object, sink: object) -> float:
+    """Max flow via blocking flows on level graphs.  O(V^2 E)."""
+    s, t = net.node_id(source), net.node_id(sink)
+    total = 0.0
+    n = net.num_nodes
+    while True:
+        # BFS level graph
+        level = [-1] * n
+        level[s] = 0
+        q = deque([s])
+        while q:
+            u = q.popleft()
+            for eid in net.adj[u]:
+                v = net._to[eid]
+                if level[v] < 0 and net._cap[eid] > _EPS:
+                    level[v] = level[u] + 1
+                    q.append(v)
+        if level[t] < 0:
+            return total
+        # DFS blocking flow with iteration pointers
+        it = [0] * n
+
+        def dfs(u: int, pushed: float) -> float:
+            if u == t:
+                return pushed
+            while it[u] < len(net.adj[u]):
+                eid = net.adj[u][it[u]]
+                v = net._to[eid]
+                if net._cap[eid] > _EPS and level[v] == level[u] + 1:
+                    got = dfs(v, min(pushed, net._cap[eid]))
+                    if got > _EPS:
+                        net._cap[eid] -= got
+                        net._cap[eid ^ 1] += got
+                        return got
+                it[u] += 1
+            return 0.0
+
+        while True:
+            pushed = dfs(s, INF)
+            if pushed <= _EPS:
+                break
+            total += pushed
+
+
+def max_flow(
+    net: FlowNetwork,
+    source: object,
+    sink: object,
+    method: str = "dinic",
+) -> float:
+    """Dispatch to a solver by name (``"dinic"`` or ``"edmonds_karp"``)."""
+    if method == "dinic":
+        return dinic(net, source, sink)
+    if method == "edmonds_karp":
+        return edmonds_karp(net, source, sink)
+    raise ValueError(f"unknown max-flow method {method!r}")
+
+
+def min_cut(net: FlowNetwork, source: object) -> List[int]:
+    """Edge ids of a minimum s-t cut.
+
+    Must be called after a max-flow run; returns the forward edges from
+    the source-reachable side (in the residual graph) to the rest —
+    i.e. the saturated bottleneck links.
+    """
+    s = net.node_id(source)
+    reach: Set[int] = {s}
+    q = deque([s])
+    while q:
+        u = q.popleft()
+        for eid in net.adj[u]:
+            v = net._to[eid]
+            if v not in reach and net._cap[eid] > _EPS:
+                reach.add(v)
+                q.append(v)
+    cut = []
+    for eid in range(0, len(net._to), 2):
+        u = net._to[eid ^ 1]
+        v = net._to[eid]
+        if u in reach and v not in reach and net._init_cap[eid] > _EPS:
+            cut.append(eid)
+    return cut
+
+
+# ----------------------------------------------------------------------
+# Time-bisection Ford–Fulkerson (paper's demand-feasibility procedure)
+# ----------------------------------------------------------------------
+def feasible_time(
+    build_network,
+    demands: Dict[object, float],
+    time: float,
+    source: object = "__source__",
+    sink: object = "__sink__",
+    rel_tol: float = 1e-6,
+) -> bool:
+    """Can all ``demands`` (bytes per sink node) complete within ``time``?
+
+    ``build_network(time)`` must return a fresh :class:`FlowNetwork`
+    where every physical edge carries ``capacity_bytes_per_s * time``
+    and every demand node has an edge to ``sink`` with capacity equal to
+    its demand in bytes.  Feasible iff max flow saturates total demand.
+    """
+    total = sum(demands.values())
+    if total <= _MIN_DEMAND:
+        return True
+    net = build_network(time)
+    got = dinic(net, source, sink)
+    return got >= total * (1.0 - rel_tol)
+
+
+def bisect_min_time(
+    build_network,
+    demands: Dict[object, float],
+    t_hi: float = 1e6,
+    source: object = "__source__",
+    sink: object = "__sink__",
+    rel_tol: float = 1e-4,
+    max_iter: int = 80,
+) -> float:
+    """Minimum time T such that all demands are routable (bisection).
+
+    Raises ``RuntimeError`` if even ``t_hi`` seconds is infeasible
+    (disconnected demand).  Because feasibility is monotone in T the
+    bisection converges geometrically; ``rel_tol`` is relative to the
+    final T.
+    """
+    total = sum(demands.values())
+    if total <= _MIN_DEMAND:
+        return 0.0
+    if not feasible_time(build_network, demands, t_hi, source, sink):
+        raise RuntimeError(
+            f"demands infeasible even in {t_hi} s — disconnected topology?"
+        )
+    lo, hi = 0.0, t_hi
+    # exponential shrink of the initial bracket for speed
+    probe = t_hi
+    while probe > 1e-9:
+        probe /= 16.0
+        if feasible_time(build_network, demands, probe, source, sink):
+            hi = probe
+        else:
+            lo = probe
+            break
+    for _ in range(max_iter):
+        if hi - lo <= rel_tol * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if feasible_time(build_network, demands, mid, source, sink):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+# ----------------------------------------------------------------------
+# The Figure-9 time network and its bisection solver
+# ----------------------------------------------------------------------
+def build_time_network(
+    topo: Topology,
+    demand: TrafficDemand,
+    time: float,
+) -> FlowNetwork:
+    """The augmented network of Figure 9 with edge budgets ``cap * time``.
+
+    Physical edges keep their direction structure; each storage node is
+    split (``name/in -> name/out``) to enforce its device egress ceiling.
+    Virtual edges: source -> bins (capacity = demanded bytes), GPUs ->
+    sink (capacity = per-GPU demanded bytes).  Class demands route
+    through a class super-node feeding every member.
+    """
+    net = FlowNetwork()
+    storage_names = {n.name for n in topo.storage_nodes}
+
+    def out_name(node: str) -> str:
+        return f"{node}/out" if node in storage_names else node
+
+    # A GPU cache serving a *peer* physically leaves through the owner
+    # GPU's fabric ports, not at HBM speed.  The single-commodity
+    # relaxation would otherwise let peer-cache demand be absorbed by
+    # the owner's own sink at 1.2 TB/s; capping the HBM edge at the
+    # owner's aggregate fabric egress restores the binding constraint
+    # (local cache hits are excluded from demands by convention).
+    gpu_fabric_egress: Dict[str, float] = {}
+    for gpu in topo.gpus():
+        total = 0.0
+        for succ in topo.successors(gpu):
+            if topo.node(succ).kind is not NodeKind.GPU_MEM:
+                total += topo.link(gpu, succ).capacity
+        gpu_fabric_egress[gpu] = total
+
+    # node splitting for storage egress ceilings
+    for node in topo.storage_nodes:
+        egress = node.egress_bw if node.egress_bw is not None else float("inf")
+        if node.kind is NodeKind.GPU_MEM:
+            owner = node.name[: -len(":mem")]
+            egress = min(egress, gpu_fabric_egress.get(owner, egress))
+        net.add_edge(f"{node.name}/in", f"{node.name}/out", egress * time)
+
+    # physical links (QPI carries device-to-device DMA at the reduced
+    # cross-socket P2P forwarding rate; CPU-memory flows are a small
+    # minority of what the predictor routes, so the cap applies globally)
+    from repro.core.topology import LinkKind
+    from repro.hardware.specs import QPI_P2P_BW
+
+    for link in topo.links:
+        src = out_name(link.src)
+        dst = f"{link.dst}/in" if link.dst in storage_names else link.dst
+        cap = link.capacity
+        if link.kind is LinkKind.QPI:
+            cap = min(cap, QPI_P2P_BW)
+        net.add_edge(src, dst, cap * time)
+
+    # virtual source edges per demanded bin
+    per_bin = demand.per_bin()
+    for bin_name, nbytes in sorted(per_bin.items()):
+        if bin_name in (SSD_CLASS, CPU_CLASS):
+            class_node = f"{bin_name}/class"
+            net.add_edge(_SOURCE, class_node, nbytes)
+            for member in _storage_members(topo, bin_name):
+                net.add_edge(class_node, f"{member}/in", float("inf"))
+        else:
+            if bin_name not in topo:
+                raise KeyError(f"demand references unknown bin {bin_name!r}")
+            net.add_edge(_SOURCE, f"{bin_name}/in", nbytes)
+
+    # virtual sink edges per GPU
+    for gpu, nbytes in sorted(demand.per_gpu().items()):
+        if gpu not in topo:
+            raise KeyError(f"demand references unknown GPU {gpu!r}")
+        net.add_edge(gpu, _SINK, nbytes)
+    return net
+
+
+def bisect_min_completion_time(
+    topo: Topology,
+    demand: TrafficDemand,
+    rel_tol: float = 1e-4,
+) -> FlowPrediction:
+    """Minimum time to route all demands; the paper's placement score.
+
+    Also extracts per-storage-node flows at the optimum (DDAK traffic
+    targets) and the saturated links (bottleneck report).
+    """
+    if demand.total <= _MIN_DEMAND:
+        return FlowPrediction(0.0, 0.0, {}, {})
+
+    demands_by_sink = demand.per_gpu()
+
+    def build(t: float) -> FlowNetwork:
+        return build_time_network(topo, demand, t)
+
+    t_star = bisect_min_time(
+        build, demands_by_sink, source=_SOURCE, sink=_SINK, rel_tol=rel_tol
+    )
+
+    # Re-solve at the optimum to read off per-storage flows.
+    net = build(t_star)
+    dinic(net, _SOURCE, _SINK)
+    storage_rate: Dict[str, float] = {}
+    for eid in range(0, net.num_edges * 2, 2):
+        u, v = net.edge_endpoints(eid)
+        flow = net.flow_on(eid)
+        if isinstance(u, str) and u.endswith("/in") and isinstance(v, str):
+            node = u[: -len("/in")]
+            if v == f"{node}/out" and flow > 0:
+                storage_rate[node] = flow / t_star
+
+    # Bottlenecks: the min cut *just below* the feasible time is made of
+    # the physical links that prevent finishing any faster.
+    bottlenecks: List[str] = []
+    t_tight = t_star * (1.0 - 16.0 * rel_tol)
+    if t_tight > 0:
+        tight = build(t_tight)
+        dinic(tight, _SOURCE, _SINK)
+        for eid in min_cut(tight, _SOURCE):
+            u, v = tight.edge_endpoints(eid)
+            cap = tight.capacity_of(eid)
+            if u == _SOURCE or v == _SINK:
+                continue  # demand-limited, not a physical bottleneck
+            u_s, v_s = str(u), str(v)
+            if u_s.endswith("/out"):
+                u_s = u_s[: -len("/out")]
+            if v_s.endswith("/in"):
+                v_s = v_s[: -len("/in")]
+            bottlenecks.append(f"{u_s}->{v_s} ({cap / t_tight / 1e9:.1f} GB/s)")
+
+    per_gpu_rate = {g: d / t_star for g, d in demands_by_sink.items()}
+    return FlowPrediction(
+        time=t_star,
+        throughput=demand.total / t_star,
+        per_gpu_rate=per_gpu_rate,
+        storage_rate=storage_rate,
+        bottlenecks=bottlenecks,
+    )
+
+
+def plain_max_flow(topo: Topology) -> float:
+    """The unconstrained max flow of the augmented graph (bytes/s):
+    source feeds every *external* storage node (CPU memory, SSDs) at its
+    egress ceiling, every GPU drains to the sink unboundedly.  GPU HBM
+    caches are excluded from the supply side — a GPU reading its own
+    cache is not communication.  Matches the paper's base formulation;
+    mostly useful for sanity checks and reports, since it ignores what
+    data each tier actually holds."""
+    net = FlowNetwork()
+    storage_names = {n.name for n in topo.storage_nodes}
+
+    for node in topo.storage_nodes:
+        egress = node.egress_bw if node.egress_bw is not None else float("inf")
+        net.add_edge(f"{node.name}/in", f"{node.name}/out", egress)
+        if node.kind is not NodeKind.GPU_MEM:
+            net.add_edge(_SOURCE, f"{node.name}/in", egress)
+    for link in topo.links:
+        src = f"{link.src}/out" if link.src in storage_names else link.src
+        dst = f"{link.dst}/in" if link.dst in storage_names else link.dst
+        net.add_edge(src, dst, link.capacity)
+    for gpu in topo.gpus():
+        net.add_edge(gpu, _SINK, float("inf"))
+    return dinic(net, _SOURCE, _SINK)
+
+
+# ----------------------------------------------------------------------
+# Enumerate-then-filter symmetry dedupe
+# ----------------------------------------------------------------------
+def canonical_key(
+    placement: Placement, symmetries: Sequence[Dict[str, str]]
+) -> Tuple:
+    """Orbit-canonical key: the lexicographically smallest count tuple
+    over all chassis symmetries."""
+    order = placement.chassis.group_names
+    best = None
+    for sym in symmetries:
+        permuted = tuple(
+            (
+                placement.count(_preimage(sym, g), "gpu"),
+                placement.count(_preimage(sym, g), "ssd"),
+            )
+            for g in order
+        )
+        if best is None or permuted < best:
+            best = permuted
+    return best
+
+
+class CanonicalFilter:
+    """Incremental symmetry dedupe: admit one placement per orbit.
+
+    Computes the chassis automorphisms once, then filters a *stream* of
+    placements — :meth:`admit` returns the orbit-canonical key the first
+    time an orbit is seen and ``None`` for every later member, so the
+    search engine can prune candidates as they are produced instead of
+    materialising the full enumeration first.
+    """
+
+    def __init__(self, chassis: Chassis) -> None:
+        self.chassis = chassis
+        self.symmetries = slot_group_symmetries(chassis)
+        self._seen: set = set()
+
+    @property
+    def num_admitted(self) -> int:
+        """Distinct orbits admitted so far."""
+        return len(self._seen)
+
+    def key(self, placement: Placement) -> Tuple:
+        """Orbit-canonical key of ``placement`` (no admission)."""
+        return canonical_key(placement, self.symmetries)
+
+    def admit(self, placement: Placement) -> "Tuple | None":
+        """The canonical key if this orbit is new, else ``None``."""
+        key = self.key(placement)
+        if key in self._seen:
+            return None
+        self._seen.add(key)
+        return key
+
+
+def dedupe_placements(
+    placements: Sequence[Placement],
+    chassis: Chassis = None,
+) -> List[Placement]:
+    """Keep one representative per symmetry orbit, preserving input order.
+
+    This is the paper's "isomorphic graph reduction" step; on Machine A
+    it roughly halves the candidate count (the two sides are mirrors).
+    """
+    if not placements:
+        return []
+    chassis = chassis or placements[0].chassis
+    filt = CanonicalFilter(chassis)
+    return [p for p in placements if filt.admit(p) is not None]
+
+
+# ----------------------------------------------------------------------
+# Hand-built machines A and B
+# ----------------------------------------------------------------------
+def _two_socket_skeleton(chassis: Chassis, cpu: CpuSpec) -> None:
+    """Common dual-socket base: two root complexes, QPI, two DRAM banks."""
+    chassis.add_interconnect("rc0", NodeKind.ROOT_COMPLEX)
+    chassis.add_interconnect("rc1", NodeKind.ROOT_COMPLEX)
+    chassis.add_trunk("rc0", "rc1", QPI_BW, LinkKind.QPI, "qpi")
+    chassis.add_memory("mem0", "rc0", cpu.mem_bytes, cpu.mem_bw)
+    chassis.add_memory("mem1", "rc1", cpu.mem_bytes, cpu.mem_bw)
+
+
+def legacy_machine_a(cpu: CpuSpec = XEON_GOLD_5320) -> MachineSpec:
+    """Machine A via the original imperative construction path."""
+    ch = Chassis("machine_a")
+    _two_socket_skeleton(ch, cpu)
+    ch.add_interconnect("plx0", NodeKind.SWITCH)
+    ch.add_interconnect("plx1", NodeKind.SWITCH)
+    ch.add_trunk("rc0", "plx0", PCIE4_X16, LinkKind.PCIE, "bus9")
+    ch.add_trunk("rc1", "plx1", PCIE4_X16, LinkKind.PCIE, "bus10")
+    # Four direct NVMe bays per socket (buses 1-4 on the left in Fig 1b).
+    ch.add_slot_group(
+        SlotGroup("rc0.bays", "rc0", 4, PCIE4_X4, frozenset({SSD}), "bus1-4")
+    )
+    ch.add_slot_group(
+        SlotGroup("rc1.bays", "rc1", 4, PCIE4_X4, frozenset({SSD}), "bus5-8")
+    )
+    # Twelve slot units per switch: up to 4 dual-width GPUs plus SSDs.
+    ch.add_slot_group(
+        SlotGroup("plx0.slots", "plx0", 12, PCIE4_X16, frozenset({GPU, SSD}), "bus12-15")
+    )
+    ch.add_slot_group(
+        SlotGroup("plx1.slots", "plx1", 12, PCIE4_X16, frozenset({GPU, SSD}), "bus17-20")
+    )
+    ch.validate()
+    return MachineSpec("machine_a", ch, cpu, A100_40GB, P5510)
+
+
+def legacy_machine_b(cpu: CpuSpec = XEON_GOLD_6426Y) -> MachineSpec:
+    """Machine B via the original imperative construction path."""
+    ch = Chassis("machine_b")
+    _two_socket_skeleton(ch, cpu)
+    ch.add_interconnect("plx0", NodeKind.SWITCH)
+    ch.add_interconnect("plx1", NodeKind.SWITCH)
+    ch.add_trunk("rc0", "plx0", PCIE4_X16, LinkKind.PCIE, "bus11")
+    ch.add_trunk("plx0", "plx1", PCIE4_X16, LinkKind.PCIE, "bus16")
+    # Direct x16 slots on both sockets (used by Moment's Fig-7 layout).
+    ch.add_slot_group(
+        SlotGroup("rc0.x16", "rc0", 2, PCIE4_X16, frozenset({GPU}), "bus10")
+    )
+    ch.add_slot_group(
+        SlotGroup("rc1.x16", "rc1", 2, PCIE4_X16, frozenset({GPU}), "bus19")
+    )
+    # NVMe bays: four per socket ("SSD prioritizes the front board").
+    ch.add_slot_group(
+        SlotGroup("rc0.bays", "rc0", 4, PCIE4_X4, frozenset({SSD}), "bus1-4")
+    )
+    ch.add_slot_group(
+        SlotGroup("rc1.bays", "rc1", 4, PCIE4_X4, frozenset({SSD}), "bus5-8")
+    )
+    # Cascaded switches, twelve slot units each.
+    ch.add_slot_group(
+        SlotGroup("plx0.slots", "plx0", 12, PCIE4_X16, frozenset({GPU, SSD}), "bus12-15")
+    )
+    ch.add_slot_group(
+        SlotGroup("plx1.slots", "plx1", 12, PCIE4_X16, frozenset({GPU, SSD}), "bus17-18")
+    )
+    ch.validate()
+    return MachineSpec("machine_b", ch, cpu, A100_40GB, P5510)

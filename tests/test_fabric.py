@@ -29,13 +29,7 @@ from repro.hardware.generate import (
     is_asymmetric,
     ssd_slot_capacity,
 )
-from repro.hardware.machines import (
-    _legacy_machine_a,
-    _legacy_machine_b,
-    classic_layouts,
-    machine_a,
-    machine_b,
-)
+from repro.hardware.machines import classic_layouts, machine_a, machine_b
 from repro.hardware.registry import get_machine, list_machines
 from repro.obs.metrics import parse_key
 from repro.runtime.spec import RunSpec
@@ -45,6 +39,7 @@ from repro.simulator.routing import (
     fair_storage_rates,
     reconcile_storage_rates,
 )
+from tests.oracles import legacy_machine_a, legacy_machine_b
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -64,7 +59,7 @@ def tiny():
 class TestCompiledVsLegacy:
     @pytest.mark.parametrize(
         "compiled,legacy",
-        [(machine_a, _legacy_machine_a), (machine_b, _legacy_machine_b)],
+        [(machine_a, legacy_machine_a), (machine_b, legacy_machine_b)],
         ids=["machine_a", "machine_b"],
     )
     def test_machine_identity(self, compiled, legacy):
@@ -78,7 +73,7 @@ class TestCompiledVsLegacy:
 
     @pytest.mark.parametrize(
         "compiled,legacy",
-        [(machine_a, _legacy_machine_a), (machine_b, _legacy_machine_b)],
+        [(machine_a, legacy_machine_a), (machine_b, legacy_machine_b)],
         ids=["machine_a", "machine_b"],
     )
     def test_built_topology_identity(self, compiled, legacy):
@@ -100,7 +95,7 @@ class TestCompiledVsLegacy:
     def test_compiled_records_its_spec(self):
         assert machine_a().fabric_spec == machine_a_spec()
         assert machine_b().fabric_spec == machine_b_spec()
-        assert _legacy_machine_a().fabric_spec is None
+        assert legacy_machine_a().fabric_spec is None
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,16 @@ from repro.core.flowmodel import (
     CPU_CLASS,
     SSD_CLASS,
     TrafficDemand,
-    build_time_network,
     min_completion_time,
     plain_max_flow,
-    predict_throughput,
 )
-from repro.core.maxflow import dinic
+from repro.core.symmetry import iter_canonical_placements
 from repro.core.topology import LinkKind, NodeKind, Topology
-from repro.hardware.machines import classic_layouts, machine_a
+from repro.hardware.fabric import compile_fabric
+from repro.hardware.generate import generate_fabric
+from repro.hardware.machines import classic_layouts, machine_a, machine_b
 from repro.utils.units import GB
+from tests import oracles
 
 
 def linear_topo() -> Topology:
@@ -146,7 +147,7 @@ class TestOnMachines:
             d = TrafficDemand()
             for g in topo.gpus():
                 d.add(SSD_CLASS, g, 10 * GB)
-            results[key] = predict_throughput(topo, d)
+            results[key] = min_completion_time(topo, d).throughput
         assert results["c"] > 1.5 * results["b"]
 
     def test_bottleneck_reported_for_contended_layout(self):
@@ -172,3 +173,27 @@ class TestPlainMaxFlow:
         # 4 GPUs x 24 GB/s slot links is the hard ceiling
         assert flow <= 4 * 24 * GB * 1.01
         assert flow > 48 * GB  # more than SSDs alone: memory adds paths
+
+
+def _oracle_topologies():
+    """Machine A/B classic layouts plus every canonical 2-GPU/2-SSD
+    placement of the generated fabrics ``gen:0``–``gen:11``."""
+    for make in (machine_a, machine_b):
+        m = make()
+        for key, layout in classic_layouts(m).items():
+            yield f"{m.name}/{key}", m.build(layout)
+    for seed in range(12):
+        m = compile_fabric(generate_fabric(seed))
+        for i, p in enumerate(iter_canonical_placements(m.chassis, 2, 2)):
+            yield f"gen:{seed}/{i}", m.build(p)
+
+
+class TestPlainMaxFlowMatchesOracle:
+    def test_equals_reference_dinic_exactly(self):
+        """The production Dinic reproduces the reference ``FlowNetwork``
+        Dinic bit for bit (same network, same edge order)."""
+        checked = 0
+        for name, topo in _oracle_topologies():
+            assert plain_max_flow(topo) == oracles.plain_max_flow(topo), name
+            checked += 1
+        assert checked > 100

@@ -6,6 +6,7 @@ no ``__init__.py``.  Such a directory still imports on machines where an
 old ``__pycache__`` survives, then breaks everywhere else.
 """
 
+import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -50,3 +51,25 @@ def test_faults_is_a_real_package():
     assert (pkg / "__init__.py").is_file()
     sources = [p.name for p in pkg.glob("*.py")]
     assert "schedule.py" in sources and "injector.py" in sources
+
+
+def _imported_modules(path: Path):
+    """Top-level names of every module ``path`` imports."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield (node.module or "").split(".")[0]
+
+
+def test_package_never_imports_tests():
+    """Test oracles live in ``tests/``, which the wheel does not ship:
+    no module under src/repro may import them."""
+    offenders = sorted(
+        str(py.relative_to(SRC.parent))
+        for py in SRC.rglob("*.py")
+        if "tests" in set(_imported_modules(py))
+    )
+    assert not offenders, f"package modules importing tests: {offenders}"

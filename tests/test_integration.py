@@ -19,6 +19,7 @@ from repro.core.placement import GPU, Placement, SSD
 from repro.core.symmetry import slot_group_symmetries
 from repro.graphs.datasets import IGB_HOM
 from repro.hardware.machines import classic_layouts, machine_a
+from repro.runtime.spec import RunSpec
 from repro.runtime.system import MomentSystem
 
 
@@ -35,7 +36,7 @@ def dataset():
 @pytest.fixture(scope="module")
 def moment_result(machine, dataset):
     return MomentSystem(machine).run(
-        dataset, num_gpus=2, num_ssds=4, sample_batches=3
+        RunSpec(dataset=dataset, num_gpus=2, num_ssds=4, sample_batches=3)
     )
 
 
@@ -114,12 +115,15 @@ class TestEndToEndStory:
         assert moment_result.epoch.throughput_bytes_per_s > 1e9
 
     def test_moment_vs_contended_layout(self, machine, dataset, moment_result):
+        layout_b = classic_layouts(machine, num_gpus=2, num_ssds=4)["b"]
         contended = MomentSystem(machine).run(
-            dataset,
-            placement=classic_layouts(machine, num_gpus=2, num_ssds=4)["b"],
-            num_gpus=2,
-            num_ssds=4,
-            sample_batches=3,
+            RunSpec(
+                dataset=dataset,
+                placement=layout_b,
+                num_gpus=2,
+                num_ssds=4,
+                sample_batches=3,
+            )
         )
         assert moment_result.seeds_per_s > contended.seeds_per_s
 

@@ -1,11 +1,12 @@
-"""Unit + property tests for the from-scratch max-flow solvers."""
+"""Unit + property tests for the reference max-flow solvers in
+``tests/oracles.py`` (Edmonds–Karp, Dinic, min cut, time bisection)."""
 
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.maxflow import (
+from tests.oracles import (
     FlowNetwork,
     bisect_min_time,
     dinic,

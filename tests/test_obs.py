@@ -407,6 +407,7 @@ class TestSimulatorTelemetry:
         assert plan2.optimize_seconds > 0
 
     def test_system_result_carries_scoped_telemetry(self):
+        from repro.runtime.spec import RunSpec
         from repro.runtime.system import MomentSystem
 
         machine = machine_a()
@@ -415,7 +416,9 @@ class TestSimulatorTelemetry:
         with obs.capture():
             obs.add("pre.existing", 99.0)  # outside the run scope
             result = MomentSystem(machine).run(
-                dataset, num_gpus=2, num_ssds=2, sample_batches=2
+                RunSpec(
+                    dataset=dataset, num_gpus=2, num_ssds=2, sample_batches=2
+                )
             )
         assert result.telemetry is not None
         span_names = {s["name"] for s in result.telemetry["spans"]}
@@ -426,13 +429,14 @@ class TestSimulatorTelemetry:
         assert any(k.startswith("sim.tier_bytes") for k in counters)
 
     def test_system_result_telemetry_none_when_disabled(self):
+        from repro.runtime.spec import RunSpec
         from repro.runtime.system import MomentSystem
 
         machine = machine_a()
         dataset = tiny_dataset(num_vertices=2000, avg_degree=6,
                                batch_size=64, seed=0)
         result = MomentSystem(machine).run(
-            dataset, num_gpus=2, num_ssds=2, sample_batches=2
+            RunSpec(dataset=dataset, num_gpus=2, num_ssds=2, sample_batches=2)
         )
         assert result.telemetry is None
 

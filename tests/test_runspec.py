@@ -1,4 +1,4 @@
-"""Tests for the unified RunSpec API, the deprecation shim, and
+"""Tests for the unified RunSpec API, the RunSpec-only entry points, and
 serializable run records."""
 
 import json
@@ -8,6 +8,7 @@ import pytest
 from repro import RunSpec, run
 from repro.api import run as api_run
 from repro.faults import FaultSchedule
+from repro.baselines.distdgl import DistDglSystem
 from repro.baselines.mgids import MGidsSystem
 from repro.graphs.datasets import IGB_HOM, UK_2014
 from repro.hardware.machines import classic_layouts, machine_a
@@ -90,14 +91,20 @@ class TestRunSpec:
 
 
 class TestShim:
-    def test_deprecated_kwargs_warn_and_match(self, machine, spec, result):
-        with pytest.warns(DeprecationWarning):
-            legacy = MomentSystem(machine).run(
+    """The loose ``run(dataset, **kwargs)`` form is gone: only a RunSpec
+    is accepted, by every system and by the ``repro.run`` facade."""
+
+    def test_loose_kwargs_rejected(self, machine, spec):
+        with pytest.raises(TypeError, match="RunSpec"):
+            MomentSystem(machine).run(
                 spec.dataset, placement=spec.placement, sample_batches=3
             )
-        assert legacy.epoch.epoch_seconds == result.epoch.epoch_seconds
-        assert legacy.epoch.seeds_per_s == result.epoch.seeds_per_s
-        assert legacy.epoch.step_seconds == result.epoch.step_seconds
+        with pytest.raises(TypeError, match="RunSpec"):
+            MomentSystem(machine).run(spec.dataset)
+        with pytest.raises(TypeError, match="RunSpec"):
+            DistDglSystem().run(spec.dataset)
+        with pytest.raises(TypeError, match="RunSpec"):
+            DistDglSystem().run(spec, sample_batches=2)
 
     def test_spec_plus_kwargs_rejected(self, machine, spec):
         with pytest.raises(TypeError):

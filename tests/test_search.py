@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 
-from repro.core.flowbatch import fast_min_completion_time
 from repro.core.flowmodel import min_completion_time
 from repro.core.optimizer import (
     CapacityPlan,
@@ -50,9 +49,6 @@ from repro.core.search import (
     set_default_workers,
 )
 from repro.core.symmetry import (
-    CanonicalFilter,
-    canonical_key,
-    dedupe_placements,
     iter_canonical_placements,
     slot_group_symmetries,
 )
@@ -61,6 +57,12 @@ from repro.graphs.datasets import IGB_HOM
 from repro.hardware.fabric import compile_fabric
 from repro.hardware.generate import generate_fabric
 from repro.hardware.machines import machine_a, machine_b
+from tests.oracles import (
+    CanonicalFilter,
+    bisect_min_completion_time,
+    canonical_key,
+    dedupe_placements,
+)
 
 FRACTIONS = (0.35, 0.15, 0.5)
 LP_TOP_K = 12
@@ -364,10 +366,11 @@ def _legacy_reference(machine, num_gpus, num_ssds, fractions,
 
     ``_reference_search`` above shares the vectorized kernel with the
     engine, so it checks pipeline equivalence only.  This variant
-    reimplements pass 1 with :func:`min_completion_time` — the original
-    scalar bisection solver — making it a true differential test of the
-    cut-parametric kernel itself.  ``rel_tol=1e-4`` keeps the bisection
-    slack well inside ``PRUNE_EQUIV_TOL``.
+    reimplements pass 1 with :func:`bisect_min_completion_time` — the
+    original scalar bisection solver, kept in ``tests/oracles.py`` —
+    making it a true differential test of the cut-parametric kernel
+    itself.  ``rel_tol=1e-4`` keeps the bisection slack well inside
+    ``PRUNE_EQUIV_TOL``.
     """
     candidates = enumerate_placements(machine.chassis, num_gpus, num_ssds)
     unique = dedupe_placements(candidates, machine.chassis)
@@ -377,7 +380,11 @@ def _legacy_reference(machine, num_gpus, num_ssds, fractions,
         topo = machine.build(placement)
         demand = scoring_demand(topo, fractions)
         pass1.append(
-            (placement, topo, min_completion_time(topo, demand, rel_tol=1e-4))
+            (
+                placement,
+                topo,
+                bisect_min_completion_time(topo, demand, rel_tol=1e-4),
+            )
         )
     pass1.sort(key=lambda row: -row[2].throughput)  # stable
     rows = []
@@ -432,7 +439,7 @@ class TestDifferentialEquivalence:
                 "winner differs although the reference optimum is unique"
             )
             topo = machine.build(result.best.placement)
-            p1 = min_completion_time(
+            p1 = bisect_min_completion_time(
                 topo, scoring_demand(topo, FRACTIONS), rel_tol=1e-4
             )
             mcf = MulticommodityScorer(fractions=FRACTIONS).score(
@@ -621,15 +628,15 @@ class TestWarmStartRegression:
         a, b = _single_slot_swap_pair(machine, 2, 4)
         topo_a = machine.build(a)
         topo_b = machine.build(b)
-        seed = fast_min_completion_time(
+        seed = min_completion_time(
             topo_a, scoring_demand(topo_a, FRACTIONS)
         )
         assert seed.cut_partition  # the hint we warm-start from
         demand_b = scoring_demand(topo_b, FRACTIONS)
-        warm = fast_min_completion_time(
+        warm = min_completion_time(
             topo_b, demand_b, warm_partition=seed.cut_partition
         )
-        cold = fast_min_completion_time(topo_b, demand_b)
+        cold = min_completion_time(topo_b, demand_b)
         assert _prediction_fingerprint(warm) == _prediction_fingerprint(cold)
 
     def test_swap_neighbor_warm_equals_cold_under_mask(self):
@@ -638,7 +645,7 @@ class TestWarmStartRegression:
         machine = machine_a()
         a, b = _single_slot_swap_pair(machine, 2, 4)
         healthy = machine.build(a)
-        seed = fast_min_completion_time(
+        seed = min_completion_time(
             healthy, scoring_demand(healthy, FRACTIONS)
         )
         mask = TopologyMask(
@@ -648,10 +655,10 @@ class TestWarmStartRegression:
         )
         masked = mask.apply(machine.build(b))
         demand = scoring_demand(masked, FRACTIONS)
-        warm = fast_min_completion_time(
+        warm = min_completion_time(
             masked, demand, warm_partition=seed.cut_partition
         )
-        cold = fast_min_completion_time(masked, demand)
+        cold = min_completion_time(masked, demand)
         assert _prediction_fingerprint(warm) == _prediction_fingerprint(cold)
 
     def test_warm_hint_survives_dropped_nodes(self):
@@ -660,7 +667,7 @@ class TestWarmStartRegression:
         machine = machine_a()
         a, _b = _single_slot_swap_pair(machine, 2, 4)
         healthy = machine.build(a)
-        seed = fast_min_completion_time(
+        seed = min_completion_time(
             healthy, scoring_demand(healthy, FRACTIONS)
         )
         mask = TopologyMask(
@@ -668,10 +675,10 @@ class TestWarmStartRegression:
         )
         masked = mask.apply(healthy)
         demand = scoring_demand(masked, FRACTIONS)
-        warm = fast_min_completion_time(
+        warm = min_completion_time(
             masked, demand, warm_partition=seed.cut_partition
         )
-        cold = fast_min_completion_time(masked, demand)
+        cold = min_completion_time(masked, demand)
         assert _prediction_fingerprint(warm) == _prediction_fingerprint(cold)
 
     def test_engine_warm_off_bit_identical(self):

@@ -3,13 +3,9 @@
 import pytest
 
 from repro.core.placement import GPU, Placement, SSD, enumerate_placements
-from repro.core.symmetry import (
-    chassis_automorphisms,
-    canonical_key,
-    dedupe_placements,
-    slot_group_symmetries,
-)
+from repro.core.symmetry import chassis_automorphisms, slot_group_symmetries
 from repro.hardware.machines import machine_a, machine_b
+from tests.oracles import canonical_key, dedupe_placements
 
 
 class TestAutomorphisms:

@@ -7,6 +7,7 @@ from repro.baselines.mgids import MGidsSystem
 from repro.baselines.mhyperion import MHyperionSystem
 from repro.graphs.datasets import CLUEWEB, IGB_HOM, PAPER100M, UK_2014
 from repro.hardware.machines import classic_layouts, machine_a
+from repro.runtime.spec import RunSpec
 from repro.runtime.system import MomentSystem, gpu_memory_budget
 from repro.simulator.iostack import IoStackConfig
 
@@ -46,8 +47,9 @@ class TestGpuMemoryBudget:
 
 class TestMomentSystem:
     def test_end_to_end(self, machine, ig):
-        r = MomentSystem(machine).run(ig, num_gpus=2, num_ssds=4,
-                                      sample_batches=2)
+        r = MomentSystem(machine).run(
+            RunSpec(dataset=ig, num_gpus=2, num_ssds=4, sample_batches=2)
+        )
         assert r.ok
         assert r.system == "moment"
         assert r.paper_epoch_seconds > 0
@@ -56,14 +58,14 @@ class TestMomentSystem:
 
     def test_fixed_placement(self, machine, ig, placement_c):
         r = MomentSystem(machine).run(
-            ig, placement=placement_c, sample_batches=2
+            RunSpec(dataset=ig, placement=placement_c, sample_batches=2)
         )
         assert r.ok
         assert r.placement == placement_c
 
     def test_repr(self, machine, ig, placement_c):
         r = MomentSystem(machine).run(
-            ig, placement=placement_c, sample_batches=2
+            RunSpec(dataset=ig, placement=placement_c, sample_batches=2)
         )
         assert "moment" in repr(r)
 
@@ -71,7 +73,7 @@ class TestMomentSystem:
 class TestMHyperion:
     def test_runs_with_binding(self, machine, ig, placement_c):
         r = MHyperionSystem(machine).run(
-            ig, placement=placement_c, sample_batches=2
+            RunSpec(dataset=ig, placement=placement_c, sample_batches=2)
         )
         assert r.ok
         # binding: every SSD demand entry must be a bound drive
@@ -84,7 +86,7 @@ class TestMHyperion:
                 assert b in binding[g]
 
     def test_defaults_to_classic_layout_c(self, machine, ig, placement_c):
-        r = MHyperionSystem(machine).run(ig, sample_batches=2)
+        r = MHyperionSystem(machine).run(RunSpec(dataset=ig, sample_batches=2))
         assert r.ok
         assert r.placement.as_tuple() == placement_c.as_tuple()
 
@@ -92,33 +94,37 @@ class TestMHyperion:
         from repro.runtime.system import GnnSystem
 
         with pytest.raises(ValueError):
-            GnnSystem(machine).run(ig, sample_batches=2)
+            GnnSystem(machine).run(RunSpec(dataset=ig, sample_batches=2))
 
 
 class TestMGids:
     def test_runs_on_small_dataset(self, machine, ig, placement_c):
         r = MGidsSystem(machine).run(
-            ig, placement=placement_c, sample_batches=2
+            RunSpec(dataset=ig, placement=placement_c, sample_batches=2)
         )
         assert r.ok
 
     @pytest.mark.parametrize("spec", [UK_2014, CLUEWEB])
     def test_oom_on_terabyte_features(self, machine, placement_c, spec):
         ds = spec.build(scale=spec.default_scale * QUICK, seed=0)
-        r = MGidsSystem(machine).run(ds, placement=placement_c, sample_batches=2)
+        r = MGidsSystem(machine).run(
+            RunSpec(dataset=ds, placement=placement_c, sample_batches=2)
+        )
         assert not r.ok
         assert "page_cache_metadata" in (r.oom or "")
 
     def test_paper100m_fits(self, machine, placement_c):
         ds = PAPER100M.build(scale=PAPER100M.default_scale * QUICK, seed=0)
-        r = MGidsSystem(machine).run(ds, placement=placement_c, sample_batches=2)
+        r = MGidsSystem(machine).run(
+            RunSpec(dataset=ds, placement=placement_c, sample_batches=2)
+        )
         assert r.ok
 
 
 class TestDistDgl:
     def test_pa_runs(self):
         ds = PAPER100M.build(scale=PAPER100M.default_scale * QUICK, seed=0)
-        r = DistDglSystem().run(ds, sample_batches=2)
+        r = DistDglSystem().run(RunSpec(dataset=ds, sample_batches=2))
         assert r.ok
         assert r.epoch_seconds > 0
         assert r.seeds_per_s > 0
@@ -128,13 +134,13 @@ class TestDistDgl:
     @pytest.mark.parametrize("spec", [IGB_HOM, UK_2014, CLUEWEB])
     def test_oom_on_big_datasets(self, spec):
         ds = spec.build(scale=spec.default_scale * QUICK, seed=0)
-        r = DistDglSystem().run(ds, sample_batches=2)
+        r = DistDglSystem().run(RunSpec(dataset=ds, sample_batches=2))
         assert not r.ok
 
     def test_network_not_the_bottleneck(self):
         """Paper: observed 20 Gb/s peak on a 100 Gb/s network."""
         ds = PAPER100M.build(scale=PAPER100M.default_scale * QUICK, seed=0)
-        r = DistDglSystem().run(ds, sample_batches=2)
+        r = DistDglSystem().run(RunSpec(dataset=ds, sample_batches=2))
         assert r.network_seconds < r.sample_seconds
 
 
@@ -142,15 +148,17 @@ class TestComparisons:
     def test_moment_beats_binding_baseline(self, machine, ig, placement_c):
         # Moment searches its own placement; the baseline runs the best
         # classic layout with its static drive binding.
-        moment = MomentSystem(machine).run(ig, sample_batches=3)
+        moment = MomentSystem(machine).run(RunSpec(dataset=ig, sample_batches=3))
         hyperion = MHyperionSystem(machine).run(
-            ig, placement=placement_c, sample_batches=3
+            RunSpec(dataset=ig, placement=placement_c, sample_batches=3)
         )
         assert moment.seeds_per_s >= hyperion.seeds_per_s * 0.95
 
     def test_moment_beats_distdgl_on_pa(self, machine):
         ds = PAPER100M.build(scale=PAPER100M.default_scale * QUICK, seed=0)
-        moment = MomentSystem(machine).run(ds, num_gpus=4, sample_batches=3)
-        dgl = DistDglSystem().run(ds, sample_batches=3)
+        moment = MomentSystem(machine).run(
+            RunSpec(dataset=ds, num_gpus=4, sample_batches=3)
+        )
+        dgl = DistDglSystem().run(RunSpec(dataset=ds, sample_batches=3))
         assert moment.ok and dgl.ok
         assert moment.seeds_per_s > dgl.seeds_per_s
