@@ -10,8 +10,9 @@ answers:
   edge carries ``capacity * T`` bytes, with per-storage-node optimal
   flows (the ``Bin_traffic`` input of DDAK, Section 3.3) and the
   saturated links;
-* :func:`score_batch` — the same for a batch of candidates in NumPy
-  lockstep (the pass-1 kernel behind ``FlexibleMaxFlowScorer``);
+* :func:`score_batch` — the same for a batch of candidates, each
+  warm-started from the first one's binding cut (the pass-1 kernel
+  behind ``FlexibleMaxFlowScorer``);
 * :func:`plain_max_flow` — the unconstrained max flow of the base
   formulation.
 
@@ -26,9 +27,6 @@ with every edge budget split into ``base + rate * t`` (constant bytes +
 bytes/s scaled by the probed time), so
 
 * each probe only refreshes a capacity vector with NumPy;
-* a batch of candidates stacks its ``rate``/``base`` vectors into
-  ``(B, E)`` matrices and refreshes every active candidate's
-  capacities in one vectorized operation per round;
 * the time search is **cut-parametric**, not bisection:
   ``maxflow(t)`` is a concave piecewise-linear function — the minimum
   over cuts C of ``base(C) + rate(C) * t`` — so from any infeasible
@@ -75,8 +73,9 @@ _MIN_DEMAND = 1e-6
 #: where the max flow matches the binding cut's value to float
 #: accumulation error (~1e-14 relative).  A loose slack would let a
 #: probe *below* the true breakpoint pass, making the answer depend on
-#: the probe path (warm vs cold) — with 1e-12 both paths terminate at
-#: the binding cut's root.
+#: the probe path (warm vs cold).  A probe that passes with a deficit
+#: is also checked against its residual min cut, so a near-tied cut
+#: whose root lies within the slack still gets probed.
 _FEAS_TOL = 1e-12
 #: Ceiling on the completion time — a root beyond this means the demand
 #: is disconnected.
@@ -508,13 +507,38 @@ def _solve_template(
     for _ in range(_MAX_ITERS):
         caps = tpl.residual_caps(t)
         got = tpl.max_flow(caps)
-        if got >= threshold:
-            return tpl.prediction(t, caps, cut_mask)
-        t, cut_mask = _next_probe(tpl, caps, t)
+        if got < threshold:
+            t, cut_mask = _next_probe(tpl, caps, t)
+            continue
+        if got < tpl.total:
+            # feasible only within _FEAS_TOL: a cut nearly tied with the
+            # probed one may still have its root just past t, and which
+            # of the two a search meets first depends on its start
+            reach = tpl.reachable(caps)
+            b, r = tpl.cut_line(reach)
+            if r > _EPS and (tpl.total - b) / r > t:
+                t, cut_mask = (tpl.total - b) / r, reach
+                continue
+        return tpl.prediction(t, caps, cut_mask)
     raise RuntimeError(
         f"cut-parametric time search did not converge in {_MAX_ITERS} "
         "iterations"
     )
+
+
+def _solve(
+    topo: Topology,
+    demand: TrafficDemand,
+    warm_partition: Optional[Iterable[str]],
+) -> Tuple[FlowPrediction, bool]:
+    """One minimum-completion-time solve, and whether it started from a
+    warm (non-zero) root."""
+    if demand.total <= _MIN_DEMAND:
+        return FlowPrediction(0.0, 0.0, {}, {}), False
+    tpl = FlowTemplate(topo, demand)
+    t0 = tpl.warm_root(warm_partition)
+    hint = tpl.partition_mask(warm_partition) if t0 > 0.0 else None
+    return _solve_template(tpl, t0, hint), bool(t0 > 0.0)
 
 
 def min_completion_time(
@@ -530,115 +554,36 @@ def min_completion_time(
     a previously scored neighbor/healthy fabric only changes how fast
     the search converges, not its answer.
     """
-    if demand.total <= _MIN_DEMAND:
-        return FlowPrediction(0.0, 0.0, {}, {})
-    tpl = FlowTemplate(topo, demand)
-    t0 = tpl.warm_root(warm_partition)
-    hint = tpl.partition_mask(warm_partition) if t0 > 0.0 else None
-    return _solve_template(tpl, t0, hint)
+    return _solve(topo, demand, warm_partition)[0]
 
 
 def score_batch(
     jobs: Sequence[Tuple[Topology, TrafficDemand]],
     warm_partition: Optional[Iterable[str]] = None,
-    chain: bool = True,
-) -> Tuple[List[Optional[FlowPrediction]], int]:
-    """Score a batch of (topology, demand) candidates in lockstep.
+) -> Tuple[List[FlowPrediction], int]:
+    """Score a batch of (topology, demand) candidates, warm-start chained.
 
-    The first candidate is solved alone (seeded by ``warm_partition``
-    when given); with ``chain`` on, its binding cut becomes the warm
-    hint for every other candidate in the batch — enumeration-adjacent
-    placements share most of their fabric, so the hint's root usually
-    lands in the binding segment and the rest of the batch converges in
-    one or two rounds.  Each lockstep round refreshes every still-active
-    candidate's capacity vector from the stacked ``(B, E)`` rate/base
-    matrices in a single NumPy operation, then advances each active
-    candidate's max flow one probe.
+    The first candidate with demand is solved seeded by
+    ``warm_partition``; its binding cut then becomes the warm hint for
+    every other candidate in the batch — enumeration-adjacent placements
+    share most of their fabric, so the hint's root usually lands in the
+    binding segment and the rest converge in one or two solves.  Every
+    candidate is solved exactly as :func:`min_completion_time` solves
+    it, so each result equals its solo solve.
 
     Returns ``(predictions, warm_starts)`` where ``warm_starts`` counts
     candidates whose search actually started from a warm (non-zero)
     root.  Zero-demand jobs yield the empty prediction.
     """
-    predictions: List[Optional[FlowPrediction]] = [None] * len(jobs)
+    predictions: List[FlowPrediction] = []
     warm_starts = 0
-    templates: List[Optional[FlowTemplate]] = []
-    for i, (topo, demand) in enumerate(jobs):
-        if demand.total <= _MIN_DEMAND:
-            predictions[i] = FlowPrediction(0.0, 0.0, {}, {})
-            templates.append(None)
-        else:
-            templates.append(FlowTemplate(topo, demand))
-
-    live = [i for i, tpl in enumerate(templates) if tpl is not None]
-    if not live:
-        return predictions, warm_starts
-
-    # head of the batch: solo solve, seeded by the caller's hint
-    head = live[0]
-    tpl = templates[head]
-    t0 = tpl.warm_root(warm_partition)
-    hint = tpl.partition_mask(warm_partition) if t0 > 0.0 else None
-    if t0 > 0.0:
-        warm_starts += 1
-    predictions[head] = _solve_template(tpl, t0, hint)
-
-    rest = live[1:]
-    if not rest:
-        return predictions, warm_starts
-    hint_partition = (
-        predictions[head].cut_partition if chain else warm_partition
-    ) or warm_partition
-
-    # stacked capacity matrices for the rest of the batch (ragged edge
-    # counts are padded; padding columns never enter a solve)
-    width = max(templates[i].num_edges for i in rest)
-    base_mat = np.zeros((len(rest), width))
-    rate_mat = np.zeros((len(rest), width))
-    for row, i in enumerate(rest):
-        tpl_i = templates[i]
-        base_mat[row, : tpl_i.num_edges] = tpl_i.base
-        rate_mat[row, : tpl_i.num_edges] = tpl_i.rate
-
-    t_vec = np.zeros(len(rest))
-    masks: List[Optional[bytearray]] = [None] * len(rest)
-    for row, i in enumerate(rest):
-        tpl_i = templates[i]
-        root = tpl_i.warm_root(hint_partition)
-        if root > 0.0:
-            t_vec[row] = root
-            masks[row] = tpl_i.partition_mask(hint_partition)
-            warm_starts += 1
-
-    active = list(range(len(rest)))
-    for _ in range(_MAX_ITERS):
-        if not active:
-            break
-        # one vectorized capacity refresh for every active candidate
-        caps_mat = base_mat[active] + rate_mat[active] * t_vec[active, None]
-        still_active: List[int] = []
-        for k, row in enumerate(active):
-            i = rest[row]
-            tpl_i = templates[i]
-            ne = tpl_i.num_edges
-            caps = np.zeros(2 * ne)
-            caps[0::2] = caps_mat[k, :ne]
-            caps_list = caps.tolist()
-            got = tpl_i.max_flow(caps_list)
-            if got >= tpl_i.total * (1.0 - _FEAS_TOL):
-                predictions[i] = tpl_i.prediction(
-                    float(t_vec[row]), caps_list, masks[row]
-                )
-                continue
-            t_vec[row], masks[row] = _next_probe(
-                tpl_i, caps_list, t_vec[row]
-            )
-            still_active.append(row)
-        active = still_active
-    if active:
-        raise RuntimeError(
-            f"cut-parametric time search did not converge in {_MAX_ITERS} "
-            "iterations"
-        )
+    hint, chained = warm_partition, False
+    for topo, demand in jobs:
+        prediction, warm = _solve(topo, demand, hint)
+        predictions.append(prediction)
+        warm_starts += warm
+        if not chained and demand.total > _MIN_DEMAND:
+            hint, chained = prediction.cut_partition or warm_partition, True
     return predictions, warm_starts
 
 

@@ -229,7 +229,8 @@ class OptimizerConfig:
     #: (``REPRO_SEARCH_WORKERS`` env / ``--search-workers`` CLI, else 1).
     search_workers: Optional[int] = None
     #: Skip LPs that provably cannot beat the current top-k floor;
-    #: None = the engine default (``REPRO_SEARCH_PRUNE`` env, else on).
+    #: None = the engine default (``REPRO_SEARCH_PRUNE`` env /
+    #: ``--prune-bounds`` CLI, else off).
     prune_bounds: Optional[bool] = None
 
 

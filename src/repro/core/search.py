@@ -1,27 +1,26 @@
 """repro.core.search — the staged placement-search engine.
 
 Moment's automatic module scores every feasible hardware placement and
-keeps the best.  This module extracts that search into a small, stable,
-pluggable pipeline so callers (the single-machine optimizer, the
-multi-node driver, baselines and experiments) all speak the same
-:class:`SearchRequest`/:class:`SearchResult` types:
+keeps the best.  This module runs that search as one fixed pipeline so
+callers (the single-machine optimizer, the multi-node driver, baselines
+and experiments) all speak the same :class:`SearchRequest` /
+:class:`SearchResult` types:
 
-1. **Direct canonical enumeration** — a :class:`CandidateSource` yields
-   ``(placement, canonical_key)`` pairs.  :class:`EnumeratedSource`
-   streams :func:`repro.core.symmetry.iter_canonical_placements`, which
+1. **Direct canonical enumeration** — the candidates are
+   :func:`repro.core.symmetry.iter_canonical_placements`, which
    produces exactly one representative per symmetry orbit *directly*
    (no rejected duplicates are ever constructed); the raw pre-dedupe
    candidate count is computed analytically by
-   :func:`repro.core.placement.count_placements`.
+   :func:`repro.core.placement.count_placements`.  A request with an
+   explicit ``candidates`` list scores that list as-is instead.
 2. **Coarse scoring (pass 1)** — :class:`FlexibleMaxFlowScorer`, the
    paper's time-search max flow on *flexible* class demands, solved by
-   the vectorized cut-parametric kernel (:mod:`repro.core.flowmodel`):
-   candidates are scored in batches whose capacity matrices are stacked
-   into NumPy arrays, and each batch's first solution warm-starts the
-   rest (``search.warm_starts``).  Its throughput is an upper bound on
-   the exact score (the class demand is a relaxation of any concrete
-   bin split), which makes it both the top-k funnel key and the pruning
-   bound.
+   the cut-parametric kernel (:mod:`repro.core.flowmodel`): candidates
+   are scored in fixed batches of :data:`PASS1_BATCH`, and each batch's
+   first solution warm-starts the rest (``search.warm_starts``).  Its
+   throughput is an upper bound on the exact score (the class demand is
+   a relaxation of any concrete bin split), which makes it both the
+   top-k funnel key and the pruning bound.
 3. **Exact scoring (pass 2)** — :class:`MulticommodityScorer`, the
    multicommodity concurrent-flow LP on the concretised demand.  Only
    the ``lp_top_k`` best pass-1 candidates reach this stage, and with
@@ -31,12 +30,12 @@ multi-node driver, baselines and experiments) all speak the same
    preserved to within :data:`PRUNE_EQUIV_TOL` (LP-solver noise).
 
 Scoring runs on a :class:`ParallelExecutor`: ``workers=1`` executes
-inline (bit-identical to the pre-engine serial code path), ``workers>1``
-fans chunks out to a ``concurrent.futures`` process pool.  Results are
-reassembled by enumeration index and the final ranking breaks
-throughput ties on funnel order (pass-1 score descending, enumeration
-index ascending — the pre-engine stable sort), so serial and parallel
-runs pick the same winner.
+inline, ``workers>1`` submits every chunk of a stage to a
+``concurrent.futures`` process pool before collecting any.  Chunks are
+cut identically either way, results are reassembled by enumeration
+index and the final ranking breaks throughput ties on funnel order
+(pass-1 score descending, enumeration index ascending — the pre-engine
+stable sort), so serial and parallel runs pick the same winner.
 
 Topology construction is cached per ``Placement.as_tuple()`` (each
 candidate's topology is built once and reused across stages).  Every
@@ -54,10 +53,9 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Dict,
-    Iterator,
+    Iterable,
     List,
     Optional,
-    Protocol,
     Sequence,
     Tuple,
 )
@@ -98,14 +96,18 @@ PRUNE_REL_SLACK = 1e-9
 #: noise, not float epsilon.
 PRUNE_EQUIV_TOL = 1e-3
 
+#: Candidates per pass-1 scoring batch.  Warm-start chaining operates
+#: within a batch, so serial and parallel runs must cut the candidate
+#: stream into the same batches — a determinism requirement, not a
+#: tuning knob.
+PASS1_BATCH = 32
+
 
 # ----------------------------------------------------------------------
 # Process-wide knob defaults (env-overridable, CLI-settable)
 # ----------------------------------------------------------------------
 _DEFAULT_WORKERS: Optional[int] = None
 _DEFAULT_PRUNE: Optional[bool] = None
-_DEFAULT_BATCH: Optional[int] = None
-_DEFAULT_WARM: Optional[bool] = None
 
 
 def default_workers() -> int:
@@ -127,8 +129,8 @@ def set_default_workers(workers: Optional[int]) -> None:
 def default_prune_bounds() -> bool:
     """Default bound-pruning switch: ``REPRO_SEARCH_PRUNE`` == 1.
 
-    Off by default: pruning preserves the winner's *throughput* to
-    within :data:`PRUNE_REL_SLACK` but may pick a different member of a
+    Off by default: pruning preserves the winner's *throughput* only to
+    within :data:`PRUNE_EQUIV_TOL` and may pick a different member of a
     solver-noise tie, while the default path must reproduce the serial
     reference bit-for-bit.
     """
@@ -144,44 +146,15 @@ def set_default_prune_bounds(prune: Optional[bool]) -> None:
 
 
 def default_batch_size() -> int:
-    """Default pass-1 scoring batch size: ``REPRO_SEARCH_BATCH`` or 32.
-
-    Serial and parallel runs use the *same* batch size, so warm-start
-    chaining (which operates within a batch) partitions the candidate
-    stream identically for every worker count — a determinism
-    requirement, not just a tuning default.
-    """
-    if _DEFAULT_BATCH is not None:
-        return _DEFAULT_BATCH
-    try:
-        return max(1, int(os.environ.get("REPRO_SEARCH_BATCH", "32")))
-    except ValueError:
-        return 32
-
-
-def set_default_batch_size(batch: Optional[int]) -> None:
-    """Override the process-wide batch-size default (None = env/32)."""
-    global _DEFAULT_BATCH
-    _DEFAULT_BATCH = None if batch is None else max(1, int(batch))
+    """The pass-1 scoring batch size, :data:`PASS1_BATCH`."""
+    return PASS1_BATCH
 
 
 def default_warm_starts() -> bool:
-    """Default warm-start switch: ``REPRO_SEARCH_WARM`` != 0 (on).
-
-    On by default: a warm cut only seeds the cut-parametric time search
-    with a valid lower bound, so warm and cold solves converge to the
-    *same* exact breakpoint — the knob exists for diagnosis (forcing
-    every candidate down the cold path), not because results differ.
-    """
-    if _DEFAULT_WARM is not None:
-        return _DEFAULT_WARM
-    return os.environ.get("REPRO_SEARCH_WARM", "1") not in ("0", "")
-
-
-def set_default_warm_starts(warm: Optional[bool]) -> None:
-    """Override the process-wide warm-start default (None = env/on)."""
-    global _DEFAULT_WARM
-    _DEFAULT_WARM = None if warm is None else bool(warm)
+    """Pass-1 warm starts are always on: a warm cut only seeds the
+    cut-parametric time search with a valid lower bound, so warm and
+    cold solves converge to the *same* exact breakpoint."""
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -278,87 +251,6 @@ class ScoredPlacement:
     mcf: Optional[McfPrediction] = None
 
 
-# ----------------------------------------------------------------------
-# Candidate sources
-# ----------------------------------------------------------------------
-class CandidateSource(Protocol):
-    """Streams ``(placement, canonical_key)`` pairs into the engine.
-
-    ``num_seen`` reports the raw (pre-dedupe) candidate count.  It is
-    valid at any time — before, during, or after :meth:`stream` — and
-    does not require the stream to run: sources that never construct
-    the raw enumeration compute it analytically.
-    """
-
-    @property
-    def num_seen(self) -> int: ...  # noqa: E704 - protocol stub
-
-    def stream(self) -> Iterator[Tuple[Placement, Tuple]]: ...  # noqa: E704
-
-
-class EnumeratedSource:
-    """Direct canonical enumeration of the slot-feasible space.
-
-    Streams :func:`repro.core.symmetry.iter_canonical_placements`: one
-    representative per symmetry orbit, produced directly (the rejected
-    orbit members are never constructed, unlike the historical
-    enumerate-then-filter pipeline this replaces, kept as the reference
-    ``CanonicalFilter`` in ``tests/oracles.py``).  The yielded key is
-    the representative's own count tuple — under the direct scheme the
-    representative *is* the orbit's enumeration-order minimum, so its
-    tuple is already a unique orbit id.
-
-    ``num_seen`` is the raw pre-dedupe count, computed analytically by
-    :func:`repro.core.placement.count_placements` (and cached); the
-    historical semantics — "0 until the stream is exhausted, then the
-    number of raw candidates iterated" — are gone.  ``num_direct``
-    counts the canonical placements actually yielded so far.
-    """
-
-    def __init__(self, chassis: Chassis, num_gpus: int, num_ssds: int) -> None:
-        self.chassis = chassis
-        self.num_gpus = num_gpus
-        self.num_ssds = num_ssds
-        self._raw_count: Optional[int] = None
-        self.num_direct = 0
-
-    @property
-    def num_seen(self) -> int:
-        if self._raw_count is None:
-            self._raw_count = count_placements(
-                self.chassis, self.num_gpus, self.num_ssds
-            )
-        return self._raw_count
-
-    def stream(self) -> Iterator[Tuple[Placement, Tuple]]:
-        self.num_direct = 0
-        for placement in iter_canonical_placements(
-            self.chassis, self.num_gpus, self.num_ssds
-        ):
-            self.num_direct += 1
-            yield placement, placement.as_tuple()
-
-
-class ExplicitSource:
-    """A fixed candidate list (e.g. data-placement-only runs, §4.5).
-
-    Matches the historical restricted-search semantics: the list is
-    taken as-is, without symmetry dedupe, and keys are the placements'
-    own count tuples.
-    """
-
-    def __init__(self, placements: Sequence[Placement]) -> None:
-        self.placements = list(placements)
-
-    @property
-    def num_seen(self) -> int:
-        return len(self.placements)
-
-    def stream(self) -> Iterator[Tuple[Placement, Tuple]]:
-        for placement in self.placements:
-            yield placement, placement.as_tuple()
-
-
 def sample_placements(
     chassis: Chassis,
     num_gpus: int,
@@ -383,17 +275,6 @@ def sample_placements(
 # ----------------------------------------------------------------------
 # Scorers (pipeline stages)
 # ----------------------------------------------------------------------
-class Scorer(Protocol):
-    """One scoring stage: topology + placement (+ prior stage result)
-    to a prediction object exposing ``.throughput``."""
-
-    name: str
-
-    def score(
-        self, topo: Topology, placement: Placement, prior: object = None
-    ) -> object: ...  # noqa: E704 - protocol stub
-
-
 @dataclass(frozen=True)
 class FlexibleMaxFlowScorer:
     """Pass 1: time-search max flow on flexible class demands.
@@ -403,15 +284,13 @@ class FlexibleMaxFlowScorer:
     and the resulting throughput is an optimistic *upper bound* on the
     exact pass-2 score.
 
-    Solved by the vectorized cut-parametric kernel
-    (:mod:`repro.core.flowmodel`), which returns the *exact* breakpoint
-    time — no bisection, no tolerance.
+    Solved by the cut-parametric kernel (:mod:`repro.core.flowmodel`),
+    which returns the *exact* breakpoint time — no bisection, no
+    tolerance.
     """
 
     fractions: Tuple[float, float, float]
     gpu_cache_policy: str = "replicated"
-
-    name = "pass1.maxflow"
 
     def _demand(self, topo: Topology) -> TrafficDemand:
         return scoring_demand(
@@ -432,17 +311,14 @@ class FlexibleMaxFlowScorer:
         self,
         topos: Sequence[Topology],
         warm_partition: Optional[Tuple[str, ...]] = None,
-        chain: bool = True,
-    ) -> Tuple[List[Optional[FlowPrediction]], int]:
-        """Score a batch of candidate topologies in NumPy lockstep.
+    ) -> Tuple[List[FlowPrediction], int]:
+        """Score a batch of candidate topologies, warm-start chained.
 
         Returns ``(predictions, warm_starts)``; see
         :func:`repro.core.flowmodel.score_batch`.
         """
         jobs = [(topo, self._demand(topo)) for topo in topos]
-        return score_batch(
-            jobs, warm_partition=warm_partition, chain=chain
-        )
+        return score_batch(jobs, warm_partition=warm_partition)
 
 
 @dataclass(frozen=True)
@@ -456,8 +332,6 @@ class MulticommodityScorer:
 
     fractions: Tuple[float, float, float]
     gpu_cache_policy: str = "replicated"
-
-    name = "pass2.mcf"
 
     def score(
         self, topo: Topology, placement: Placement, prior: FlowPrediction = None
@@ -476,37 +350,35 @@ class MulticommodityScorer:
 # inline path and every pool worker)
 # ----------------------------------------------------------------------
 class _ScoreRuntime:
-    """Builds (and caches) topologies and applies scorers to chunks.
+    """Builds (and caches) topologies and runs one stage on a chunk.
 
-    A chunk handed to a batch-capable scorer (one exposing
-    ``score_batch``) is solved as one NumPy-lockstep batch: the chunk's
-    first candidate is solved alone (seeded by ``warm_cut`` when warm
-    starts are enabled) and its binding cut warm-starts the rest.
-    Chaining never crosses a chunk boundary, so identical chunking
-    (guaranteed by the shared :func:`default_batch_size`) makes serial
-    and parallel runs solve identical batches.
+    A ``"coarse"`` chunk is one pass-1 batch: its first candidate is
+    solved alone (seeded by ``warm_cut``) and its binding cut
+    warm-starts the rest.  Chaining never crosses a chunk boundary, and
+    :meth:`ParallelExecutor.run_stage` cuts chunks identically inline
+    and on the pool, so every worker count solves identical batches.
+    An ``"exact"`` chunk LP-scores each candidate against its pass-1
+    prediction.
     """
 
     def __init__(
         self,
         machine: "MachineSpec",
         nvlink_pairs: Optional[Tuple[Tuple[int, int], ...]],
-        scorers: Dict[str, Scorer],
+        coarse: FlexibleMaxFlowScorer,
+        exact: MulticommodityScorer,
         mask: Optional[TopologyMask] = None,
-        warm: bool = True,
         warm_cut: Optional[Tuple[str, ...]] = None,
     ) -> None:
         self.machine = machine
         self.nvlink_pairs = nvlink_pairs
-        self.scorers = scorers
+        self.coarse = coarse
+        self.exact = exact
         self.mask = mask
-        self.warm = warm
-        self.warm_cut = warm_cut if warm else None
+        self.warm_cut = warm_cut
         self._topologies: Dict[Tuple, Topology] = {}
         self.cache_hits = 0
         self.cache_misses = 0
-        self.warm_starts = 0
-        self.batch_sizes: List[int] = []
 
     def topology(self, placement: Placement) -> Topology:
         key = placement.as_tuple()
@@ -529,53 +401,41 @@ class _ScoreRuntime:
 
     def run_chunk(
         self, stage: str, items: Sequence[Tuple[int, Placement, object]]
-    ) -> List[Tuple[int, object]]:
-        scorer = self.scorers[stage]
-        batcher = getattr(scorer, "score_batch", None)
-        if batcher is not None:
+    ) -> Tuple[List[Tuple[int, object]], Tuple[int, int, int]]:
+        """Score one chunk; returns ``(results, (cache_hits,
+        cache_misses, warm_starts))`` with the counts for this chunk."""
+        hits, misses = self.cache_hits, self.cache_misses
+        warm_starts = 0
+        if stage == "coarse":
             topos = [self.topology(placement) for _, placement, _ in items]
-            predictions, warm_starts = batcher(
-                topos, warm_partition=self.warm_cut, chain=self.warm
+            predictions, warm_starts = self.coarse.score_batch(
+                topos, self.warm_cut
             )
-            self.warm_starts += warm_starts
-            self.batch_sizes.append(len(items))
-            return [
+            results = [
                 (idx, prediction)
                 for (idx, _, _), prediction in zip(items, predictions)
             ]
-        return [
-            (idx, scorer.score(self.topology(placement), placement, prior))
-            for idx, placement, prior in items
-        ]
-
-    def take_stats(self) -> Tuple[int, int, int, Tuple[int, ...]]:
-        """Drain (cache_hits, cache_misses, warm_starts, batch_sizes)."""
+        else:
+            results = [
+                (idx, self.exact.score(self.topology(placement), placement, p1))
+                for idx, placement, p1 in items
+            ]
         stats = (
-            self.cache_hits,
-            self.cache_misses,
-            self.warm_starts,
-            tuple(self.batch_sizes),
+            self.cache_hits - hits, self.cache_misses - misses, warm_starts
         )
-        self.cache_hits = self.cache_misses = self.warm_starts = 0
-        self.batch_sizes = []
-        return stats
+        return results, stats
 
 
 _WORKER_RUNTIME: Optional[_ScoreRuntime] = None
 
 
-def _pool_init(
-    machine, nvlink_pairs, scorers, mask=None, warm=True, warm_cut=None
-) -> None:
+def _pool_init(*runtime_args) -> None:
     global _WORKER_RUNTIME
-    _WORKER_RUNTIME = _ScoreRuntime(
-        machine, nvlink_pairs, scorers, mask, warm=warm, warm_cut=warm_cut
-    )
+    _WORKER_RUNTIME = _ScoreRuntime(*runtime_args)
 
 
 def _pool_chunk(stage, items):
-    results = _WORKER_RUNTIME.run_chunk(stage, items)
-    return results, _WORKER_RUNTIME.take_stats()
+    return _WORKER_RUNTIME.run_chunk(stage, items)
 
 
 class ParallelExecutor:
@@ -591,24 +451,20 @@ class ParallelExecutor:
         self,
         machine: "MachineSpec",
         nvlink_pairs: Optional[Tuple[Tuple[int, int], ...]],
-        scorers: Dict[str, Scorer],
+        coarse: FlexibleMaxFlowScorer,
+        exact: MulticommodityScorer,
         workers: int = 1,
         mask: Optional[TopologyMask] = None,
-        warm: bool = True,
         warm_cut: Optional[Tuple[str, ...]] = None,
     ) -> None:
         self.workers = max(1, int(workers))
-        self._init_args = (
-            machine, nvlink_pairs, dict(scorers), mask, warm, warm_cut,
-        )
-        self._local = _ScoreRuntime(
-            machine, nvlink_pairs, dict(scorers), mask,
-            warm=warm, warm_cut=warm_cut,
-        )
+        self._init_args = (machine, nvlink_pairs, coarse, exact, mask, warm_cut)
+        self._local = _ScoreRuntime(*self._init_args)
         self._pool: Optional[ProcessPoolExecutor] = None
         self.cache_hits = 0
         self.cache_misses = 0
         self.warm_starts = 0
+        #: Size of every pass-1 batch scored, in submission order.
         self.batch_sizes: List[int] = []
 
     # -- lifecycle -------------------------------------------------------
@@ -627,54 +483,43 @@ class ParallelExecutor:
             self._pool = None
 
     # -- execution -------------------------------------------------------
-    def _absorb(
-        self,
-        hits: int,
-        misses: int,
-        warm_starts: int = 0,
-        batch_sizes: Tuple[int, ...] = (),
-    ) -> None:
-        self.cache_hits += hits
-        self.cache_misses += misses
-        self.warm_starts += warm_starts
-        self.batch_sizes.extend(batch_sizes)
-
     def run_stage(
         self,
         stage: str,
         items: Sequence[Tuple[int, Placement, object]],
-        chunk_size: Optional[int] = None,
+        chunk_size: int,
     ) -> List[Tuple[int, object]]:
-        """Score ``items`` with the named stage, in index order."""
+        """Score ``items`` with the named stage, in index order.
+
+        ``items`` is cut into ``chunk_size`` chunks the same way inline
+        and on the pool; the pool gets every chunk before any result is
+        awaited, so chunks run concurrently.
+        """
         items = list(items)
-        if not items:
-            return []
-        if self._pool is None:
-            out = self._local.run_chunk(stage, items)
-            self._absorb(*self._local.take_stats())
-            return out
-        if chunk_size is None:
-            chunk_size = max(1, -(-len(items) // (self.workers * 4)))
         chunks = [
             items[i : i + chunk_size]
             for i in range(0, len(items), chunk_size)
         ]
-        futures = [
-            self._pool.submit(_pool_chunk, stage, chunk) for chunk in chunks
-        ]
+        if self._pool is None:
+            outcomes = [self._local.run_chunk(stage, chunk) for chunk in chunks]
+        else:
+            futures = [
+                self._pool.submit(_pool_chunk, stage, chunk)
+                for chunk in chunks
+            ]
+            outcomes = [future.result() for future in futures]
         results: List[Tuple[int, object]] = []
-        for future in futures:
-            chunk_results, stats = future.result()
+        for chunk, (chunk_results, (hits, misses, warm)) in zip(
+            chunks, outcomes
+        ):
             results.extend(chunk_results)
-            self._absorb(*stats)
+            self.cache_hits += hits
+            self.cache_misses += misses
+            self.warm_starts += warm
+            if stage == "coarse":
+                self.batch_sizes.append(len(chunk))
         results.sort(key=lambda pair: pair[0])
         return results
-
-    def topology(self, placement: Placement) -> Topology:
-        """Build (or fetch from the local cache) one topology."""
-        topo = self._local.topology(placement)
-        self._absorb(*self._local.take_stats())
-        return topo
 
 
 # ----------------------------------------------------------------------
@@ -713,11 +558,6 @@ class SearchRequest:
     #: swap.  Seeds the first candidate of every pass-1 batch; warm and
     #: cold solves reach the same exact answer.
     warm_cut: Optional[Tuple[str, ...]] = None
-    #: Enable warm-started pass-1 scoring (batch chaining + ``warm_cut``
-    #: seeding); None = :func:`default_warm_starts` (env/on).
-    warm_starts: Optional[bool] = None
-    #: Pass-1 scoring batch size; None = :func:`default_batch_size`.
-    batch_size: Optional[int] = None
 
     def resolved_workers(self) -> int:
         """The effective worker count for this request."""
@@ -730,18 +570,6 @@ class SearchRequest:
         if self.prune_bounds is None:
             return default_prune_bounds()
         return bool(self.prune_bounds)
-
-    def resolved_warm_starts(self) -> bool:
-        """The effective warm-start switch for this request."""
-        if self.warm_starts is None:
-            return default_warm_starts()
-        return bool(self.warm_starts)
-
-    def resolved_batch_size(self) -> int:
-        """The effective pass-1 batch size for this request."""
-        if self.batch_size is None:
-            return default_batch_size()
-        return max(1, int(self.batch_size))
 
 
 @dataclass
@@ -774,112 +602,65 @@ class SearchResult:
     warm_starts: int = 0
     #: Pass-1 scoring batches dispatched (serial and parallel alike).
     num_batches: int = 0
-    #: Canonical placements yielded directly by the source (equals
-    #: ``num_unique`` for :class:`EnumeratedSource`; 0 for sources
-    #: without direct canonical enumeration).
-    canonical_direct: int = 0
 
 
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
 class SearchEngine:
-    """Streaming enumeration → incremental pruning → staged scoring.
+    """Candidates → pass-1 batches → top-k funnel → pruned pass-2 LPs.
 
-    Pluggable: any :class:`CandidateSource` and any pair of
-    :class:`Scorer` stages (a coarse stage whose value upper-bounds the
-    exact stage) compose into the same funnel.  Determinism contract:
-    for a fixed source and scorers, the winner and the ranked top-k are
-    identical for every ``workers`` count; throughput ties break on
-    funnel order (pass-1 score descending, enumeration index ascending),
-    matching the pre-engine serial path bit-for-bit.  ``prune_bounds``
-    preserves the winner's throughput to within :data:`PRUNE_REL_SLACK`
-    relative (identical in practice unless scores tie at solver noise).
+    Determinism contract: for fixed candidates and scorers, the winner
+    and the ranked top-k are identical for every ``workers`` count;
+    throughput ties break on funnel order (pass-1 score descending,
+    enumeration index ascending), matching the pre-engine serial path
+    bit-for-bit.  ``prune_bounds`` preserves the winner's throughput to
+    within :data:`PRUNE_EQUIV_TOL` (LP-solver noise) and may pick a
+    different member of a solver-noise tie.
     """
 
     def __init__(
         self,
-        source: CandidateSource,
-        coarse: Scorer,
-        exact: Scorer,
+        placements: Iterable[Placement],
+        num_candidates: int,
         executor: ParallelExecutor,
         lp_top_k: int = 48,
         top_k: int = 10,
         prune_bounds: bool = False,
-        batch_size: Optional[int] = None,
     ) -> None:
-        self.source = source
-        self.coarse = coarse
-        self.exact = exact
+        self.placements = placements
+        self.num_candidates = num_candidates
         self.executor = executor
         self.lp_top_k = max(1, lp_top_k)
         self.top_k = max(1, top_k)
         self.prune_bounds = prune_bounds
-        self.batch_size = max(
-            1, batch_size if batch_size is not None else default_batch_size()
+
+    # -- stage 1: coarse-score every candidate ---------------------------
+    def _score_pass1(self):
+        """Pass-1 score every candidate in :data:`PASS1_BATCH` batches
+        (one executor call, so a pool runs the batches concurrently).
+        Returns ``entries`` with ``entries[i] = (index, placement,
+        pass1_prediction)`` in enumeration order."""
+        placements = list(self.placements)
+        results = self.executor.run_stage(
+            "coarse",
+            [(idx, placement, None) for idx, placement in enumerate(placements)],
+            chunk_size=PASS1_BATCH,
         )
-
-    # -- stage 1: stream candidates through the coarse scorer ------------
-    def _stream_pass1(self):
-        """Enumerate, dedupe and coarse-score, overlapped.
-
-        Admitted candidates are chunked into fixed ``batch_size`` scoring
-        batches and dispatched to the executor *while enumeration is
-        still running*, so the process pool starts scoring before the
-        stream is exhausted.  Serial and parallel runs use the same
-        batch size (warm-start chaining operates within a batch, so
-        identical chunking keeps every worker count solving identical
-        batches).  Returns ``entries`` with ``entries[i] = (index,
-        placement, pass1_prediction)`` in enumeration order.
-        """
-        chunk: List[Tuple[int, Placement, object]] = []
-        chunk_size = self.batch_size
-        placements: List[Placement] = []
-        results: List[Tuple[int, object]] = []
-        for placement, _key in self.source.stream():
-            placements.append(placement)
-            chunk.append((len(placements) - 1, placement, None))
-            if len(chunk) >= chunk_size:
-                results.extend(
-                    self.executor.run_stage(
-                        "coarse", chunk, chunk_size=chunk_size
-                    )
-                )
-                chunk = []
-        if chunk:
-            results.extend(
-                self.executor.run_stage("coarse", chunk, chunk_size=len(chunk))
-            )
-        results.sort(key=lambda pair: pair[0])
         return [
             (idx, placements[idx], prediction) for idx, prediction in results
         ]
 
     # -- stage 2: top-k funnel + bound-pruned exact scoring ---------------
     def _select_finalists(self, entries):
-        """The ``lp_top_k`` best pass-1 candidates, best first.
-
-        Selection matches a stable descending sort on pass-1 throughput
-        (ties keep enumeration order), maintained incrementally with a
-        bounded heap — the funnel never holds more than ``lp_top_k``
-        candidates.
-        """
-        heap: List[Tuple[float, int]] = []  # (throughput, -index) min-heap
-        by_index: Dict[int, Tuple[Placement, object]] = {}
-        for idx, placement, prediction in entries:
-            item = (prediction.throughput, -idx)
-            if len(heap) < self.lp_top_k:
-                heapq.heappush(heap, item)
-                by_index[idx] = (placement, prediction)
-            elif item > heap[0]:
-                evicted = heapq.heappushpop(heap, item)
-                del by_index[-evicted[1]]
-                by_index[idx] = (placement, prediction)
-        order = sorted(heap, key=lambda item: (-item[0], -item[1]))
-        return [
-            (-neg_idx, by_index[-neg_idx][0], by_index[-neg_idx][1])
-            for _, neg_idx in order
-        ]
+        """The ``lp_top_k`` best pass-1 candidates, best first: a stable
+        descending sort on pass-1 throughput (ties keep enumeration
+        order), truncated."""
+        return heapq.nsmallest(
+            self.lp_top_k,
+            entries,
+            key=lambda entry: (-entry[2].throughput, entry[0]),
+        )
 
     def _score_exact(self, finalists):
         """LP-score the finalists, skipping candidates that cannot win.
@@ -951,12 +732,10 @@ class SearchEngine:
         ) as root:
             with self.executor:
                 with obs.span("search.pass1") as sp:
-                    entries = self._stream_pass1()
-                    sp.set(
-                        candidates=self.source.num_seen, unique=len(entries)
-                    )
+                    entries = self._score_pass1()
+                    sp.set(candidates=self.num_candidates, unique=len(entries))
                 if not entries:
-                    raise ValueError("candidate source produced no placements")
+                    raise ValueError("no placements to score")
                 # bound = pass-1 throughput; funnel position = stable rank
                 finalists = [
                     (pos, idx, placement, p1, p1.throughput)
@@ -971,7 +750,7 @@ class SearchEngine:
             result = SearchResult(
                 best=ranked[0],
                 scored=ranked[: self.top_k],
-                num_candidates=self.source.num_seen,
+                num_candidates=self.num_candidates,
                 num_unique=len(entries),
                 num_finalists=len(finalists),
                 num_lp_scored=num_lp,
@@ -981,7 +760,6 @@ class SearchEngine:
                 workers=self.executor.workers,
                 warm_starts=self.executor.warm_starts,
                 num_batches=len(self.executor.batch_sizes),
-                canonical_direct=getattr(self.source, "num_direct", 0),
             )
             root.set(
                 unique=result.num_unique,
@@ -991,7 +769,6 @@ class SearchEngine:
         result.seconds = root.duration
         obs.add("search.candidates", result.num_candidates)
         obs.add("search.unique", result.num_unique)
-        obs.add("search.canonical_direct", result.canonical_direct)
         obs.add("search.pass1_scored", result.num_unique)
         obs.add("search.lp_scored", result.num_lp_scored)
         obs.add("search.pruned_by_bound", result.pruned_by_bound)
@@ -1010,37 +787,37 @@ def run_search(request: SearchRequest) -> SearchResult:
     """
     machine = request.machine
     if request.candidates is not None:
-        source: CandidateSource = ExplicitSource(request.candidates)
+        placements: Iterable[Placement] = request.candidates
+        num_candidates = len(request.candidates)
     else:
-        source = EnumeratedSource(
+        placements = iter_canonical_placements(
             machine.chassis, request.num_gpus, request.num_ssds
         )
-    coarse = FlexibleMaxFlowScorer(
-        fractions=request.fractions,
-        gpu_cache_policy=request.gpu_cache_policy,
-    )
-    exact = MulticommodityScorer(
-        fractions=request.fractions,
-        gpu_cache_policy=request.gpu_cache_policy,
-    )
+        num_candidates = count_placements(
+            machine.chassis, request.num_gpus, request.num_ssds
+        )
     executor = ParallelExecutor(
         machine,
         request.nvlink_pairs,
-        {"coarse": coarse, "exact": exact},
+        FlexibleMaxFlowScorer(
+            fractions=request.fractions,
+            gpu_cache_policy=request.gpu_cache_policy,
+        ),
+        MulticommodityScorer(
+            fractions=request.fractions,
+            gpu_cache_policy=request.gpu_cache_policy,
+        ),
         workers=request.resolved_workers(),
         mask=request.mask,
-        warm=request.resolved_warm_starts(),
         warm_cut=request.warm_cut,
     )
     engine = SearchEngine(
-        source,
-        coarse,
-        exact,
+        placements,
+        num_candidates,
         executor,
         lp_top_k=request.lp_top_k,
         top_k=request.top_k,
         prune_bounds=request.resolved_prune_bounds(),
-        batch_size=request.resolved_batch_size(),
     )
     try:
         return engine.run()

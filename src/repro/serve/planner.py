@@ -6,8 +6,8 @@ request's dataset and machine, runs the Moment optimizer through
 ``MomentSystem.choose_placement`` (``simulate=False``, plan only), and
 returns the JSON-ready payload the cache stores and the HTTP layer
 ships.  The solve rides the existing :mod:`repro.core.search` engine,
-so ``REPRO_SEARCH_WORKERS`` / ``--search-workers`` fan each LP scoring
-pass onto the engine's :class:`~repro.core.search.ParallelExecutor`
+so ``REPRO_SEARCH_WORKERS`` / ``--search-workers`` fan both scoring
+passes onto the engine's :class:`~repro.core.search.ParallelExecutor`
 process pool exactly as offline runs do.
 
 Machines and built datasets are memoized process-wide (both are

@@ -1,4 +1,4 @@
-"""Repo hygiene: package layout invariants.
+"""Repo hygiene: package layout and environment-knob invariants.
 
 Guards against the stale-``faults``-package failure mode: a directory
 under ``src/repro`` that contains (or once contained) Python modules but
@@ -7,6 +7,7 @@ old ``__pycache__`` survives, then breaks everywhere else.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -73,3 +74,28 @@ def test_package_never_imports_tests():
         if "tests" in set(_imported_modules(py))
     )
     assert not offenders, f"package modules importing tests: {offenders}"
+
+
+#: Every ``REPRO_*`` environment variable the package reads.  A new one
+#: is a new global knob: add it here only together with its docs.
+ENV_KNOBS = {
+    "REPRO_SEARCH_WORKERS",
+    "REPRO_SEARCH_PRUNE",
+    "REPRO_FABRIC_SEEDS",
+    "REPRO_OBS_HIST_MAX",
+}
+
+
+def test_env_knobs_pinned():
+    """The package's ``REPRO_*`` variables are exactly the pinned set,
+    and each one is documented in README.md or EXPERIMENTS.md."""
+    names = set()
+    for py in SRC.rglob("*.py"):
+        names.update(re.findall(r"\bREPRO_[A-Z0-9_]+", py.read_text()))
+    assert names == ENV_KNOBS
+    root = SRC.parent.parent
+    docs = (root / "README.md").read_text() + (
+        root / "EXPERIMENTS.md"
+    ).read_text()
+    undocumented = sorted(name for name in names if name not in docs)
+    assert not undocumented, f"undocumented env knobs: {undocumented}"

@@ -1,6 +1,6 @@
 """Tests for the staged placement-search engine (repro.core.search).
 
-The load-bearing guarantee is *equivalence*: the streaming, parallel,
+The load-bearing guarantee is *equivalence*: the batched, parallel,
 funnelled engine must reproduce the pre-engine serial path — enumerate
 everything, dedupe, pass-1 score everything, stable-sort, LP the top
 ``lp_top_k``, stable-sort — bit for bit.  ``_reference_search`` below
@@ -31,9 +31,10 @@ from repro.core.placement import (
     iter_placements,
 )
 from repro.core.search import (
-    EnumeratedSource,
+    PASS1_BATCH,
     FlexibleMaxFlowScorer,
     MulticommodityScorer,
+    ParallelExecutor,
     PRUNE_EQUIV_TOL,
     ScoredPlacement,
     SearchRequest,
@@ -43,9 +44,7 @@ from repro.core.search import (
     default_workers,
     run_search,
     scoring_demand,
-    set_default_batch_size,
     set_default_prune_bounds,
-    set_default_warm_starts,
     set_default_workers,
 )
 from repro.core.symmetry import (
@@ -148,6 +147,29 @@ class TestEquivalence:
         assert parallel.num_candidates == serial.num_candidates
         assert parallel.num_unique == serial.num_unique
 
+    def test_pool_runs_pass1_as_one_stage(self, monkeypatch):
+        """Pass 1 reaches the pool as one ``"coarse"`` stage cut into
+        ``PASS1_BATCH`` chunks, so every batch is submitted before any
+        is awaited, and the ranking is still the serial one."""
+        calls = []
+        run_stage = ParallelExecutor.run_stage
+
+        def recording(self, stage, items, chunk_size):
+            items = list(items)
+            calls.append((stage, len(items), chunk_size))
+            return run_stage(self, stage, items, chunk_size)
+
+        machine = machine_b()
+        serial = run_search(_request(machine, 2, 4))
+        monkeypatch.setattr(ParallelExecutor, "run_stage", recording)
+        parallel = run_search(_request(machine, 2, 4, workers=2))
+        coarse = [call for call in calls if call[0] == "coarse"]
+        assert parallel.num_unique > PASS1_BATCH
+        assert coarse == [("coarse", parallel.num_unique, PASS1_BATCH)]
+        assert parallel.num_batches == -(-parallel.num_unique // PASS1_BATCH)
+        assert _ranking(parallel.scored) == _ranking(serial.scored)
+        assert parallel.best.throughput == serial.best.throughput
+
     def test_parallel_pruning_matches_serial_pruning(self):
         """Prune decisions are wave-based, never worker-dependent."""
         machine = machine_b()
@@ -210,31 +232,16 @@ class TestStreamingSource:
     @pytest.mark.parametrize("make_machine", [machine_a, machine_b])
     def test_incremental_dedupe_matches_batch(self, make_machine):
         machine = make_machine()
-        source = EnumeratedSource(machine.chassis, 2, 4)
-        streamed = [p for p, _key in source.stream()]
+        streamed = list(iter_canonical_placements(machine.chassis, 2, 4))
         batch = dedupe_placements(
             enumerate_placements(machine.chassis, 2, 4), machine.chassis
         )
         assert [p.as_tuple() for p in streamed] == [
             p.as_tuple() for p in batch
         ]
-        assert source.num_seen == len(
+        assert count_placements(machine.chassis, 2, 4) == len(
             enumerate_placements(machine.chassis, 2, 4)
         )
-
-    def test_num_seen_is_analytic(self):
-        """``num_seen`` reports the raw (pre-symmetry) space size via the
-        counting DP — available *before* streaming, and independent of
-        how many canonical placements the direct enumerator emits."""
-        machine = machine_a()
-        source = EnumeratedSource(machine.chassis, 2, 4)
-        raw = len(enumerate_placements(machine.chassis, 2, 4))
-        assert source.num_seen == raw  # nothing streamed yet
-        assert source.num_direct == 0
-        streamed = list(source.stream())
-        assert source.num_seen == raw  # unchanged by streaming
-        assert source.num_direct == len(streamed)
-        assert source.num_direct <= raw
 
     def test_infeasible_request_raises(self):
         machine = machine_a()
@@ -268,21 +275,12 @@ class TestKnobDefaults:
         finally:
             set_default_prune_bounds(None)
 
-    def test_set_default_batch_roundtrip(self):
-        try:
-            set_default_batch_size(8)
-            assert default_batch_size() == 8
-        finally:
-            set_default_batch_size(None)
-        assert default_batch_size() >= 1
-
-    def test_set_default_warm_roundtrip(self):
-        try:
-            set_default_warm_starts(False)
-            assert default_warm_starts() is False
-        finally:
-            set_default_warm_starts(None)
-        assert default_warm_starts() in (True, False)
+    def test_pass1_defaults_are_constants(self):
+        """Batch size and warm starts are fixed, not knobs: identical
+        batches for every worker count is a determinism requirement,
+        and warm and cold solves agree exactly."""
+        assert default_batch_size() == PASS1_BATCH == 32
+        assert default_warm_starts() is True
 
 
 @pytest.fixture(scope="module")
@@ -413,9 +411,6 @@ class TestDifferentialEquivalence:
         result = run_search(_request(machine, num_gpus, num_ssds))
         assert result.num_candidates == ref_candidates
         assert result.num_unique == ref_unique
-        # the direct enumerator produced every unique candidate itself
-        # (no dedupe stage discarded anything)
-        assert result.canonical_direct == ref_unique
         # agreeing objective, to the model-equivalence tolerance
         ref_best = ref_rows[0]
         rel = abs(result.best.throughput - ref_best.throughput) / (
@@ -551,7 +546,7 @@ class TestDirectEnumeratorProperties:
         self, units, bay_units, mirrored, num_gpus, num_ssds
     ):
         """The counting DP agrees with brute-force enumeration — this is
-        what keeps ``EnumeratedSource.num_seen`` honest without the
+        what keeps ``SearchResult.num_candidates`` honest without the
         engine ever materialising the raw space."""
         chassis = _two_switch_chassis(units, bay_units, mirrored, False)
         raw = sum(1 for _ in iter_placements(chassis, num_gpus, num_ssds))
@@ -570,9 +565,9 @@ class TestBatchScalarEquivalence:
     def test_batched_pass1_equals_scalar_pass1(
         self, machine_idx, f_gpu, f_cpu, start, take
     ):
-        """The stacked-matrix batch kernel returns, element for element,
-        exactly what the scalar kernel returns for each topology alone —
-        including with warm-start chaining on (the default)."""
+        """The batch kernel returns, element for element, exactly what
+        the scalar kernel returns for each topology alone — with the
+        batch's warm-start chaining on."""
         machine = (machine_a, machine_b)[machine_idx]()
         total = f_gpu + f_cpu
         if total > 0.9:
@@ -681,14 +676,33 @@ class TestWarmStartRegression:
         cold = min_completion_time(masked, demand)
         assert _prediction_fingerprint(warm) == _prediction_fingerprint(cold)
 
+    def test_near_tied_cut_warm_equals_cold(self):
+        """A sub-microbyte CPU demand makes two cuts' roots differ by two
+        ulps; a warm start on the lower one must still end on the
+        higher, binding one, as the cold solve does."""
+        machine = machine_b()
+        eps = float(np.finfo(float).eps)
+        fractions = (0.0, eps, 1.0 - eps)
+        placements = list(iter_canonical_placements(machine.chassis, 2, 4))
+        head = machine.build(placements[0], validate=False)
+        seed = min_completion_time(head, scoring_demand(head, fractions))
+        topo = machine.build(placements[4], validate=False)
+        demand = scoring_demand(topo, fractions)
+        warm = min_completion_time(
+            topo, demand, warm_partition=seed.cut_partition
+        )
+        cold = min_completion_time(topo, demand)
+        assert _prediction_fingerprint(warm) == _prediction_fingerprint(cold)
+
     def test_engine_warm_off_bit_identical(self):
+        """The warm-chained engine ranks exactly like the cold
+        per-candidate reference recipe."""
         machine = machine_a()
-        on = run_search(_request(machine, 2, 4, warm_starts=True))
-        off = run_search(_request(machine, 2, 4, warm_starts=False))
-        assert on.warm_starts > 0
-        assert off.warm_starts == 0
-        assert _ranking(on.scored) == _ranking(off.scored)
-        assert on.best.throughput == off.best.throughput
+        ref_rows, _, _ = _reference_search(machine, 2, 4, FRACTIONS)
+        warm = run_search(_request(machine, 2, 4))
+        assert warm.warm_starts > 0
+        assert _ranking(warm.scored) == _ranking(ref_rows)
+        assert warm.best.throughput == ref_rows[0].throughput
 
     def test_masked_rescore_with_warm_cut(self):
         """The ReplanPolicy request shape: one pinned candidate, a fault
@@ -723,7 +737,7 @@ class TestSearchCounters:
             result = run_search(_request(machine_a(), 2, 4))
         metrics = tel.snapshot()["metrics"]
         counters = metrics["counters"]
-        assert counters["search.canonical_direct"] == result.num_unique
+        assert counters["search.unique"] == result.num_unique
         assert counters["search.warm_starts"] == result.warm_starts
         assert result.warm_starts > 0
         hist = metrics["histograms"]["search.batch_size"]
