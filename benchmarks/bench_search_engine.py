@@ -80,12 +80,11 @@ def test_search_parallel_pruned(benchmark, machine, quick):
     print(
         f"\npruned ({result.workers} workers): {result.num_lp_scored} "
         f"LP-scored, {result.pruned_by_bound} pruned by bound, "
-        f"{result.cache_hits} topo-cache hits, {result.seconds:.2f}s "
+        f"{result.seconds:.2f}s "
         f"(serial {serial.seconds:.2f}s); winner rel-diff {rel:.1e}"
     )
     assert rel <= 1e-9
     assert result.pruned_by_bound > 0
-    assert result.cache_hits > 0
 
 
 @pytest.mark.parametrize("gpus,ssds", SCALING_POOLS)

@@ -165,6 +165,35 @@ def _storage_members(topo: Topology, class_key: str) -> List[str]:
     raise KeyError(class_key)
 
 
+def storage_egress(topo: Topology) -> Dict[str, float]:
+    """Each storage node's egress ceiling (bytes/s, ``inf`` when
+    unbounded), in ``topo.storage_nodes`` order — the node-split edge
+    both predictors put between ``name/in`` and ``name/out``.
+
+    A GPU cache serving a *peer* physically leaves through the owner
+    GPU's fabric ports, not at HBM speed.  The single-commodity
+    relaxation would otherwise let peer-cache demand be absorbed by the
+    owner's own sink at 1.2 TB/s; capping the cache at the owner's
+    aggregate fabric egress restores the binding constraint (local
+    cache hits are excluded from demands by convention).
+    """
+    gpu_fabric_egress: Dict[str, float] = {}
+    for gpu in topo.gpus():
+        total = 0.0
+        for succ in topo.successors(gpu):
+            if topo.node(succ).kind is not NodeKind.GPU_MEM:
+                total += topo.link(gpu, succ).capacity
+        gpu_fabric_egress[gpu] = total
+    ceilings: Dict[str, float] = {}
+    for node in topo.storage_nodes:
+        egress = node.egress_bw if node.egress_bw is not None else float("inf")
+        if node.kind is NodeKind.GPU_MEM:
+            owner = node.name[: -len(":mem")]
+            egress = min(egress, gpu_fabric_egress.get(owner, egress))
+        ceilings[node.name] = egress
+    return ceilings
+
+
 class FlowGraph:
     """A flow network over interned node labels, and its Dinic.
 
@@ -299,39 +328,16 @@ class FlowTemplate(FlowGraph):
         def out_name(node: str) -> str:
             return f"{node}/out" if node in storage_names else node
 
-        # A GPU cache serving a *peer* physically leaves through the
-        # owner GPU's fabric ports, not at HBM speed.  The
-        # single-commodity relaxation would otherwise let peer-cache
-        # demand be absorbed by the owner's own sink at 1.2 TB/s;
-        # capping the HBM edge at the owner's aggregate fabric egress
-        # restores the binding constraint (local cache hits are
-        # excluded from demands by convention).
-        gpu_fabric_egress: Dict[str, float] = {}
-        for gpu in topo.gpus():
-            total = 0.0
-            for succ in topo.successors(gpu):
-                if topo.node(succ).kind is not NodeKind.GPU_MEM:
-                    total += topo.link(gpu, succ).capacity
-            gpu_fabric_egress[gpu] = total
-
         # storage egress ceilings (node splitting); an unbounded egress
         # is a constant-infinity edge, never a scaled one (inf * t is
         # undefined at t = 0)
         self.storage_edge: Dict[str, int] = {}
-        for node in topo.storage_nodes:
-            egress = (
-                node.egress_bw if node.egress_bw is not None else float("inf")
-            )
-            if node.kind is NodeKind.GPU_MEM:
-                owner = node.name[: -len(":mem")]
-                egress = min(egress, gpu_fabric_egress.get(owner, egress))
+        for name, egress in storage_egress(topo).items():
             if np.isfinite(egress):
-                eid = add_edge(f"{node.name}/in", f"{node.name}/out", 0.0, egress)
+                eid = add_edge(f"{name}/in", f"{name}/out", 0.0, egress)
             else:
-                eid = add_edge(
-                    f"{node.name}/in", f"{node.name}/out", float("inf"), 0.0
-                )
-            self.storage_edge[node.name] = eid
+                eid = add_edge(f"{name}/in", f"{name}/out", float("inf"), 0.0)
+            self.storage_edge[name] = eid
 
         # physical links (QPI carries device-to-device DMA at the
         # reduced cross-socket P2P forwarding rate; CPU-memory flows are

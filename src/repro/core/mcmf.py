@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-from repro.core.flowmodel import TrafficDemand
+from repro.core.flowmodel import TrafficDemand, storage_egress
 from repro.core.topology import LinkKind, NodeKind, Topology
 
 
@@ -70,20 +70,8 @@ def _build_edges(topo: Topology):
     storage = {n.name for n in topo.storage_nodes}
     edges: List[Tuple[str, str, float, Optional[str]]] = []
 
-    gpu_fabric_egress: Dict[str, float] = {}
-    for gpu in topo.gpus():
-        total = 0.0
-        for succ in topo.successors(gpu):
-            if topo.node(succ).kind is not NodeKind.GPU_MEM:
-                total += topo.link(gpu, succ).capacity
-        gpu_fabric_egress[gpu] = total
-
-    for node in topo.storage_nodes:
-        egress = node.egress_bw if node.egress_bw is not None else np.inf
-        if node.kind is NodeKind.GPU_MEM:
-            owner = node.name[: -len(":mem")]
-            egress = min(egress, gpu_fabric_egress.get(owner, egress))
-        edges.append((f"{node.name}/in", f"{node.name}/out", float(egress), _ANY))
+    for name, egress in storage_egress(topo).items():
+        edges.append((f"{name}/in", f"{name}/out", float(egress), _ANY))
     from repro.hardware.specs import QPI_P2P_BW
 
     for link in topo.links:

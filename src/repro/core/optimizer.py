@@ -199,8 +199,7 @@ class MomentPlan:
             lines.append(
                 f"  search engine: workers={self.search.workers}, "
                 f"{self.search.num_lp_scored} LP-scored, "
-                f"{self.search.pruned_by_bound} pruned by bound, "
-                f"topology cache {self.search.cache_hits} hits"
+                f"{self.search.pruned_by_bound} pruned by bound"
             )
         return "\n".join(lines)
 
@@ -273,36 +272,6 @@ class MomentOptimizer:
         nonzero = counts[counts > 0]
         level = float(nonzero.min()) if nonzero.size else 1.0
         return counts + 0.01 * level * proxy / proxy.mean()
-
-    def score_placement(
-        self,
-        placement: Placement,
-        fractions: Tuple[float, float, float],
-    ) -> ScoredPlacement:
-        """Two-pass max-flow score of one candidate.
-
-        Pass 1 uses flexible class demands: the solver decides how much
-        traffic each drive/bank should ideally serve (these weights are
-        what DDAK will realise via data placement).  Pass 2 re-scores
-        with each bin's share fanned out *evenly across GPUs* — the
-        dataset is shared, so every GPU reads from every bin; a
-        placement only scores well if that all-to-all pattern fits its
-        fabric.  Pass 2's throughput ranks candidates.
-        """
-        from repro.core.search import FlexibleMaxFlowScorer, MulticommodityScorer
-
-        cfg = self.config
-        coarse = FlexibleMaxFlowScorer(
-            fractions=fractions,
-            gpu_cache_policy=cfg.gpu_cache_policy,
-        )
-        exact = MulticommodityScorer(
-            fractions=fractions, gpu_cache_policy=cfg.gpu_cache_policy
-        )
-        topo = self.machine.build(placement, nvlink_pairs=cfg.nvlink_pairs)
-        pass1 = coarse.score(topo, placement)
-        pass2 = exact.score(topo, placement, pass1)
-        return ScoredPlacement(placement, pass2.throughput, pass1, pass2)
 
     def plan_fractions(
         self, dataset: ScaledDataset, hotness: np.ndarray

@@ -37,11 +37,12 @@ index and the final ranking breaks throughput ties on funnel order
 (pass-1 score descending, enumeration index ascending — the pre-engine
 stable sort), so serial and parallel runs pick the same winner.
 
-Topology construction is cached per ``Placement.as_tuple()`` (each
-candidate's topology is built once and reused across stages).  Every
-stage reports through :mod:`repro.obs`: ``search.candidates``,
-``search.unique``, ``search.pass1_scored``, ``search.lp_scored``,
-``search.pruned_by_bound`` and ``search.topo_cache.{hits,misses}``.
+Each stage builds a candidate's topology when it scores it and keeps
+only the prediction, so a search holds one batch of topologies at a
+time; pass 2 rebuilds its ``lp_top_k`` finalists.  Every stage reports
+through :mod:`repro.obs`: ``search.candidates``, ``search.unique``,
+``search.pass1_scored``, ``search.lp_scored``, ``search.pruned_by_bound``
+and ``search.warm_starts``.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from repro.core.flowmodel import (
     SSD_CLASS,
     FlowPrediction,
     TrafficDemand,
-    min_completion_time,
     score_batch,
 )
 from repro.core.mcmf import McfPrediction, multicommodity_min_time
@@ -297,16 +297,6 @@ class FlexibleMaxFlowScorer:
             topo, self.fractions, gpu_cache_policy=self.gpu_cache_policy
         )
 
-    def score(
-        self, topo: Topology, placement: Placement, prior: object = None
-    ) -> FlowPrediction:
-        """Score one candidate.  ``prior``, when given, is a warm-start
-        cut partition (node labels) from a related solve."""
-        warm = prior if prior else None
-        return min_completion_time(
-            topo, self._demand(topo), warm_partition=warm
-        )
-
     def score_batch(
         self,
         topos: Sequence[Topology],
@@ -346,11 +336,11 @@ class MulticommodityScorer:
 
 
 # ----------------------------------------------------------------------
-# Scoring runtime: topology cache + stage dispatch (shared by the
+# Scoring runtime: topology build + stage dispatch (shared by the
 # inline path and every pool worker)
 # ----------------------------------------------------------------------
 class _ScoreRuntime:
-    """Builds (and caches) topologies and runs one stage on a chunk.
+    """Builds candidate topologies and runs one stage on a chunk.
 
     A ``"coarse"`` chunk is one pass-1 batch: its first candidate is
     solved alone (seeded by ``warm_cut``) and its binding cut
@@ -376,17 +366,8 @@ class _ScoreRuntime:
         self.exact = exact
         self.mask = mask
         self.warm_cut = warm_cut
-        self._topologies: Dict[Tuple, Topology] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     def topology(self, placement: Placement) -> Topology:
-        key = placement.as_tuple()
-        topo = self._topologies.get(key)
-        if topo is not None:
-            self.cache_hits += 1
-            return topo
-        self.cache_misses += 1
         # candidates come from the validated enumeration, so the chassis
         # and topology invariant sweeps are skipped in the hot path
         topo = self.machine.build(
@@ -396,15 +377,13 @@ class _ScoreRuntime:
             # degraded-fabric search (replanning): every candidate is
             # scored on the surviving topology
             topo = self.mask.apply(topo)
-        self._topologies[key] = topo
         return topo
 
     def run_chunk(
         self, stage: str, items: Sequence[Tuple[int, Placement, object]]
-    ) -> Tuple[List[Tuple[int, object]], Tuple[int, int, int]]:
-        """Score one chunk; returns ``(results, (cache_hits,
-        cache_misses, warm_starts))`` with the counts for this chunk."""
-        hits, misses = self.cache_hits, self.cache_misses
+    ) -> Tuple[List[Tuple[int, object]], int]:
+        """Score one chunk; returns ``(results, warm_starts)`` with the
+        pass-1 warm-start count for this chunk."""
         warm_starts = 0
         if stage == "coarse":
             topos = [self.topology(placement) for _, placement, _ in items]
@@ -420,10 +399,7 @@ class _ScoreRuntime:
                 (idx, self.exact.score(self.topology(placement), placement, p1))
                 for idx, placement, p1 in items
             ]
-        stats = (
-            self.cache_hits - hits, self.cache_misses - misses, warm_starts
-        )
-        return results, stats
+        return results, warm_starts
 
 
 _WORKER_RUNTIME: Optional[_ScoreRuntime] = None
@@ -461,8 +437,6 @@ class ParallelExecutor:
         self._init_args = (machine, nvlink_pairs, coarse, exact, mask, warm_cut)
         self._local = _ScoreRuntime(*self._init_args)
         self._pool: Optional[ProcessPoolExecutor] = None
-        self.cache_hits = 0
-        self.cache_misses = 0
         self.warm_starts = 0
         #: Size of every pass-1 batch scored, in submission order.
         self.batch_sizes: List[int] = []
@@ -509,12 +483,8 @@ class ParallelExecutor:
             ]
             outcomes = [future.result() for future in futures]
         results: List[Tuple[int, object]] = []
-        for chunk, (chunk_results, (hits, misses, warm)) in zip(
-            chunks, outcomes
-        ):
+        for chunk, (chunk_results, warm) in zip(chunks, outcomes):
             results.extend(chunk_results)
-            self.cache_hits += hits
-            self.cache_misses += misses
             self.warm_starts += warm
             if stage == "coarse":
                 self.batch_sizes.append(len(chunk))
@@ -591,9 +561,6 @@ class SearchResult:
     num_lp_scored: int = 0
     #: Finalists skipped because their pass-1 bound could not win.
     pruned_by_bound: int = 0
-    #: Topology-build cache hits/misses across all stages and workers.
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: Effective parallelism the search ran with.
     workers: int = 1
     #: Wall-clock duration of the engine run (``search.run`` span).
@@ -755,8 +722,6 @@ class SearchEngine:
                 num_finalists=len(finalists),
                 num_lp_scored=num_lp,
                 pruned_by_bound=pruned,
-                cache_hits=self.executor.cache_hits,
-                cache_misses=self.executor.cache_misses,
                 workers=self.executor.workers,
                 warm_starts=self.executor.warm_starts,
                 num_batches=len(self.executor.batch_sizes),
@@ -775,8 +740,6 @@ class SearchEngine:
         obs.add("search.warm_starts", result.warm_starts)
         for size in self.executor.batch_sizes:
             obs.observe("search.batch_size", size)
-        obs.add("search.topo_cache.hits", result.cache_hits)
-        obs.add("search.topo_cache.misses", result.cache_misses)
         return result
 
 

@@ -23,27 +23,19 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.core.ddak import hash_place, make_bins
-from repro.experiments.figures import ExperimentResult, _batches, _dataset, _timed
+from repro.experiments.figures import (
+    ExperimentResult,
+    _HashMomentSystem,
+    _batches,
+    _dataset,
+    _timed,
+)
 from repro.graphs.datasets import IGB_HOM
 from repro.graphs.generators import power_law_graph
 from repro.hardware.machines import classic_layouts, machine_a
 from repro.runtime.spec import RunSpec
 from repro.runtime.system import MomentSystem
 from repro.utils.report import Table
-
-
-class _HashMoment(MomentSystem):
-    name = "moment-hash"
-
-    def place_data(self, topo, dataset, hotness, plan, traffic=None):
-        bins = make_bins(
-            topo,
-            gpu_cache_bytes=plan.gpu_cache_bytes,
-            cpu_cache_bytes=plan.cpu_cache_bytes,
-            ssd_capacity_bytes=plan.ssd_capacity_bytes,
-        )
-        return hash_place(bins, hotness, dataset.feature_bytes)
 
 
 @_timed
@@ -152,7 +144,7 @@ def sweep_skew(
         ddak = MomentSystem(machine).run(RunSpec(
             dataset=ds, placement=placement, sample_batches=_batches(quick)
         ))
-        hashed = _HashMoment(machine).run(RunSpec(
+        hashed = _HashMomentSystem(machine).run(RunSpec(
             dataset=ds, placement=placement, sample_batches=_batches(quick)
         ))
         gain = hashed.paper_epoch_seconds / ddak.paper_epoch_seconds - 1

@@ -9,8 +9,9 @@ the complete description of one run into a single frozen value:
 >>> result = system.run(spec)
 >>> result = system.run(spec.replace(faults=schedule, replan=True))
 
-The old kwargs form still works through a deprecation shim on
-``GnnSystem.run`` and produces identical results.
+The pre-2.0 ``run(dataset, **kwargs)`` form is gone: ``GnnSystem.run``
+raises ``TypeError`` for anything but a :class:`RunSpec`
+(:func:`require_run_spec`).
 """
 
 from __future__ import annotations

@@ -132,7 +132,6 @@ def _plan_payload(plan) -> Optional[Dict]:
             "workers": int(s.workers),
             "num_lp_scored": int(s.num_lp_scored),
             "pruned_by_bound": int(s.pruned_by_bound),
-            "cache_hits": int(s.cache_hits),
         }
     return payload
 

@@ -7,6 +7,8 @@ old ``__pycache__`` survives, then breaks everywhere else.
 """
 
 import ast
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -99,3 +101,28 @@ def test_env_knobs_pinned():
     ).read_text()
     undocumented = sorted(name for name in names if name not in docs)
     assert not undocumented, f"undocumented env knobs: {undocumented}"
+
+
+def _perfbench_targets():
+    """``TARGETS`` of ``perfbench/tracing.py``, loaded by file path
+    (``perfbench`` is a script directory, not a package)."""
+    path = SRC.parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+def test_perfbench_trace_targets_resolve():
+    """Every attribute the benchmark's layer tracer wraps still exists
+    on its owner.  A renamed or removed one would not fail the
+    benchmark: its layer row would just read 0."""
+    missing = []
+    for owner_path, attr, layer, _items in _perfbench_targets():
+        module, _, cls = owner_path.partition(":")
+        owner = importlib.import_module(module)
+        if cls:
+            owner = vars(owner).get(cls)
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{owner_path}.{attr} ({layer})")
+    assert not missing, f"perfbench trace targets that do not resolve: {missing}"

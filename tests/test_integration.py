@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.flowmodel import TrafficDemand, min_completion_time
 from repro.core.optimizer import MomentOptimizer, capacity_plan, tier_fractions
 from repro.core.placement import GPU, Placement, SSD
+from repro.core.search import run_search
 from repro.core.symmetry import slot_group_symmetries
 from repro.graphs.datasets import IGB_HOM
 from repro.hardware.machines import classic_layouts, machine_a
@@ -54,9 +55,9 @@ class TestSymmetryInvariance:
         right = Placement(
             machine.chassis, {"plx1.slots": {GPU: 2, SSD: 4}}
         )
-        s_left = opt.score_placement(left, fractions).throughput
-        s_right = opt.score_placement(right, fractions).throughput
-        assert s_left == pytest.approx(s_right, rel=1e-3)
+        s_left = run_search(opt.search_request(fractions, [left])).best
+        s_right = run_search(opt.search_request(fractions, [right])).best
+        assert s_left.throughput == pytest.approx(s_right.throughput, rel=1e-3)
 
     def test_mirror_is_one_orbit(self, machine):
         syms = slot_group_symmetries(machine.chassis)

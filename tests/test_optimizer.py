@@ -16,6 +16,7 @@ from repro.core.optimizer import (
     tier_fractions,
 )
 from repro.core.placement import GPU, Placement, SSD
+from repro.core.search import run_search
 from repro.graphs.datasets import IGB_HOM, tiny_dataset
 from repro.hardware.machines import classic_layouts, machine_a, machine_b
 from repro.utils.units import GB
@@ -184,7 +185,7 @@ class TestOptimizer:
         for key, p in classic_layouts(
             optimizer.machine, num_gpus=2, num_ssds=4
         ).items():
-            sc = optimizer.score_placement(p, plan.fractions)
+            sc = run_search(optimizer.search_request(plan.fractions, [p])).best
             assert plan.predicted_throughput >= sc.throughput * 0.999, key
 
     def test_fixed_candidate_restricts_search(self, optimizer, dataset):

@@ -9,6 +9,8 @@ compares the engine against it.
 """
 
 import dataclasses
+import gc
+import weakref
 from functools import partial
 
 import numpy as np
@@ -55,7 +57,7 @@ from repro.core.topology import NodeKind, TopologyMask
 from repro.graphs.datasets import IGB_HOM
 from repro.hardware.fabric import compile_fabric
 from repro.hardware.generate import generate_fabric
-from repro.hardware.machines import machine_a, machine_b
+from repro.hardware.machines import MachineSpec, machine_a, machine_b
 from tests.oracles import (
     CanonicalFilter,
     bisect_min_completion_time,
@@ -86,12 +88,12 @@ def _reference_search(machine, num_gpus, num_ssds, fractions,
     """
     candidates = enumerate_placements(machine.chassis, num_gpus, num_ssds)
     unique = dedupe_placements(candidates, machine.chassis)
-    coarse = FlexibleMaxFlowScorer(fractions=fractions)
     exact = MulticommodityScorer(fractions=fractions)
     pass1 = []
     for placement in unique:
         topo = machine.build(placement)
-        pass1.append((placement, topo, coarse.score(topo, placement)))
+        demand = scoring_demand(topo, fractions)
+        pass1.append((placement, topo, min_completion_time(topo, demand)))
     pass1.sort(key=lambda row: -row[2].throughput)  # stable: ties keep order
     rows = []
     for placement, topo, p1 in pass1[:lp_top_k]:
@@ -249,14 +251,45 @@ class TestStreamingSource:
             run_search(_request(machine, 64, 64))
 
 
-class TestTopologyCache:
-    def test_pass2_reuses_pass1_topologies(self):
-        result = run_search(_request(machine_a(), 2, 4))
-        # pass 1 builds each unique candidate once (all misses); pass 2
-        # re-reads the finalists from the cache (all hits).
-        assert result.cache_misses == result.num_unique
-        assert result.cache_hits == result.num_lp_scored
-        assert result.cache_hits > 0
+class TestNoTopologyRetention:
+    """The engine keeps nothing per candidate beyond its prediction:
+    pass 1 drops each batch's topologies once scored, and pass 2
+    rebuilds its finalists."""
+
+    def _traced_search(self, monkeypatch):
+        machine = machine_a()
+        built = []
+        alive_at_pass2 = []
+        build, score = MachineSpec.build, MulticommodityScorer.score
+
+        def traced_build(self, *args, **kwargs):
+            topo = build(self, *args, **kwargs)
+            built.append(weakref.ref(topo))
+            return topo
+
+        def traced_score(self, topo, placement, prior=None):
+            if not alive_at_pass2:
+                gc.collect()
+                live = [ref() for ref in built]
+                alive_at_pass2.append(
+                    sum(t is not None and t is not topo for t in live)
+                )
+            return score(self, topo, placement, prior)
+
+        monkeypatch.setattr(MachineSpec, "build", traced_build)
+        monkeypatch.setattr(MulticommodityScorer, "score", traced_score)
+        result = run_search(_request(machine, 2, 4))
+        return result, built, alive_at_pass2
+
+    def test_pass1_topologies_released_before_pass2(self, monkeypatch):
+        result, _built, alive_at_pass2 = self._traced_search(monkeypatch)
+        assert result.num_unique > 1
+        assert alive_at_pass2[0] <= 1
+
+    def test_builds_once_per_pass1_candidate_and_lp(self, monkeypatch):
+        result, built, _alive = self._traced_search(monkeypatch)
+        assert result.num_lp_scored > 0
+        assert len(built) == result.num_unique + result.num_lp_scored
 
 
 class TestKnobDefaults:
@@ -579,7 +612,7 @@ class TestBatchScalarEquivalence:
         scorer = FlexibleMaxFlowScorer(fractions=fractions)
         batch, _warm = scorer.score_batch(topos)
         for topo, batched in zip(topos, batch):
-            solo = scorer.score(topo, None)
+            solo = min_completion_time(topo, scoring_demand(topo, fractions))
             assert batched.time == solo.time
             assert batched.throughput == solo.throughput
             assert batched.storage_rate == solo.storage_rate
