@@ -10,8 +10,8 @@ answers:
   edge carries ``capacity * T`` bytes, with per-storage-node optimal
   flows (the ``Bin_traffic`` input of DDAK, Section 3.3) and the
   saturated links;
-* :func:`score_batch` — the same for a batch of candidates, each
-  warm-started from the first one's binding cut (the pass-1 kernel
+* :func:`solve_batch` — the same for a batch of candidates' networks,
+  each warm-started from the first one's binding cut (the pass-1 kernel
   behind ``FlexibleMaxFlowScorer``);
 * :func:`plain_max_flow` — the unconstrained max flow of the base
   formulation.
@@ -21,10 +21,15 @@ class ``SSD_CLASS`` ("any SSD"), which the flow solver splits across
 drives optimally — this is how hardware placements are scored *before*
 a per-vertex data placement exists.
 
-Every max flow here is one Dinic (:meth:`FlowGraph.max_flow`).  The
-time network is built **once** per candidate (a :class:`FlowTemplate`)
-with every edge budget split into ``base + rate * t`` (constant bytes +
-bytes/s scaled by the probed time), so
+Every max flow here is one Dinic (:meth:`FlowGraph.max_flow`, an
+explicit-stack DFS over edge arrays).  A placement search builds its
+time network **once**: a :class:`ChassisNetwork` populates every slot
+group of the chassis up to the device pool, and each candidate
+placement becomes a capacity vector over it — a :class:`FlowTemplate`
+holding only the edges of occupied slots, in the order
+:meth:`FlowTemplate.from_topology` would add them for that placement's
+topology.  Every edge budget is split into ``base + rate * t``
+(constant bytes + bytes/s scaled by the probed time), so
 
 * each probe only refreshes a capacity vector with NumPy;
 * the time search is **cut-parametric**, not bisection:
@@ -48,13 +53,25 @@ solves agree exactly (see the warm-start regression tests).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
-from repro.core.topology import LinkKind, NodeKind, Topology
+from repro.core.placement import GPU, SSD, Placement
+from repro.core.topology import LinkKind, NodeKind, Topology, TopologyMask
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only, avoids import cycle
+    from repro.hardware.machines import MachineSpec
 
 #: Flexible demand keys: "serve this from whichever member is best".
 SSD_CLASS = "__ssd_class__"
@@ -194,24 +211,16 @@ def storage_egress(topo: Topology) -> Dict[str, float]:
     return ceilings
 
 
-class FlowGraph:
-    """A flow network over interned node labels, and its Dinic.
-
-    Forward edge ``e`` has residual slot ``2 * e`` and its reverse
-    ``2 * e + 1`` (so ``eid ^ 1`` flips direction); ``adj[u]`` lists the
-    residual slots leaving ``u``.  Each forward edge carries a budget
-    ``base + rate * t`` (constant bytes plus bytes/s over a probed
-    time); solvers take the residual capacities as a list and mutate it.
-    """
+class _EdgeList:
+    """Interns node labels and collects edges as parallel lists."""
 
     def __init__(self) -> None:
         self._index: Dict[str, int] = {}
         self.labels: List[str] = []
-        self.adj: List[List[int]] = []
-        self._to: List[int] = []
+        self.tails: List[int] = []
+        self.heads: List[int] = []
         self.base: List[float] = []
         self.rate: List[float] = []
-        self.source = self.sink = -1
 
     def node_id(self, label: str) -> int:
         """Intern a node label, creating it on first use."""
@@ -220,75 +229,127 @@ class FlowGraph:
             nid = len(self.labels)
             self._index[label] = nid
             self.labels.append(label)
-            self.adj.append([])
         return nid
 
     def add_edge(self, u: str, v: str, base: float, rate: float = 0.0) -> int:
         """Add forward edge ``u -> v``; returns its edge index."""
-        ui, vi = self.node_id(u), self.node_id(v)
-        slot = len(self._to)
-        self._to.append(vi)
-        self.adj[ui].append(slot)
-        self._to.append(ui)
-        self.adj[vi].append(slot + 1)
+        self.tails.append(self.node_id(u))
+        self.heads.append(self.node_id(v))
         self.base.append(base)
         self.rate.append(rate)
-        return slot // 2
+        return len(self.base) - 1
 
-    def attach_terminals(self) -> None:
-        """Intern the virtual source and sink.  Called once every edge
-        is in, so node ids follow edge insertion order."""
-        self.source = self.node_id(_SOURCE)
-        self.sink = self.node_id(_SINK)
+    def add_split(self, name: str, egress: float) -> int:
+        """Split storage node ``name`` (``name/in -> name/out``) at its
+        egress ceiling.  An unbounded egress is a constant-infinity
+        edge, never a scaled one (``inf * t`` is undefined at t = 0)."""
+        if np.isfinite(egress):
+            return self.add_edge(f"{name}/in", f"{name}/out", 0.0, egress)
+        return self.add_edge(f"{name}/in", f"{name}/out", float("inf"), 0.0)
+
+
+class FlowGraph:
+    """A flow network as edge arrays over labelled nodes, and its Dinic.
+
+    Edge ``e`` runs ``tails[e] -> heads[e]``; its forward residual slot
+    is ``2 * e`` and its reverse ``2 * e + 1`` (so ``eid ^ 1`` flips
+    direction), and ``adj[u]`` lists the residual slots leaving ``u`` in
+    edge order.  Dinic's augmenting paths depend only on that order,
+    never on node ids.  Solvers take the residual capacities as a list
+    and mutate it.
+    """
+
+    def __init__(
+        self,
+        labels: Sequence[Optional[str]],
+        tails: np.ndarray,
+        heads: np.ndarray,
+        source: int,
+        sink: int,
+    ) -> None:
+        self.labels = labels
+        self.tails = np.asarray(tails, dtype=np.intp)
+        self.heads = np.asarray(heads, dtype=np.intp)
+        ends = np.empty((len(self.tails), 2), dtype=np.intp)
+        ends[:, 0] = self.heads
+        ends[:, 1] = self.tails
+        self._to: List[int] = ends.ravel().tolist()
+        adj: List[List[int]] = [[] for _ in labels]
+        for slot, u in enumerate(ends[:, ::-1].ravel().tolist()):
+            adj[u].append(slot)
+        self.adj = adj
+        self.source = source
+        self.sink = sink
 
     @property
     def num_edges(self) -> int:
-        return len(self.base)
+        return len(self.tails)
 
     def max_flow(self, caps: List[float]) -> float:
-        """Dinic from source to sink; mutates ``caps`` residuals."""
+        """Dinic from source to sink; mutates ``caps`` residuals.
+
+        The blocking-flow search is an explicit-stack DFS, so network
+        depth is not bounded by the interpreter's recursion limit.  It
+        finds the augmenting paths the textbook recursive DFS finds, in
+        the same order: after an augmentation it resumes at the tail of
+        the first saturated edge, where a restart from the source would
+        arrive again.  The level graph stops growing once the sink is
+        labelled and a dead end is dropped from it for the rest of the
+        phase; both only spare walks that cannot reach the sink.
+        """
         adj, to = self.adj, self._to
         s, t = self.source, self.sink
         n = len(adj)
-        inf = float("inf")
+        eps = _EPS
         total = 0.0
         while True:
             level = [-1] * n
             level[s] = 0
-            q = deque([s])
-            while q:
-                u = q.popleft()
+            queue = [s]
+            for u in queue:
                 lu = level[u] + 1
                 for eid in adj[u]:
                     v = to[eid]
-                    if level[v] < 0 and caps[eid] > _EPS:
+                    if level[v] < 0 and caps[eid] > eps:
                         level[v] = lu
-                        q.append(v)
+                        queue.append(v)
+                if level[t] >= 0:
+                    break
             if level[t] < 0:
                 return total
             it = [0] * n
-
-            def dfs(u: int, pushed: float) -> float:
-                if u == t:
-                    return pushed
-                adj_u = adj[u]
-                while it[u] < len(adj_u):
-                    eid = adj_u[it[u]]
-                    v = to[eid]
-                    if caps[eid] > _EPS and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, caps[eid]))
-                        if got > _EPS:
-                            caps[eid] -= got
-                            caps[eid ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0.0
-
+            path: List[int] = []
+            u = s
             while True:
-                pushed = dfs(s, inf)
-                if pushed <= _EPS:
+                if u == t:
+                    pushed = min([caps[eid] for eid in path])
+                    for eid in path:
+                        caps[eid] -= pushed
+                        caps[eid ^ 1] += pushed
+                    total += pushed
+                    for depth, eid in enumerate(path):
+                        if caps[eid] <= eps:
+                            del path[depth:]
+                            u = to[eid ^ 1]
+                            break
+                    continue
+                adj_u = adj[u]
+                i, end, want = it[u], len(adj_u), level[u] + 1
+                while i < end:
+                    eid = adj_u[i]
+                    if level[to[eid]] == want and caps[eid] > eps:
+                        break
+                    i += 1
+                it[u] = i
+                if i < end:
+                    path.append(eid)
+                    u = to[eid]
+                elif u == s:
                     break
-                total += pushed
+                else:
+                    level[u] = -1  # a dead end stays one this phase
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
 
     def reachable(self, caps: List[float]) -> bytearray:
         """Source-reachable node mask in the residual graph."""
@@ -311,33 +372,62 @@ class FlowTemplate(FlowGraph):
 
     Physical edges keep their direction structure; each storage node is
     split (``name/in -> name/out``) to enforce its device egress
-    ceiling.  Virtual edges: source -> bins (capacity = demanded bytes),
-    GPUs -> sink (capacity = per-GPU demanded bytes).  Class demands
-    route through a class super-node feeding every member.  Each edge is
-    stored as ``(base_bytes, rate_bytes_per_s)`` so the capacity vector
-    at any probed time is ``base + rate * t``.
+    ceiling, and those split edges come first, one per name in
+    ``storage``.  Virtual edges: source -> bins (capacity = demanded
+    bytes), GPUs -> sink (capacity = per-GPU demanded bytes).  Class
+    demands route through a class super-node feeding every member.
+    Each edge is stored as ``(base_bytes, rate_bytes_per_s)`` so the
+    capacity vector at any probed time is ``base + rate * t``.
+
+    Built from a :class:`~repro.core.topology.Topology` by
+    :meth:`from_topology`, or per placement by :class:`ChassisNetwork`.
     """
 
-    def __init__(self, topo: Topology, demand: TrafficDemand) -> None:
+    def __init__(
+        self,
+        labels: Sequence[Optional[str]],
+        tails: np.ndarray,
+        heads: np.ndarray,
+        source: int,
+        sink: int,
+        base: np.ndarray,
+        rate: np.ndarray,
+        storage: Sequence[str],
+        demands_by_sink: Dict[str, float],
+        total: float,
+    ) -> None:
+        super().__init__(labels, tails, heads, source, sink)
+        self.base = np.asarray(base, dtype=float)
+        self.rate = np.asarray(rate, dtype=float)
+        self._base_list: List[float] = self.base.tolist()
+        self._rate_list: List[float] = self.rate.tolist()
+        self.storage = storage
+        self.demands_by_sink = demands_by_sink
+        self.total = total
+
+    @classmethod
+    def from_topology(
+        cls, topo: Topology, demand: TrafficDemand
+    ) -> "FlowTemplate":
+        """The network of one topology and demand.
+
+        Edge order: storage splits in ``topo.storage_nodes`` order,
+        links in ``topo.links`` order, source/class edges by sorted bin
+        name, sink edges by sorted GPU name.
+        """
         from repro.hardware.specs import QPI_P2P_BW
 
-        super().__init__()
-        add_edge = self.add_edge
+        net = _EdgeList()
+        add_edge = net.add_edge
         storage_names = {n.name for n in topo.storage_nodes}
 
         def out_name(node: str) -> str:
             return f"{node}/out" if node in storage_names else node
 
-        # storage egress ceilings (node splitting); an unbounded egress
-        # is a constant-infinity edge, never a scaled one (inf * t is
-        # undefined at t = 0)
-        self.storage_edge: Dict[str, int] = {}
-        for name, egress in storage_egress(topo).items():
-            if np.isfinite(egress):
-                eid = add_edge(f"{name}/in", f"{name}/out", 0.0, egress)
-            else:
-                eid = add_edge(f"{name}/in", f"{name}/out", float("inf"), 0.0)
-            self.storage_edge[name] = eid
+        # storage egress ceilings (node splitting)
+        egress = storage_egress(topo)
+        for name, ceiling in egress.items():
+            net.add_split(name, ceiling)
 
         # physical links (QPI carries device-to-device DMA at the
         # reduced cross-socket P2P forwarding rate; CPU-memory flows are
@@ -352,8 +442,7 @@ class FlowTemplate(FlowGraph):
             add_edge(src, dst, 0.0, cap)
 
         # virtual source edges per demanded bin
-        per_bin = demand.per_bin()
-        for bin_name, nbytes in sorted(per_bin.items()):
+        for bin_name, nbytes in sorted(demand.per_bin().items()):
             if bin_name in (SSD_CLASS, CPU_CLASS):
                 class_node = f"{bin_name}/class"
                 add_edge(_SOURCE, class_node, nbytes)
@@ -367,16 +456,24 @@ class FlowTemplate(FlowGraph):
                 add_edge(_SOURCE, f"{bin_name}/in", nbytes)
 
         # virtual sink edges per GPU
-        self.demands_by_sink = demand.per_gpu()
-        for gpu, nbytes in sorted(self.demands_by_sink.items()):
+        demands_by_sink = demand.per_gpu()
+        for gpu, nbytes in sorted(demands_by_sink.items()):
             if gpu not in topo:
                 raise KeyError(f"demand references unknown GPU {gpu!r}")
             add_edge(gpu, _SINK, nbytes)
 
-        self.attach_terminals()
-        self.base = np.asarray(self.base)
-        self.rate = np.asarray(self.rate)
-        self.total = demand.total
+        return cls(
+            net.labels,
+            net.tails,
+            net.heads,
+            net.node_id(_SOURCE),
+            net.node_id(_SINK),
+            net.base,
+            net.rate,
+            list(egress),
+            demands_by_sink,
+            demand.total,
+        )
 
     # -- per-probe machinery -------------------------------------------
     def residual_caps(self, t: float) -> List[float]:
@@ -386,87 +483,81 @@ class FlowTemplate(FlowGraph):
         caps[0::2] = self.base + self.rate * t
         return caps.tolist()
 
-    def cut_line(self, reach: Sequence[int]) -> Tuple[float, float]:
+    def _crossing(self, reach: bytearray) -> List[int]:
+        """Edges leaving a node mask, in edge order."""
+        side = np.frombuffer(reach, dtype=np.uint8)
+        return np.flatnonzero(side[self.tails] > side[self.heads]).tolist()
+
+    def cut_line(self, reach: bytearray) -> Tuple[float, float]:
         """``(base_bytes, rate)`` of the cut induced by a node mask.
 
         Edge terms are accumulated in edge-id order, so the same cut
         always sums to bit-identical coefficients — warm and cold
         searches ending on the same binding cut return the same float.
         """
-        to = self._to
+        base, rate = self._base_list, self._rate_list
         b = r = 0.0
-        for e in range(len(self.base)):
-            if reach[to[2 * e + 1]] and not reach[to[2 * e]]:
-                b += self.base[e]
-                r += self.rate[e]
+        for e in self._crossing(reach):
+            b += base[e]
+            r += rate[e]
         return b, r
 
-    def partition_mask(
-        self, partition: Iterable[str]
-    ) -> Optional[bytearray]:
-        """A warm-start label set as a node mask, or ``None`` if it is
-        not a valid s-t partition here (labels from a different fabric
-        are simply ignored; dropped nodes vanish from the mask)."""
+    def warm_start(
+        self, partition: Optional[Iterable[str]]
+    ) -> Tuple[float, Optional[bytearray]]:
+        """A warm-start hint's cut root — a sound lower bound on the
+        completion time — and its node mask, or ``(0.0, None)`` when
+        the hint does not transfer.  Labels from a different fabric are
+        simply ignored; dropped nodes vanish from the mask."""
+        if not partition:
+            return 0.0, None
+        index = dict(zip(self.labels, range(len(self.labels))))
         reach = bytearray(len(self.labels))
         for label in partition:
-            nid = self._index.get(label)
+            nid = index.get(label)
             if nid is not None:
                 reach[nid] = 1
         if not reach[self.source] or reach[self.sink]:
-            return None
-        return reach
-
-    def warm_root(self, partition: Optional[Iterable[str]]) -> float:
-        """The hint cut's root: a sound lower bound on the completion
-        time (``0.0`` when the hint does not transfer)."""
-        if not partition:
-            return 0.0
-        reach = self.partition_mask(partition)
-        if reach is None:
-            return 0.0
+            return 0.0, None
         b, r = self.cut_line(reach)
         if not np.isfinite(b) or r <= _EPS or b >= self.total:
-            return 0.0
-        return max(0.0, (self.total - b) / r)
+            return 0.0, None
+        t0 = (self.total - b) / r
+        return (t0, reach) if t0 > 0.0 else (0.0, None)
 
     # -- result assembly ------------------------------------------------
     def prediction(
         self,
         t_star: float,
         caps: List[float],
-        cut_mask: Optional[Sequence[int]],
+        cut_mask: Optional[bytearray],
     ) -> FlowPrediction:
         """Build the :class:`FlowPrediction` from the final feasible
         solve's residuals and the binding cut's node mask."""
         storage_rate: Dict[str, float] = {}
-        for node, eid in self.storage_edge.items():
+        for eid, node in enumerate(self.storage):
             flow = caps[2 * eid + 1]
             if flow > 0:
                 storage_rate[node] = flow / t_star
         bottlenecks: List[str] = []
         partition: Tuple[str, ...] = ()
         if cut_mask is not None:
-            to = self._to
-            for e in range(len(self.base)):
+            labels, to = self.labels, self._to
+            for e in self._crossing(cut_mask):
                 ui, vi = to[2 * e + 1], to[2 * e]
-                if not (cut_mask[ui] and not cut_mask[vi]):
-                    continue
                 if ui == self.source or vi == self.sink:
                     continue  # demand-limited, not a physical bottleneck
-                u_s, v_s = self.labels[ui], self.labels[vi]
+                u_s, v_s = labels[ui], labels[vi]
                 if u_s.endswith("/out"):
                     u_s = u_s[: -len("/out")]
                 if v_s.endswith("/in"):
                     v_s = v_s[: -len("/in")]
                 bottlenecks.append(
-                    f"{u_s}->{v_s} ({self.rate[e] / 1e9:.1f} GB/s)"
+                    f"{u_s}->{v_s} ({self._rate_list[e] / 1e9:.1f} GB/s)"
                 )
+            side = np.frombuffer(cut_mask, dtype=np.uint8)
             partition = tuple(
-                sorted(
-                    self.labels[i]
-                    for i in range(len(self.labels))
-                    if cut_mask[i]
-                )
+                sorted(labels[i] for i in np.flatnonzero(side).tolist())
             )
         per_gpu_rate = {
             g: d / t_star for g, d in self.demands_by_sink.items()
@@ -478,6 +569,349 @@ class FlowTemplate(FlowGraph):
             storage_rate=storage_rate,
             bottlenecks=bottlenecks,
             cut_partition=partition,
+        )
+
+
+class ChassisNetwork:
+    """Pass 1's flow network for one search: Figure 9 built once.
+
+    The network belongs to the chassis; enumeration only changes which
+    slots hold devices.  This one populates every slot group up to the
+    pool size (``num_gpus`` GPUs and ``num_ssds`` SSDs, as far as the
+    group fits them), and :meth:`template` scores a placement as a
+    capacity vector over it: the edges of occupied slots keep their
+    capacity and the rest drop out, so no
+    :class:`~repro.core.topology.Topology` is built per candidate.
+    Device labels (``gpu0…``, ``ssd0…``) are recovered from slot rank,
+    the way :func:`~repro.core.placement.build_topology` numbers
+    devices, and ``mask`` degrades the result as
+    :meth:`TopologyMask.apply` would.
+
+    A template's edges come out in the order
+    :meth:`FlowTemplate.from_topology` adds them for
+    ``mask.apply(machine.build(placement, nvlink_pairs))``, and Dinic's
+    augmenting paths depend only on that order, so both solve to
+    bit-identical predictions.  Edges named by device *rank* rather
+    than slot — NVLink pairs, SSD-class members, peer-cache bins and
+    sink edges — follow the slot edges and get their endpoints per
+    placement.  ``demand`` maps the surviving GPU labels (sorted, as
+    ``Topology.gpus`` returns them) to the :class:`TrafficDemand`
+    every placement is scored on.
+    """
+
+    def __init__(
+        self,
+        machine: "MachineSpec",
+        num_gpus: int,
+        num_ssds: int,
+        demand: Callable[[List[str]], TrafficDemand],
+        nvlink_pairs: Optional[Sequence[Tuple[int, int]]] = None,
+        mask: Optional[TopologyMask] = None,
+    ) -> None:
+        from repro.hardware.specs import GPU_HBM_BW, NVLINK_BW, QPI_P2P_BW
+
+        chassis = machine.chassis
+        mask = mask or TopologyMask()
+        dropped = set(mask.drop_nodes)
+        egress_factor = dict(mask.egress_factors)
+        link_factor = {(src, dst): f for src, dst, f in mask.link_factors}
+        gpu_parts = dict(machine.gpu_overrides)
+        ssd_parts = dict(machine.ssd_overrides)
+        self.num_gpus, self.num_ssds = num_gpus, num_ssds
+        net = _EdgeList()
+        add_edge = net.add_edge
+
+        def scaled(name: str, egress: float) -> float:
+            factor = egress_factor.get(name)
+            return egress if factor is None else egress * factor
+
+        def link(src: str, dst: str, cap: float, qpi: bool = False) -> int:
+            # a link between two fixed nodes is degraded once per search
+            factor = link_factor.get((src.split("/")[0], dst.split("/")[0]))
+            if factor is not None:
+                cap = cap * factor
+            if qpi:
+                cap = min(cap, QPI_P2P_BW)
+            return add_edge(src, dst, 0.0, cap)
+
+        # -- slot edges, in build_topology's order --------------------
+        # storage splits come first, then links; slot nodes get their
+        # device labels per placement
+        slots = []
+        for group in chassis.slot_groups:
+            gpu_slots = [
+                f"{group.name}#gpu{k}"
+                for k in range(min(group.capacity_for(GPU), num_gpus))
+            ]
+            ssd_slots = [
+                f"{group.name}#ssd{k}"
+                for k in range(min(group.capacity_for(SSD), num_ssds))
+            ]
+            slots.append((group, gpu_slots, ssd_slots))
+        for mem in chassis.memories:
+            net.add_split(mem.name, scaled(mem.name, mem.bandwidth))
+        splits = []
+        for group, gpu_slots, ssd_slots in slots:
+            read_bw = ssd_parts.get(group.name, machine.ssd).read_bw
+            splits.append(
+                (
+                    [net.add_split(f"{gpu}:mem", GPU_HBM_BW) for gpu in gpu_slots],
+                    [net.add_split(ssd, read_bw) for ssd in ssd_slots],
+                )
+            )
+        self._num_splits = len(net.base)
+        for trunk in chassis.trunks:
+            qpi = trunk.kind is LinkKind.QPI
+            link(trunk.a, trunk.b, trunk.capacity, qpi)
+            link(trunk.b, trunk.a, trunk.capacity, qpi)
+        for mem in chassis.memories:
+            link(f"{mem.name}/out", mem.attach, mem.bandwidth)
+            link(mem.attach, f"{mem.name}/in", mem.bandwidth)
+        # per group: (name, GPU slots, SSD slots); a GPU slot is
+        # (gpu, mem/in, mem/out, mem split, uplink edge, attach), an SSD
+        # slot (in, out, split)
+        self._groups = []
+        node = net.node_id
+        for (group, gpu_slots, ssd_slots), (gpu_splits, ssd_splits) in zip(
+            slots, splits
+        ):
+            attach = group.attach
+            part = gpu_parts.get(group.name, machine.gpu)
+            bw = min(group.link_bw, part.link_bw)
+            gpus = []
+            for gpu, mem_split in zip(gpu_slots, gpu_splits):
+                uplink = add_edge(gpu, attach, 0.0, bw)
+                add_edge(attach, gpu, 0.0, bw)
+                add_edge(f"{gpu}:mem/out", gpu, 0.0, GPU_HBM_BW)
+                add_edge(gpu, f"{gpu}:mem/in", 0.0, GPU_HBM_BW)
+                gpus.append(
+                    (
+                        node(gpu),
+                        node(f"{gpu}:mem/in"),
+                        node(f"{gpu}:mem/out"),
+                        mem_split,
+                        uplink,
+                        node(attach),
+                    )
+                )
+            part = ssd_parts.get(group.name, machine.ssd)
+            bw = min(group.link_bw, part.link_bw)
+            ssds = []
+            for ssd, ssd_split in zip(ssd_slots, ssd_splits):
+                add_edge(f"{ssd}/out", attach, 0.0, bw)
+                add_edge(attach, f"{ssd}/in", 0.0, bw)
+                ssds.append((node(f"{ssd}/in"), node(f"{ssd}/out"), ssd_split))
+            self._groups.append((group.name, gpus, ssds))
+        self._edge_of = {
+            (u, v): e for e, (u, v) in enumerate(zip(net.tails, net.heads))
+        }
+
+        # -- the labels that survive the mask, and the demand on them --
+        gpu_names = sorted(
+            f"gpu{r}" for r in range(num_gpus) if f"gpu{r}" not in dropped
+        )
+        ssd_names = sorted(
+            f"ssd{r}" for r in range(num_ssds) if f"ssd{r}" not in dropped
+        )
+        mem_names = sorted(
+            m.name for m in chassis.memories if m.name not in dropped
+        )
+        scoring = demand(gpu_names)
+        self.total = scoring.total
+        self.demands_by_sink = scoring.per_gpu()
+        per_bin = sorted(scoring.per_bin().items())
+        self.source, self.sink = node(_SOURCE), node(_SINK)
+        for bin_name, _ in per_bin:
+            if bin_name in (SSD_CLASS, CPU_CLASS):
+                node(f"{bin_name}/class")
+        n = len(net.labels)
+
+        # a device label's node is ``n + offset + rank`` in the per-
+        # placement node table (see :meth:`template`); an edge into a
+        # storage label enters its "/in" node and one out of it leaves
+        # its "/out" node
+        into: Dict[str, int] = {}
+        out_of: Dict[str, int] = {}
+        for name in chassis.interconnects:
+            into[name] = out_of[name] = node(name)
+        for mem in chassis.memories:
+            into[mem.name] = node(f"{mem.name}/in")
+            out_of[mem.name] = node(f"{mem.name}/out")
+        g, s = num_gpus, num_ssds
+        for r in range(g):
+            into[f"gpu{r}"] = out_of[f"gpu{r}"] = n + r
+            into[f"gpu{r}:mem"] = n + g + r
+            out_of[f"gpu{r}:mem"] = n + 2 * g + r
+        for r in range(s):
+            into[f"ssd{r}"] = n + 3 * g + r
+            out_of[f"ssd{r}"] = n + 3 * g + s + r
+        labels: List[Optional[str]] = list(net.labels)
+        for _, gpu_slots, ssd_slots in self._groups:
+            for slot in gpu_slots:
+                labels[slot[0]] = labels[slot[1]] = labels[slot[2]] = None
+            for slot in ssd_slots:
+                labels[slot[0]] = labels[slot[1]] = None
+        for name in dropped:
+            for table in (into, out_of):
+                nid = table.pop(name, None)
+                if nid is not None and nid < n:
+                    labels[nid] = None
+
+        # -- rank-addressed edges, in from_topology's order -----------
+        rank_edges: List[Tuple[int, int, float, float]] = []
+        self._nvlink_egress: List[List[float]] = [[] for _ in range(g)]
+        seen = set()
+        for a, b in nvlink_pairs or ():
+            if not (0 <= a < g and 0 <= b < g):
+                raise ValueError(f"NVLink pair ({a},{b}) references missing GPU")
+            for x, y in ((a, b), (b, a)):
+                if (x, y) in seen:
+                    raise ValueError(f"duplicate link gpu{x}->gpu{y}")
+                seen.add((x, y))
+                src, dst = f"gpu{x}", f"gpu{y}"
+                if src in out_of and dst in into:
+                    factor = link_factor.get((src, dst))
+                    cap = NVLINK_BW if factor is None else NVLINK_BW * factor
+                    rank_edges.append((out_of[src], into[dst], 0.0, cap))
+                    self._nvlink_egress[x].append(cap)
+        for bin_name, nbytes in per_bin:
+            if bin_name in (SSD_CLASS, CPU_CLASS):
+                class_node = node(f"{bin_name}/class")
+                rank_edges.append((self.source, class_node, nbytes, 0.0))
+                members = ssd_names if bin_name == SSD_CLASS else mem_names
+                for member in members:
+                    rank_edges.append(
+                        (class_node, into[member], float("inf"), 0.0)
+                    )
+            elif bin_name in into:
+                rank_edges.append((self.source, into[bin_name], nbytes, 0.0))
+            else:
+                raise KeyError(f"demand references unknown bin {bin_name!r}")
+        for gpu, nbytes in sorted(self.demands_by_sink.items()):
+            if gpu not in out_of:
+                raise KeyError(f"demand references unknown GPU {gpu!r}")
+            rank_edges.append((out_of[gpu], self.sink, nbytes, 0.0))
+
+        # -- per-search arrays ----------------------------------------
+        self._labels = labels
+        self._alive = np.array([label is not None for label in labels])
+        self._tail = np.asarray(net.tails, dtype=np.intp)
+        self._head = np.asarray(net.heads, dtype=np.intp)
+        self._base = np.asarray(net.base)
+        self._rate = np.asarray(net.rate)
+        self._rank_tail = np.array([e[0] for e in rank_edges], dtype=np.intp)
+        self._rank_head = np.array([e[1] for e in rank_edges], dtype=np.intp)
+        self._rank_base = np.array([e[2] for e in rank_edges], dtype=float)
+        self._rank_rate = np.array([e[3] for e in rank_edges], dtype=float)
+        # per-rank labels, None where the mask dropped the device, and
+        # the node-table codes of the device nodes that survive
+        self._gpu_labels = []
+        lit = []
+        for r in range(g):
+            gpu, mem = f"gpu{r}", f"gpu{r}:mem"
+            gpu_ok, mem_ok = gpu not in dropped, mem not in dropped
+            self._gpu_labels.append(
+                (
+                    gpu if gpu_ok else None,
+                    f"{mem}/in" if mem_ok else None,
+                    f"{mem}/out" if mem_ok else None,
+                )
+            )
+            lit += [n + r] * gpu_ok + [n + g + r, n + 2 * g + r] * mem_ok
+        self._ssd_labels = []
+        for r in range(s):
+            ssd = f"ssd{r}"
+            ssd_ok = ssd not in dropped
+            self._ssd_labels.append(
+                (f"{ssd}/in", f"{ssd}/out") if ssd_ok else (None, None)
+            )
+            lit += [n + 3 * g + r, n + 3 * g + s + r] * ssd_ok
+        self._lit = np.array(lit, dtype=np.intp)
+        self._node = np.arange(n + 3 * g + 2 * s, dtype=np.intp)
+        self._num_nodes = n
+        self._hbm = [scaled(f"gpu{r}:mem", GPU_HBM_BW) for r in range(g)]
+        # degradations that name a device land on a different slot per
+        # placement
+        self._ssd_egress = [
+            (r, egress_factor[f"ssd{r}"])
+            for r in range(s)
+            if f"ssd{r}" in egress_factor
+        ]
+        self._device_links = [
+            (out_of[src], into[dst], factor)
+            for (src, dst), factor in link_factor.items()
+            if src in out_of and dst in into and max(out_of[src], into[dst]) >= n
+        ]
+
+    def template(self, placement: Placement) -> Optional[FlowTemplate]:
+        """``placement``'s network as edge arrays, or ``None`` when the
+        demand is zero.  ``placement`` must hold this network's pool."""
+
+        if (placement.num_gpus, placement.num_ssds) != (
+            self.num_gpus,
+            self.num_ssds,
+        ):
+            raise ValueError(
+                f"{placement!r} does not hold {self.num_gpus} GPUs / "
+                f"{self.num_ssds} SSDs"
+            )
+        if self.total <= _MIN_DEMAND:
+            return None
+        labels = list(self._labels)
+        gpu_slots, ssd_slots = [], []
+        for name, gpus, ssds in self._groups:
+            gpu_slots += gpus[: placement.count(name, GPU)]
+            ssd_slots += ssds[: placement.count(name, SSD)]
+        for slot, names in zip(gpu_slots, self._gpu_labels):
+            labels[slot[0]], labels[slot[1]], labels[slot[2]] = names
+        for slot, names in zip(ssd_slots, self._ssd_labels):
+            labels[slot[0]], labels[slot[1]] = names
+        # node table: fixed nodes, then each device role by rank
+        node = self._node.copy()
+        node[self._num_nodes :] = [
+            slot[role] for role in range(3) for slot in gpu_slots
+        ] + [slot[role] for role in range(2) for slot in ssd_slots]
+        alive = self._alive.copy()
+        alive[node[self._lit]] = True
+        rate = self._rate.copy()
+        for u, v, factor in self._device_links:
+            e = self._edge_of.get((int(node[u]), int(node[v])))
+            if e is not None:
+                rate[e] = self._rate[e] * factor
+        for r, factor in self._ssd_egress:
+            e = ssd_slots[r][2]
+            rate[e] = self._rate[e] * factor
+        # GPU-cache egress: HBM capped at the owner's fabric egress, in
+        # storage_egress's summation order
+        for r, (gpu, mem_in, _, mem_split, uplink, attach) in enumerate(
+            gpu_slots
+        ):
+            if labels[mem_in] is None:
+                continue
+            egress = self._hbm[r]
+            if labels[gpu] is not None:
+                fabric = 0.0
+                if labels[attach] is not None:
+                    fabric += rate[uplink]
+                for cap in self._nvlink_egress[r]:
+                    fabric += cap
+                egress = min(egress, fabric)
+            rate[mem_split] = egress
+        live = np.flatnonzero(alive[self._tail] & alive[self._head])
+        tails = np.concatenate((self._tail[live], node[self._rank_tail]))
+        heads = np.concatenate((self._head[live], node[self._rank_head]))
+        num_splits = int(np.searchsorted(live, self._num_splits))
+        return FlowTemplate(
+            labels,
+            tails,
+            heads,
+            self.source,
+            self.sink,
+            np.concatenate((self._base[live], self._rank_base)),
+            np.concatenate((rate[live], self._rank_rate)),
+            [labels[u][: -len("/in")] for u in tails[:num_splits].tolist()],
+            self.demands_by_sink,
+            self.total,
         )
 
 
@@ -533,18 +967,15 @@ def _solve_template(
 
 
 def _solve(
-    topo: Topology,
-    demand: TrafficDemand,
+    tpl: Optional[FlowTemplate],
     warm_partition: Optional[Iterable[str]],
 ) -> Tuple[FlowPrediction, bool]:
-    """One minimum-completion-time solve, and whether it started from a
-    warm (non-zero) root."""
-    if demand.total <= _MIN_DEMAND:
+    """One minimum-completion-time solve (``None`` = zero demand), and
+    whether it started from a warm (non-zero) root."""
+    if tpl is None:
         return FlowPrediction(0.0, 0.0, {}, {}), False
-    tpl = FlowTemplate(topo, demand)
-    t0 = tpl.warm_root(warm_partition)
-    hint = tpl.partition_mask(warm_partition) if t0 > 0.0 else None
-    return _solve_template(tpl, t0, hint), bool(t0 > 0.0)
+    t0, hint = tpl.warm_start(warm_partition)
+    return _solve_template(tpl, t0, hint), t0 > 0.0
 
 
 def min_completion_time(
@@ -560,35 +991,38 @@ def min_completion_time(
     a previously scored neighbor/healthy fabric only changes how fast
     the search converges, not its answer.
     """
-    return _solve(topo, demand, warm_partition)[0]
+    tpl = None
+    if demand.total > _MIN_DEMAND:
+        tpl = FlowTemplate.from_topology(topo, demand)
+    return _solve(tpl, warm_partition)[0]
 
 
-def score_batch(
-    jobs: Sequence[Tuple[Topology, TrafficDemand]],
+def solve_batch(
+    templates: Iterable[Optional[FlowTemplate]],
     warm_partition: Optional[Iterable[str]] = None,
 ) -> Tuple[List[FlowPrediction], int]:
-    """Score a batch of (topology, demand) candidates, warm-start chained.
+    """Solve a batch of templates (``None`` = zero demand), warm-start
+    chained.
 
-    The first candidate with demand is solved seeded by
-    ``warm_partition``; its binding cut then becomes the warm hint for
-    every other candidate in the batch — enumeration-adjacent placements
-    share most of their fabric, so the hint's root usually lands in the
-    binding segment and the rest converge in one or two solves.  Every
-    candidate is solved exactly as :func:`min_completion_time` solves
-    it, so each result equals its solo solve.
+    The first template is solved seeded by ``warm_partition``; its
+    binding cut then becomes the warm hint for every other one —
+    enumeration-adjacent placements share most of their fabric, so the
+    hint's root usually lands in the binding segment and the rest
+    converge in one or two solves.  Each template is solved exactly as
+    :func:`min_completion_time` solves it, so each result equals its
+    solo solve.
 
     Returns ``(predictions, warm_starts)`` where ``warm_starts`` counts
-    candidates whose search actually started from a warm (non-zero)
-    root.  Zero-demand jobs yield the empty prediction.
+    solves that actually started from a warm (non-zero) root.
     """
     predictions: List[FlowPrediction] = []
     warm_starts = 0
     hint, chained = warm_partition, False
-    for topo, demand in jobs:
-        prediction, warm = _solve(topo, demand, hint)
+    for tpl in templates:
+        prediction, warm = _solve(tpl, hint)
         predictions.append(prediction)
         warm_starts += warm
-        if not chained and demand.total > _MIN_DEMAND:
+        if not chained and tpl is not None:
             hint, chained = prediction.cut_partition or warm_partition, True
     return predictions, warm_starts
 
@@ -601,21 +1035,23 @@ def plain_max_flow(topo: Topology) -> float:
     cache is not communication.  Matches the paper's base formulation;
     mostly useful for sanity checks and reports, since it ignores what
     data each tier actually holds."""
-    graph = FlowGraph()
+    net = _EdgeList()
     storage_names = {n.name for n in topo.storage_nodes}
 
     for node in topo.storage_nodes:
         egress = node.egress_bw if node.egress_bw is not None else float("inf")
-        graph.add_edge(f"{node.name}/in", f"{node.name}/out", egress)
+        net.add_edge(f"{node.name}/in", f"{node.name}/out", egress)
         if node.kind is not NodeKind.GPU_MEM:
-            graph.add_edge(_SOURCE, f"{node.name}/in", egress)
+            net.add_edge(_SOURCE, f"{node.name}/in", egress)
     for link in topo.links:
         src = f"{link.src}/out" if link.src in storage_names else link.src
         dst = f"{link.dst}/in" if link.dst in storage_names else link.dst
-        graph.add_edge(src, dst, link.capacity)
+        net.add_edge(src, dst, link.capacity)
     for gpu in topo.gpus():
-        graph.add_edge(gpu, _SINK, float("inf"))
-    graph.attach_terminals()
+        net.add_edge(gpu, _SINK, float("inf"))
+    graph = FlowGraph(
+        net.labels, net.tails, net.heads, net.node_id(_SOURCE), net.node_id(_SINK)
+    )
     caps = [0.0] * (2 * graph.num_edges)
-    caps[0::2] = graph.base
+    caps[0::2] = net.base
     return graph.max_flow(caps)

@@ -15,9 +15,12 @@ and experiments) all speak the same :class:`SearchRequest` /
    explicit ``candidates`` list scores that list as-is instead.
 2. **Coarse scoring (pass 1)** — :class:`FlexibleMaxFlowScorer`, the
    paper's time-search max flow on *flexible* class demands, solved by
-   the cut-parametric kernel (:mod:`repro.core.flowmodel`): candidates
-   are scored in fixed batches of :data:`PASS1_BATCH`, and each batch's
-   first solution warm-starts the rest (``search.warm_starts``).  Its
+   the cut-parametric kernel (:mod:`repro.core.flowmodel`) over one
+   :class:`~repro.core.flowmodel.ChassisNetwork` per search: each
+   candidate is a capacity vector over it, so pass 1 builds no
+   topology.  Candidates are scored in fixed batches of
+   :data:`PASS1_BATCH`, and each batch's first solution warm-starts the
+   rest (``search.warm_starts``).  Its
    throughput is an upper bound on the exact score (the class demand is
    a relaxation of any concrete bin split), which makes it both the
    top-k funnel key and the pruning bound.
@@ -37,9 +40,9 @@ index and the final ranking breaks throughput ties on funnel order
 (pass-1 score descending, enumeration index ascending — the pre-engine
 stable sort), so serial and parallel runs pick the same winner.
 
-Each stage builds a candidate's topology when it scores it and keeps
-only the prediction, so a search holds one batch of topologies at a
-time; pass 2 rebuilds its ``lp_top_k`` finalists.  Every stage reports
+Pass 1 keeps only each candidate's prediction; pass 2 builds the
+topology of each of its ``lp_top_k`` finalists for its LP and drops it
+once scored.  Every stage reports
 through :mod:`repro.obs`: ``search.candidates``, ``search.unique``,
 ``search.pass1_scored``, ``search.lp_scored``, ``search.pruned_by_bound``
 and ``search.warm_starts``.
@@ -51,8 +54,10 @@ import heapq
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -67,9 +72,10 @@ from repro import obs
 from repro.core.flowmodel import (
     CPU_CLASS,
     SSD_CLASS,
+    ChassisNetwork,
     FlowPrediction,
     TrafficDemand,
-    score_batch,
+    solve_batch,
 )
 from repro.core.mcmf import McfPrediction, multicommodity_min_time
 from repro.core.placement import Chassis, Placement, count_placements
@@ -174,8 +180,19 @@ def scoring_demand(
     CPU and SSD shares use the flexible class demands so the max-flow
     solver distributes them optimally across banks/drives.
     """
+    return _flexible_demand(
+        topo.gpus(), fractions, bytes_per_gpu, gpu_cache_policy
+    )
+
+
+def _flexible_demand(
+    gpus: List[str],
+    fractions: Tuple[float, float, float],
+    bytes_per_gpu: float = 1e9,
+    gpu_cache_policy: str = "replicated",
+) -> TrafficDemand:
+    """:func:`scoring_demand` over the given (sorted) GPU labels."""
     f_gpu, f_cpu, f_ssd = fractions
-    gpus = topo.gpus()
     n = len(gpus)
     demand = TrafficDemand()
     for gpu in gpus:
@@ -292,23 +309,40 @@ class FlexibleMaxFlowScorer:
     fractions: Tuple[float, float, float]
     gpu_cache_policy: str = "replicated"
 
-    def _demand(self, topo: Topology) -> TrafficDemand:
-        return scoring_demand(
-            topo, self.fractions, gpu_cache_policy=self.gpu_cache_policy
+    def network(
+        self,
+        machine: "MachineSpec",
+        num_gpus: int,
+        num_ssds: int,
+        nvlink_pairs: Optional[Tuple[Tuple[int, int], ...]] = None,
+        mask: Optional[TopologyMask] = None,
+    ) -> ChassisNetwork:
+        """The chassis network every ``num_gpus``/``num_ssds``
+        placement on ``machine`` is scored over."""
+        demand = partial(
+            _flexible_demand,
+            fractions=self.fractions,
+            gpu_cache_policy=self.gpu_cache_policy,
+        )
+        return ChassisNetwork(
+            machine, num_gpus, num_ssds, demand, nvlink_pairs, mask
         )
 
     def score_batch(
         self,
-        topos: Sequence[Topology],
+        placements: Sequence[Placement],
+        network_for: Callable[[Placement], ChassisNetwork],
         warm_partition: Optional[Tuple[str, ...]] = None,
     ) -> Tuple[List[FlowPrediction], int]:
-        """Score a batch of candidate topologies, warm-start chained.
+        """Score a batch of placements, warm-start chained, each as a
+        capacity vector over ``network_for(placement)``.
 
         Returns ``(predictions, warm_starts)``; see
-        :func:`repro.core.flowmodel.score_batch`.
+        :func:`repro.core.flowmodel.solve_batch`.
         """
-        jobs = [(topo, self._demand(topo)) for topo in topos]
-        return score_batch(jobs, warm_partition=warm_partition)
+        return solve_batch(
+            (network_for(p).template(p) for p in placements), warm_partition
+        )
 
 
 @dataclass(frozen=True)
@@ -340,15 +374,17 @@ class MulticommodityScorer:
 # inline path and every pool worker)
 # ----------------------------------------------------------------------
 class _ScoreRuntime:
-    """Builds candidate topologies and runs one stage on a chunk.
+    """Runs one stage on a chunk of candidates.
 
-    A ``"coarse"`` chunk is one pass-1 batch: its first candidate is
+    A ``"coarse"`` chunk is one pass-1 batch, scored over the search's
+    :class:`~repro.core.flowmodel.ChassisNetwork` for the candidates'
+    pool (built on first use, once per runtime): its first candidate is
     solved alone (seeded by ``warm_cut``) and its binding cut
     warm-starts the rest.  Chaining never crosses a chunk boundary, and
     :meth:`ParallelExecutor.run_stage` cuts chunks identically inline
     and on the pool, so every worker count solves identical batches.
-    An ``"exact"`` chunk LP-scores each candidate against its pass-1
-    prediction.
+    An ``"exact"`` chunk builds each candidate's topology and LP-scores
+    it against its pass-1 prediction.
     """
 
     def __init__(
@@ -366,10 +402,21 @@ class _ScoreRuntime:
         self.exact = exact
         self.mask = mask
         self.warm_cut = warm_cut
+        self._networks: Dict[Tuple[int, int], ChassisNetwork] = {}
+
+    def network(self, placement: Placement) -> ChassisNetwork:
+        """The pass-1 network for ``placement``'s own GPU/SSD totals."""
+        key = (placement.num_gpus, placement.num_ssds)
+        network = self._networks.get(key)
+        if network is None:
+            network = self._networks[key] = self.coarse.network(
+                self.machine, *key, self.nvlink_pairs, self.mask
+            )
+        return network
 
     def topology(self, placement: Placement) -> Topology:
-        # candidates come from the validated enumeration, so the chassis
-        # and topology invariant sweeps are skipped in the hot path
+        # finalists come from the validated enumeration, so the chassis
+        # and topology invariant sweeps are skipped
         topo = self.machine.build(
             placement, nvlink_pairs=self.nvlink_pairs, validate=False
         )
@@ -386,9 +433,10 @@ class _ScoreRuntime:
         pass-1 warm-start count for this chunk."""
         warm_starts = 0
         if stage == "coarse":
-            topos = [self.topology(placement) for _, placement, _ in items]
             predictions, warm_starts = self.coarse.score_batch(
-                topos, self.warm_cut
+                [placement for _, placement, _ in items],
+                self.network,
+                self.warm_cut,
             )
             results = [
                 (idx, prediction)

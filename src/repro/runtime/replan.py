@@ -226,8 +226,8 @@ class ReplanPolicy:
                 self._warm_cut = healthy.cut_partition or None
             request = SearchRequest(
                 machine=self.sim.machine,
-                num_gpus=len(masked_topo.gpus()),
-                num_ssds=len(masked_topo.ssds()),
+                num_gpus=self.placement.num_gpus,
+                num_ssds=self.placement.num_ssds,
                 fractions=self.fractions,
                 gpu_cache_policy=self.gpu_cache_policy,
                 nvlink_pairs=(

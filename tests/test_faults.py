@@ -276,6 +276,43 @@ class TestReplan:
         assert replan.replan.events[0].moved_vertices > 0
         assert counts.sum() == replan.data_placement.bin_of.size
 
+    def test_replan_request_states_the_scored_pool(
+        self, machine, base_spec, placement_c, monkeypatch
+    ):
+        """The masked re-search scores the current, unmasked placement
+        (4 GPUs / 8 SSDs) on the surviving fabric: its request states
+        that placement's pool, and its prediction is the solve on the
+        masked topology."""
+        from repro.core.flowmodel import min_completion_time
+        from repro.core.search import scoring_demand
+        from repro.runtime import replan as replan_module
+
+        calls = []
+        run_search = replan_module.run_search
+
+        def recording(request):
+            calls.append((request, run_search(request)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(replan_module, "run_search", recording)
+        sched = FaultSchedule.parse("ssd_failure@2:ssd0")
+        result = MomentSystem(machine).run(
+            base_spec.replace(faults=sched, replan=True)
+        )
+        assert len(result.replan.events) == 1
+        (request, search), = calls
+        assert (request.num_gpus, request.num_ssds) == (4, 8)
+        (candidate,) = request.candidates
+        assert candidate.as_tuple() == placement_c.as_tuple()
+        masked = request.mask.apply(machine.build(candidate))
+        expected = min_completion_time(
+            masked,
+            scoring_demand(masked, request.fractions),
+            warm_partition=request.warm_cut,
+        )
+        assert search.best.prediction == expected
+
+
     def test_replan_requires_faults(self, ig, placement_c):
         with pytest.raises(ValueError):
             RunSpec(

@@ -175,6 +175,33 @@ class TestPlainMaxFlow:
         assert flow > 48 * GB  # more than SSDs alone: memory adds paths
 
 
+def deep_chain_topo(hops: int = 1200) -> Topology:
+    """ssd0 (6 GB/s drive) -> sw0 -> ... -> gpu0 over 8 GB/s hops."""
+    t = Topology("deep-chain")
+    t.add("ssd0", NodeKind.SSD, egress_bw=6 * GB)
+    t.add("gpu0", NodeKind.GPU)
+    prev = "ssd0"
+    for i in range(hops - 1):
+        t.add(f"sw{i}", NodeKind.SWITCH)
+        t.add_link(prev, f"sw{i}", 8 * GB)
+        prev = f"sw{i}"
+    t.add_link(prev, "gpu0", 8 * GB)
+    return t
+
+
+class TestDeepNetwork:
+    """Dinic's blocking-flow search must not be bounded by the
+    interpreter's recursion limit."""
+
+    def test_plain_max_flow(self):
+        assert plain_max_flow(deep_chain_topo()) == 6e9
+
+    def test_min_completion_time(self):
+        d = TrafficDemand()
+        d.add("ssd0", "gpu0", 1e9)
+        assert min_completion_time(deep_chain_topo(), d).time == 1 / 6
+
+
 def _oracle_topologies():
     """Machine A/B classic layouts plus every canonical 2-GPU/2-SSD
     placement of the generated fabrics ``gen:0``–``gen:11``."""

@@ -103,14 +103,19 @@ def test_env_knobs_pinned():
     assert not undocumented, f"undocumented env knobs: {undocumented}"
 
 
-def _perfbench_targets():
-    """``TARGETS`` of ``perfbench/tracing.py``, loaded by file path
-    (``perfbench`` is a script directory, not a package)."""
+def _perfbench_tracing():
+    """``perfbench/tracing.py``, loaded by file path (``perfbench`` is a
+    script directory, not a package)."""
     path = SRC.parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def _perfbench_targets():
+    """``TARGETS`` of ``perfbench/tracing.py``."""
+    return _perfbench_tracing().TARGETS
 
 
 def test_perfbench_trace_targets_resolve():
@@ -126,3 +131,34 @@ def test_perfbench_trace_targets_resolve():
         if owner is None or attr not in vars(owner):
             missing.append(f"{owner_path}.{attr} ({layer})")
     assert not missing, f"perfbench trace targets that do not resolve: {missing}"
+
+
+def test_perfbench_layers_count_the_search():
+    """The benchmark's layer tracer, installed around a machine-A 2/4
+    optimization, counts one pass-1 item per unique candidate and one
+    topology build per LP plus the optimizer's winner.  A scorer or
+    topology-build signature change that the tracer no longer sees
+    would zero its benchmark row instead of failing."""
+    from repro.core.optimizer import MomentOptimizer, OptimizerConfig
+    from repro.graphs.datasets import IGB_HOM
+    from repro.hardware.machines import machine_a
+
+    dataset = IGB_HOM.build(scale=IGB_HOM.default_scale * 40, seed=0)
+    optimizer = MomentOptimizer(
+        machine_a(), 2, 4, OptimizerConfig(search_workers=1)
+    )
+    tracer = _perfbench_tracing().Tracer()
+    tracer.install()
+    try:
+        plan = optimizer.optimize(dataset)
+        layers = tracer.snapshot()
+    finally:
+        tracer.uninstall()
+    search = plan.search
+    assert search.num_lp_scored > 0
+    assert layers["search.pass1"]["items"] == search.num_unique
+    assert layers["search.pass1"]["calls"] == search.num_batches
+    assert layers["search.pass2"]["calls"] == search.num_lp_scored
+    assert (
+        layers["hardware.topology_build"]["calls"] == search.num_lp_scored + 1
+    )

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 
-from repro.core.flowmodel import min_completion_time
+from repro.core.flowmodel import FlowTemplate, min_completion_time
 from repro.core.optimizer import (
     CapacityPlan,
     MomentOptimizer,
@@ -253,8 +253,8 @@ class TestStreamingSource:
 
 class TestNoTopologyRetention:
     """The engine keeps nothing per candidate beyond its prediction:
-    pass 1 drops each batch's topologies once scored, and pass 2
-    rebuilds its finalists."""
+    pass 1 scores every candidate over one chassis network without
+    building a topology, and pass 2 builds its finalists."""
 
     def _traced_search(self, monkeypatch):
         machine = machine_a()
@@ -286,10 +286,31 @@ class TestNoTopologyRetention:
         assert result.num_unique > 1
         assert alive_at_pass2[0] <= 1
 
-    def test_builds_once_per_pass1_candidate_and_lp(self, monkeypatch):
-        result, built, _alive = self._traced_search(monkeypatch)
+    def test_pass1_builds_nothing_and_pass2_builds_each_lp(self, monkeypatch):
+        builds = []
+        build = MachineSpec.build
+        score_batch = FlexibleMaxFlowScorer.score_batch
+        stage = ["other"]
+
+        def traced_build(self, *args, **kwargs):
+            builds.append(stage[0])
+            return build(self, *args, **kwargs)
+
+        def traced_score_batch(self, *args, **kwargs):
+            stage[0] = "pass1"
+            try:
+                return score_batch(self, *args, **kwargs)
+            finally:
+                stage[0] = "other"
+
+        monkeypatch.setattr(MachineSpec, "build", traced_build)
+        monkeypatch.setattr(
+            FlexibleMaxFlowScorer, "score_batch", traced_score_batch
+        )
+        result = run_search(_request(machine_a(), 2, 4))
         assert result.num_lp_scored > 0
-        assert len(built) == result.num_unique + result.num_lp_scored
+        assert builds.count("pass1") == 0
+        assert len(builds) == result.num_lp_scored
 
 
 class TestKnobDefaults:
@@ -599,8 +620,8 @@ class TestBatchScalarEquivalence:
         self, machine_idx, f_gpu, f_cpu, start, take
     ):
         """The batch kernel returns, element for element, exactly what
-        the scalar kernel returns for each topology alone — with the
-        batch's warm-start chaining on."""
+        the scalar kernel returns for each placement's topology alone —
+        with the batch's warm-start chaining on."""
         machine = (machine_a, machine_b)[machine_idx]()
         total = f_gpu + f_cpu
         if total > 0.9:
@@ -608,15 +629,97 @@ class TestBatchScalarEquivalence:
         fractions = (f_gpu, f_cpu, 1.0 - f_gpu - f_cpu)
         placements = list(iter_canonical_placements(machine.chassis, 2, 4))
         window = placements[start:start + take] or placements[:take]
-        topos = [machine.build(p, validate=False) for p in window]
         scorer = FlexibleMaxFlowScorer(fractions=fractions)
-        batch, _warm = scorer.score_batch(topos)
-        for topo, batched in zip(topos, batch):
+        network = scorer.network(machine, 2, 4)
+        batch, _warm = scorer.score_batch(window, lambda p: network)
+        for placement, batched in zip(window, batch):
+            topo = machine.build(placement, validate=False)
             solo = min_completion_time(topo, scoring_demand(topo, fractions))
             assert batched.time == solo.time
             assert batched.throughput == solo.throughput
             assert batched.storage_rate == solo.storage_rate
             assert batched.per_gpu_rate == solo.per_gpu_rate
+
+
+# ---------------------------------------------------------------------------
+# Chassis network: pass 1 over one network per search == per-topology solves
+# ---------------------------------------------------------------------------
+
+
+def _chassis_rows():
+    """(id, machine factory, pool, nvlink pairs, mask, cache policy)."""
+    rows = [
+        (name, make, pool, None, None, "replicated")
+        for name, make, pool in DIFFERENTIAL_FABRICS
+    ]
+    rows.append(("machine_a-2x12", machine_a, (2, 12), None, None, "replicated"))
+    masks = [
+        ("drop-ssd0", TopologyMask(drop_nodes=("ssd0",))),
+        ("drop-gpu1", TopologyMask(drop_nodes=("gpu1",))),
+        ("egress-ssd1", TopologyMask(egress_factors=(("ssd1", 0.5),))),
+        ("link-gpu0-plx0", TopologyMask(link_factors=(("gpu0", "plx0", 0.5),))),
+    ]
+    for name, mask in masks:
+        rows.append((name, machine_a, (2, 4), None, mask, "replicated"))
+    for pairs in (((0, 1), (2, 3)), ((2, 3), (0, 1))):
+        rows.append((f"nvlink{pairs}", machine_a, (4, 4), pairs, None, "replicated"))
+    rows.append(("partitioned", machine_b, (2, 4), None, None, "partitioned"))
+    return rows
+
+
+CHASSIS_ROWS = _chassis_rows()
+
+
+def _pass1_fingerprint(pred):
+    return (
+        pred.time,
+        pred.throughput,
+        tuple(pred.per_gpu_rate.items()),
+        tuple(pred.storage_rate.items()),
+        pred.bottlenecks,
+        pred.cut_partition,
+    )
+
+
+class TestChassisNetworkDifferential:
+    """Pass 1 scores each placement as a capacity vector over one chassis
+    network per search; every prediction and warm-start count must equal
+    the per-candidate topology solve, chained in the same batches."""
+
+    @pytest.mark.parametrize(
+        "make_machine,pool,nvlink_pairs,mask,policy",
+        [row[1:] for row in CHASSIS_ROWS],
+        ids=[row[0] for row in CHASSIS_ROWS],
+    )
+    def test_equals_topology_solves(
+        self, make_machine, pool, nvlink_pairs, mask, policy
+    ):
+        machine = make_machine()
+        scorer = FlexibleMaxFlowScorer(FRACTIONS, policy)
+        network = scorer.network(machine, *pool, nvlink_pairs, mask)
+        placements = list(iter_canonical_placements(machine.chassis, *pool))
+        for start in range(0, len(placements), PASS1_BATCH):
+            batch = placements[start:start + PASS1_BATCH]
+            got, warm_starts = scorer.score_batch(batch, lambda p: network)
+            hint, ref_warm = None, 0
+            for i, (placement, pred) in enumerate(zip(batch, got)):
+                topo = machine.build(placement, nvlink_pairs=nvlink_pairs)
+                if mask:
+                    topo = mask.apply(topo)
+                demand = scoring_demand(
+                    topo, FRACTIONS, gpu_cache_policy=policy
+                )
+                ref = min_completion_time(topo, demand, warm_partition=hint)
+                ref_warm += (
+                    FlowTemplate.from_topology(topo, demand).warm_start(hint)[0]
+                    > 0.0
+                )
+                if i == 0:
+                    hint = ref.cut_partition or None
+                assert _pass1_fingerprint(pred) == _pass1_fingerprint(ref), (
+                    placement
+                )
+            assert warm_starts == ref_warm
 
 
 # ---------------------------------------------------------------------------
