@@ -13,11 +13,21 @@ maximum concurrent flow problem as a linear program:
                 flow conservation of commodity b with
                 net supply  lambda * D[b, g]  at GPU g
 
-with one commodity per *source storage bin*.  Solved with
-``scipy.optimize.linprog`` (HiGHS).  ``1/lambda`` for a unit demand is
-the minimum completion time; routing is optimal, so this is still an
-optimistic model relative to the fixed-path fair-share simulator — by
-design (prediction vs. measurement, Fig. 13).
+with one commodity per *source storage bin*.  ``1/lambda`` for a unit
+demand is the minimum completion time; routing is optimal, so this is
+still an optimistic model relative to the fixed-path fair-share
+simulator — by design (prediction vs. measurement, Fig. 13).
+
+The LP goes straight to the HiGHS instance inside scipy
+(``scipy.optimize._highspy._core._Highs``), not through
+``scipy.optimize.linprog``: the matrix is assembled directly in CSC
+form and the options are the ones ``linprog(method="highs")`` sets, so
+HiGHS solves the model ``linprog`` would build, bit for bit, minus
+scipy's validation, format conversions and dual post-processing.
+``linprog``'s post-solve feasibility check is kept.  A
+:func:`new_lp_solver` instance is reused across LPs (one ``passModel``
+each); it is neither thread-safe nor picklable, so each scoring runtime
+makes its own.
 """
 
 from __future__ import annotations
@@ -26,8 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
+from scipy.optimize._highspy import _core as _highs
 
 from repro.core.flowmodel import TrafficDemand, storage_egress
 from repro.core.topology import LinkKind, NodeKind, Topology
@@ -43,7 +52,8 @@ class McfPrediction:
     time: float
     #: Aggregate demand bytes / time (bytes/s).
     throughput: float
-    #: Edge utilisation at the optimum, (src, dst) -> fraction in [0,1].
+    #: Edge utilisation at the optimum, (src, dst) -> fraction in [0,1]
+    #: (a QPI link reports the busier of its two parallel edges).
     utilisation: Dict[Tuple[str, str], float] = field(default_factory=dict)
 
     def bottlenecks(self, threshold: float = 0.999) -> List[Tuple[str, str]]:
@@ -54,6 +64,22 @@ class McfPrediction:
 #: edge restrictions: None = any commodity; "device" = only SSD /
 #: GPU-cache commodities; "mem" = only CPU-memory commodities.
 _ANY, _DEVICE, _MEM = None, "device", "mem"
+
+#: The HiGHS options ``scipy.optimize.linprog(method="highs")`` sets on
+#: a fresh instance (every other option keeps its HiGHS default).
+HIGHS_OPTIONS = {
+    "presolve": "on",
+    "highs_debug_level": _highs.HighsDebugLevel.kHighsDebugLevelNone,
+    "output_flag": False,
+    "log_to_console": False,
+    "simplex_strategy": (
+        _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    ),
+}
+
+#: ``linprog``'s default ``tol`` widened the way its post-solve check
+#: widens it: ``10 * sqrt(1e-9)``.
+FEASIBILITY_TOL = 10 * np.sqrt(1e-9)
 
 
 def _build_edges(topo: Topology):
@@ -94,14 +120,53 @@ def _commodity_kind(topo: Topology, bin_name: str) -> str:
     )
 
 
+def new_lp_solver() -> "_highs._Highs":
+    """A HiGHS instance configured with :data:`HIGHS_OPTIONS`.
+
+    Reusable across :func:`multicommodity_min_time` calls on one thread.
+    """
+    highs = _highs._Highs()
+    options = _highs.HighsOptions()
+    for name, value in HIGHS_OPTIONS.items():
+        setattr(options, name, value)
+    if highs.passOptions(options) == _highs.HighsStatus.kError:
+        raise RuntimeError("HiGHS rejected the linprog default options")
+    return highs
+
+
+def _check_solution(x, fun, row_value, col_upper, row_upper, n_ub) -> None:
+    """``linprog``'s post-solve check: no NaNs, bounds within
+    :data:`FEASIBILITY_TOL`, capacity slack >= -tol, |conservation
+    residual| <= tol.  Columns are bounded below by 0."""
+    tol = FEASIBILITY_TOL
+    slack = row_upper[:n_ub] - row_value[:n_ub]
+    residual = row_upper[n_ub:] - row_value[n_ub:]
+    if (
+        np.isnan(x).any()
+        or np.isnan(fun)
+        or np.isnan(row_value).any()
+        or (x < -tol).any()
+        or (x > col_upper + tol).any()
+        or (slack < -tol).any()
+        or (np.abs(residual) > tol).any()
+    ):
+        raise RuntimeError(
+            "multicommodity LP failed: the solution does not satisfy the "
+            f"constraints within the required tolerance of {tol:.2E}"
+        )
+
+
 def multicommodity_min_time(
     topo: Topology,
     demand: TrafficDemand,
+    solver: Optional["_highs._Highs"] = None,
 ) -> McfPrediction:
     """Minimum completion time of a demand under optimal routing.
 
     Demands must reference concrete bins (no class keys); local
     (own-GPU-cache) entries should be excluded by the caller.
+    ``solver`` is a :func:`new_lp_solver` instance to reuse; without
+    one, a fresh instance solves this LP.
     """
     if demand.total <= 0:
         return McfPrediction(scale=np.inf, time=0.0, throughput=0.0)
@@ -142,100 +207,124 @@ def multicommodity_min_time(
     node_id = {n: i for i, n in enumerate(nodes)}
     n_edges, n_nodes, n_comm = len(edges), len(nodes), len(commodities)
 
-    # variables: x[b * n_edges + e] >= 0, then lambda (last)
-    n_vars = n_comm * n_edges + 1
-    lam = n_vars - 1
+    # variables: x[b * n_edges + e] >= 0, then lambda (last).  Rows: one
+    # capacity row per finite edge, then conservation rows
+    # ``b * n_nodes + node`` per commodity (net outflow = supply).
+    n_flow = n_comm * n_edges
+    n_vars = n_flow + 1
+    caps = np.array([cap for _, _, cap, _ in edges])
+    finite = np.isfinite(caps)
+    n_ub = int(finite.sum())
 
-    # equality: conservation per (commodity, node), assembled as one
-    # COO batch (duplicate (row, col) entries sum on conversion —
-    # exactly the incremental += the per-element loop used to do)
-    u_ids = np.array([node_id[u] for u, _, _, _ in edges], dtype=np.int64)
-    v_ids = np.array([node_id[v] for _, v, _, _ in edges], dtype=np.int64)
-    b_off_nodes = np.arange(n_comm, dtype=np.int64)[:, None] * n_nodes
-    cols_be = (
-        np.arange(n_comm, dtype=np.int64)[:, None] * n_edges
-        + np.arange(n_edges, dtype=np.int64)[None, :]
-    ).ravel()
-    rows = [
-        (b_off_nodes + u_ids[None, :]).ravel(),  # outflow +1
-        (b_off_nodes + v_ids[None, :]).ravel(),  # inflow  -1
-    ]
-    cols = [cols_be, cols_be]
-    data = [
-        np.ones(n_comm * n_edges),
-        -np.ones(n_comm * n_edges),
-    ]
+    # The constraint matrix in CSC order.  Column (b, e) holds edge e's
+    # capacity row (finite edges only), then its two conservation rows
+    # for commodity b — outflow +1 at u, inflow -1 at v — ascending.
+    u_ids = np.array([node_id[u] for u, _, _, _ in edges], dtype=np.int32)
+    v_ids = np.array([node_id[v] for _, v, _, _ in edges], dtype=np.int32)
+    block = n_ub + np.arange(n_comm, dtype=np.int32)[:, None] * n_nodes
+    rows = np.empty((n_comm, n_edges, 3), dtype=np.int32)
+    rows[:, :, 0] = np.cumsum(finite) - 1
+    rows[:, :, 1] = block + np.minimum(u_ids, v_ids)
+    rows[:, :, 2] = block + np.maximum(u_ids, v_ids)
+    sign = np.where(u_ids < v_ids, 1.0, -1.0)
+    vals = np.empty((n_comm, n_edges, 3))
+    vals[:, :, 0] = 1.0
+    vals[:, :, 1] = sign
+    vals[:, :, 2] = -sign
+    kept = np.ones((n_edges, 3), dtype=bool)
+    kept[:, 0] = finite
+
     # lambda column: source supplies lambda * total; sinks absorb
     # lambda * D[b, g] (a handful of entries per commodity)
     lam_rows: List[int] = []
     lam_data: List[float] = []
     for b, bin_name in enumerate(commodities):
-        lam_rows.append(b * n_nodes + node_id[f"{bin_name}/in"])
+        lam_rows.append(n_ub + b * n_nodes + node_id[f"{bin_name}/in"])
         lam_data.append(-sum(per_bin[bin_name].values()))
         for gpu, nbytes in per_bin[bin_name].items():
-            lam_rows.append(b * n_nodes + node_id[gpu])
+            lam_rows.append(n_ub + b * n_nodes + node_id[gpu])
             lam_data.append(nbytes)
-    rows.append(np.asarray(lam_rows, dtype=np.int64))
-    cols.append(np.full(len(lam_rows), lam, dtype=np.int64))
-    data.append(np.asarray(lam_data))
-    a_eq = coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_comm * n_nodes, n_vars),
-    )
-    b_eq = np.zeros(n_comm * n_nodes)
+    lam_order = np.argsort(lam_rows, kind="stable")
 
-    # inequality: sum over commodities of x on edge e <= cap(e)
-    caps = np.array([cap for _, _, cap, _ in edges])
-    finite = np.flatnonzero(np.isfinite(caps))
-    ub_rows = np.tile(
-        np.arange(len(finite), dtype=np.int64), n_comm
+    indptr = np.zeros(n_vars + 1, dtype=np.int32)
+    np.cumsum(np.tile(2 + finite, n_comm), out=indptr[1:n_vars])
+    indptr[n_vars] = indptr[n_flow] + len(lam_rows)
+    indices = np.concatenate(
+        [rows[:, kept].ravel(), np.asarray(lam_rows, dtype=np.int32)[lam_order]]
     )
-    ub_cols = (
-        np.arange(n_comm, dtype=np.int64)[:, None] * n_edges
-        + finite[None, :]
-    ).ravel()
-    a_ub = coo_matrix(
-        (np.ones(len(finite) * n_comm), (ub_rows, ub_cols)),
-        shape=(len(finite), n_vars),
+    values = np.concatenate(
+        [vals[:, kept].ravel(), np.asarray(lam_data)[lam_order]]
     )
-    b_ub = caps[finite]
 
     # restricted edges: zero out forbidden (commodity, edge) variables
-    bounds = [(0, None)] * n_vars
-    kinds = [_commodity_kind(topo, bin_name) for bin_name in commodities]
-    for e, (_, _, _, restr) in enumerate(edges):
-        if restr is None:
-            continue
-        for b in range(n_comm):
-            if kinds[b] != restr:
-                bounds[b * n_edges + e] = (0, 0)
-
-    cost = np.zeros(n_vars)
-    cost[lam] = -1.0
-    res = linprog(
-        cost,
-        A_ub=a_ub.tocsr(),
-        b_ub=b_ub,
-        A_eq=a_eq.tocsr(),
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
+    restrictions = np.array([restr or "" for _, _, _, restr in edges])
+    kinds = np.array(
+        [_commodity_kind(topo, bin_name) for bin_name in commodities]
     )
-    if not res.success:
-        raise RuntimeError(f"multicommodity LP failed: {res.message}")
-    scale = float(res.x[lam])
+    forbidden = (restrictions[None, :] != "") & (
+        restrictions[None, :] != kinds[:, None]
+    )
+    col_upper = np.full(n_vars, np.inf)
+    col_upper[:n_flow][forbidden.ravel()] = 0.0
+    n_rows = n_ub + n_comm * n_nodes
+    row_lower = np.zeros(n_rows)
+    row_lower[:n_ub] = -np.inf
+    row_upper = np.zeros(n_rows)
+    row_upper[:n_ub] = caps[finite]
+    cost = np.zeros(n_vars)
+    cost[-1] = -1.0
+
+    lp = _highs.HighsLp()
+    lp.num_col_ = n_vars
+    lp.num_row_ = n_rows
+    lp.a_matrix_.num_col_ = n_vars
+    lp.a_matrix_.num_row_ = n_rows
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.col_cost_ = cost
+    lp.col_lower_ = np.zeros(n_vars)
+    lp.col_upper_ = col_upper
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
+    lp.a_matrix_.start_ = indptr
+    lp.a_matrix_.index_ = indices
+    lp.a_matrix_.value_ = values
+
+    highs = solver if solver is not None else new_lp_solver()
+    if highs.passModel(lp) == _highs.HighsStatus.kError:
+        raise RuntimeError("multicommodity LP failed: HiGHS rejected the model")
+    highs.run()
+    status = highs.getModelStatus()
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise RuntimeError(
+            "multicommodity LP failed: "
+            f"{highs.modelStatusToString(status)}"
+        )
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    _check_solution(
+        x,
+        highs.getObjectiveValue(),
+        np.array(solution.row_value),
+        col_upper,
+        row_upper,
+        n_ub,
+    )
+    scale = float(x[-1])
     if scale <= 0:
         raise RuntimeError("demand is not routable at any positive rate")
 
     # per-edge totals across commodities in one reshape+sum
-    flows = res.x[: n_comm * n_edges].reshape(n_comm, n_edges).sum(axis=0)
+    flows = x[:n_flow].reshape(n_comm, n_edges).sum(axis=0)
     utilisation: Dict[Tuple[str, str], float] = {}
-    for e in finite:
+    for e in np.flatnonzero(finite):
         u, v, cap, _ = edges[e]
-        flow = float(flows[e])
         u_name = u[:-4] if u.endswith("/out") else u
         v_name = v[:-3] if v.endswith("/in") else v
-        utilisation[(u_name, v_name)] = min(1.0, flow / cap) if cap else 0.0
+        used = min(1.0, float(flows[e]) / cap) if cap else 0.0
+        # a QPI link is two parallel edges (memory and device traffic);
+        # report the busier one so a saturated edge stays visible
+        key = (u_name, v_name)
+        utilisation[key] = max(used, utilisation.get(key, 0.0))
 
     time_s = 1.0 / scale
     return McfPrediction(

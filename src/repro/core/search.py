@@ -53,7 +53,7 @@ from __future__ import annotations
 import heapq
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import (
     TYPE_CHECKING,
@@ -77,7 +77,7 @@ from repro.core.flowmodel import (
     TrafficDemand,
     solve_batch,
 )
-from repro.core.mcmf import McfPrediction, multicommodity_min_time
+from repro.core.mcmf import McfPrediction, multicommodity_min_time, new_lp_solver
 from repro.core.placement import Chassis, Placement, count_placements
 from repro.core.symmetry import iter_canonical_placements
 from repro.core.topology import NodeKind, Topology, TopologyMask
@@ -352,10 +352,16 @@ class MulticommodityScorer:
     Each bin's pass-1 share is fanned out *evenly across GPUs* — the
     dataset is shared, so every GPU reads from every bin; a placement
     only scores well if that all-to-all pattern fits its fabric.
+
+    ``solver`` is a HiGHS instance (:func:`repro.core.mcmf.new_lp_solver`)
+    reused for every LP this scorer solves; ``None`` solves each LP on a
+    fresh one.  It is not a setting: :class:`_ScoreRuntime` binds one
+    per runtime, so a solver never crosses threads or processes.
     """
 
     fractions: Tuple[float, float, float]
     gpu_cache_policy: str = "replicated"
+    solver: Optional[object] = field(default=None, compare=False, repr=False)
 
     def score(
         self, topo: Topology, placement: Placement, prior: FlowPrediction = None
@@ -366,7 +372,7 @@ class MulticommodityScorer:
             prior.storage_rate if prior is not None else {},
             gpu_cache_policy=self.gpu_cache_policy,
         )
-        return multicommodity_min_time(topo, demand)
+        return multicommodity_min_time(topo, demand, self.solver)
 
 
 # ----------------------------------------------------------------------
@@ -384,7 +390,8 @@ class _ScoreRuntime:
     :meth:`ParallelExecutor.run_stage` cuts chunks identically inline
     and on the pool, so every worker count solves identical batches.
     An ``"exact"`` chunk builds each candidate's topology and LP-scores
-    it against its pass-1 prediction.
+    it against its pass-1 prediction, on one HiGHS instance per runtime
+    (made on the first exact chunk, in the process that runs it).
     """
 
     def __init__(
@@ -403,6 +410,7 @@ class _ScoreRuntime:
         self.mask = mask
         self.warm_cut = warm_cut
         self._networks: Dict[Tuple[int, int], ChassisNetwork] = {}
+        self._lp_scorer: Optional[MulticommodityScorer] = None
 
     def network(self, placement: Placement) -> ChassisNetwork:
         """The pass-1 network for ``placement``'s own GPU/SSD totals."""
@@ -443,8 +451,17 @@ class _ScoreRuntime:
                 for (idx, _, _), prediction in zip(items, predictions)
             ]
         else:
+            if self._lp_scorer is None:
+                self._lp_scorer = replace(
+                    self.exact, solver=new_lp_solver()
+                )
             results = [
-                (idx, self.exact.score(self.topology(placement), placement, p1))
+                (
+                    idx,
+                    self._lp_scorer.score(
+                        self.topology(placement), placement, p1
+                    ),
+                )
                 for idx, placement, p1 in items
             ]
         return results, warm_starts

@@ -14,6 +14,9 @@ vectorized production code to them.
 * symmetry dedupe — :func:`canonical_key` / :class:`CanonicalFilter` /
   :func:`dedupe_placements`, the enumerate-then-filter pipeline
   :func:`repro.core.symmetry.iter_canonical_placements` reproduces;
+* multicommodity LP — :func:`reference_multicommodity_min_time`, the
+  ``scipy.optimize.linprog`` formulation
+  :func:`repro.core.mcmf.multicommodity_min_time` reproduces;
 * :func:`legacy_machine_a` / :func:`legacy_machine_b` — the hand-built
   chassis the compiled fabric specs must equal.
 """
@@ -22,6 +25,10 @@ from __future__ import annotations
 
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 
 from repro.core.flowmodel import (
     _SINK,
@@ -32,6 +39,7 @@ from repro.core.flowmodel import (
     TrafficDemand,
     _storage_members,
 )
+from repro.core.mcmf import McfPrediction, _build_edges, _commodity_kind
 from repro.core.placement import GPU, SSD, Chassis, Placement, SlotGroup
 from repro.core.symmetry import _preimage, slot_group_symmetries
 from repro.core.topology import LinkKind, NodeKind, Topology
@@ -639,6 +647,166 @@ def plain_max_flow(topo: Topology) -> float:
     for gpu in topo.gpus():
         net.add_edge(gpu, _SINK, float("inf"))
     return dinic(net, _SOURCE, _SINK)
+
+
+# ----------------------------------------------------------------------
+# Multicommodity concurrent-flow LP through scipy.optimize.linprog
+# ----------------------------------------------------------------------
+def reference_multicommodity_min_time(
+    topo: Topology,
+    demand: TrafficDemand,
+) -> McfPrediction:
+    """Minimum completion time of a demand under optimal routing.
+
+    Demands must reference concrete bins (no class keys); local
+    (own-GPU-cache) entries should be excluded by the caller.
+
+    The ``scipy.optimize.linprog`` formulation
+    :func:`repro.core.mcmf.multicommodity_min_time` must reproduce bit
+    for bit (its utilisation differs only on QPI links, where this one
+    reports whichever parallel edge comes last).
+    """
+    if demand.total <= 0:
+        return McfPrediction(scale=np.inf, time=0.0, throughput=0.0)
+
+    # HiGHS misbehaves on byte-magnitude coefficients; work in GB.
+    # lambda is invariant when demands and capacities scale together.
+    unit = 1e-9
+
+    # HiGHS zeroes matrix coefficients below ~1e-9 of the scaled
+    # problem, so a commodity carrying a vanishing share of the demand
+    # (a degenerate tier split like fractions=(0, 1e-9, ...)) loses its
+    # lambda-column entries and makes the whole LP read as unroutable.
+    # Such a commodity cannot move the concurrent-flow scale by more
+    # than solver noise, so drop sub-tolerance entries up front.
+    negligible = 1e-7 * demand.total
+
+    # demand matrix: commodity = source bin
+    per_bin: Dict[str, Dict[str, float]] = {}
+    for (bin_name, gpu), nbytes in demand.entries.items():
+        if bin_name.startswith("__"):
+            raise ValueError(
+                "multicommodity predictor needs concrete bins, got "
+                f"{bin_name!r}"
+            )
+        if bin_name not in topo or gpu not in topo:
+            raise KeyError(f"unknown node in demand: {bin_name!r}/{gpu!r}")
+        if nbytes <= negligible:
+            continue
+        per_bin.setdefault(bin_name, {})[gpu] = (
+            per_bin.get(bin_name, {}).get(gpu, 0.0) + nbytes * unit
+        )
+    commodities = sorted(per_bin)
+
+    edges = [
+        (u, v, cap * unit, restr) for u, v, cap, restr in _build_edges(topo)
+    ]
+    nodes = sorted({u for u, _, _, _ in edges} | {v for _, v, _, _ in edges})
+    node_id = {n: i for i, n in enumerate(nodes)}
+    n_edges, n_nodes, n_comm = len(edges), len(nodes), len(commodities)
+
+    # variables: x[b * n_edges + e] >= 0, then lambda (last)
+    n_vars = n_comm * n_edges + 1
+    lam = n_vars - 1
+
+    # equality: conservation per (commodity, node), assembled as one
+    # COO batch (duplicate (row, col) entries sum on conversion —
+    # exactly the incremental += the per-element loop used to do)
+    u_ids = np.array([node_id[u] for u, _, _, _ in edges], dtype=np.int64)
+    v_ids = np.array([node_id[v] for _, v, _, _ in edges], dtype=np.int64)
+    b_off_nodes = np.arange(n_comm, dtype=np.int64)[:, None] * n_nodes
+    cols_be = (
+        np.arange(n_comm, dtype=np.int64)[:, None] * n_edges
+        + np.arange(n_edges, dtype=np.int64)[None, :]
+    ).ravel()
+    rows = [
+        (b_off_nodes + u_ids[None, :]).ravel(),  # outflow +1
+        (b_off_nodes + v_ids[None, :]).ravel(),  # inflow  -1
+    ]
+    cols = [cols_be, cols_be]
+    data = [
+        np.ones(n_comm * n_edges),
+        -np.ones(n_comm * n_edges),
+    ]
+    # lambda column: source supplies lambda * total; sinks absorb
+    # lambda * D[b, g] (a handful of entries per commodity)
+    lam_rows: List[int] = []
+    lam_data: List[float] = []
+    for b, bin_name in enumerate(commodities):
+        lam_rows.append(b * n_nodes + node_id[f"{bin_name}/in"])
+        lam_data.append(-sum(per_bin[bin_name].values()))
+        for gpu, nbytes in per_bin[bin_name].items():
+            lam_rows.append(b * n_nodes + node_id[gpu])
+            lam_data.append(nbytes)
+    rows.append(np.asarray(lam_rows, dtype=np.int64))
+    cols.append(np.full(len(lam_rows), lam, dtype=np.int64))
+    data.append(np.asarray(lam_data))
+    a_eq = coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_comm * n_nodes, n_vars),
+    )
+    b_eq = np.zeros(n_comm * n_nodes)
+
+    # inequality: sum over commodities of x on edge e <= cap(e)
+    caps = np.array([cap for _, _, cap, _ in edges])
+    finite = np.flatnonzero(np.isfinite(caps))
+    ub_rows = np.tile(
+        np.arange(len(finite), dtype=np.int64), n_comm
+    )
+    ub_cols = (
+        np.arange(n_comm, dtype=np.int64)[:, None] * n_edges
+        + finite[None, :]
+    ).ravel()
+    a_ub = coo_matrix(
+        (np.ones(len(finite) * n_comm), (ub_rows, ub_cols)),
+        shape=(len(finite), n_vars),
+    )
+    b_ub = caps[finite]
+
+    # restricted edges: zero out forbidden (commodity, edge) variables
+    bounds = [(0, None)] * n_vars
+    kinds = [_commodity_kind(topo, bin_name) for bin_name in commodities]
+    for e, (_, _, _, restr) in enumerate(edges):
+        if restr is None:
+            continue
+        for b in range(n_comm):
+            if kinds[b] != restr:
+                bounds[b * n_edges + e] = (0, 0)
+
+    cost = np.zeros(n_vars)
+    cost[lam] = -1.0
+    res = linprog(
+        cost,
+        A_ub=a_ub.tocsr(),
+        b_ub=b_ub,
+        A_eq=a_eq.tocsr(),
+        b_eq=b_eq,
+        bounds=bounds,
+        method="highs",
+    )
+    if not res.success:
+        raise RuntimeError(f"multicommodity LP failed: {res.message}")
+    scale = float(res.x[lam])
+    if scale <= 0:
+        raise RuntimeError("demand is not routable at any positive rate")
+
+    # per-edge totals across commodities in one reshape+sum
+    flows = res.x[: n_comm * n_edges].reshape(n_comm, n_edges).sum(axis=0)
+    utilisation: Dict[Tuple[str, str], float] = {}
+    for e in finite:
+        u, v, cap, _ = edges[e]
+        flow = float(flows[e])
+        u_name = u[:-4] if u.endswith("/out") else u
+        v_name = v[:-3] if v.endswith("/in") else v
+        utilisation[(u_name, v_name)] = min(1.0, flow / cap) if cap else 0.0
+
+    time_s = 1.0 / scale
+    return McfPrediction(
+        scale=scale,
+        time=time_s,
+        throughput=demand.total * scale,
+        utilisation=utilisation,
+    )
 
 
 # ----------------------------------------------------------------------

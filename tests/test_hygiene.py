@@ -162,3 +162,85 @@ def test_perfbench_layers_count_the_search():
     assert (
         layers["hardware.topology_build"]["calls"] == search.num_lp_scored + 1
     )
+
+
+#: What ``repro.core.mcmf`` uses of scipy's private HiGHS binding.
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+_HIGHS_NAMES = (
+    "_Highs",
+    "HighsOptions",
+    "HighsLp",
+    "MatrixFormat.kColwise",
+    "HighsStatus.kError",
+    "HighsModelStatus.kOptimal",
+    "HighsModelStatus.kInfeasible",
+    "HighsDebugLevel.kHighsDebugLevelNone",
+    "simplex_constants.SimplexStrategy.kSimplexStrategyDual",
+    "_Highs.passOptions",
+    "_Highs.passModel",
+    "_Highs.run",
+    "_Highs.getModelStatus",
+    "_Highs.modelStatusToString",
+    "_Highs.getSolution",
+    "_Highs.getObjectiveValue",
+)
+_HIGHS_LP_FIELDS = (
+    "num_col_",
+    "num_row_",
+    "col_cost_",
+    "col_lower_",
+    "col_upper_",
+    "row_lower_",
+    "row_upper_",
+    "a_matrix_.num_col_",
+    "a_matrix_.num_row_",
+    "a_matrix_.format_",
+    "a_matrix_.start_",
+    "a_matrix_.index_",
+    "a_matrix_.value_",
+)
+
+
+def _has_path(root, dotted):
+    for part in dotted.split("."):
+        if not hasattr(root, part):
+            return False
+        root = getattr(root, part)
+    return True
+
+
+def test_scipy_highs_private_api():
+    """The multicommodity LP drives the HiGHS instance inside scipy
+    directly; every private name it relies on must exist in the
+    installed scipy."""
+    hint = (
+        f"{_HIGHS_MODULE} no longer provides what repro.core.mcmf uses; "
+        "move the LP back to the public scipy.optimize.linprog path "
+        "(tests/oracles.py: reference_multicommodity_min_time)"
+    )
+    try:
+        core = importlib.import_module(_HIGHS_MODULE)
+    except ImportError as err:
+        raise AssertionError(f"{hint} ({err})") from None
+    missing = [name for name in _HIGHS_NAMES if not _has_path(core, name)]
+    if not missing:
+        from repro.core.mcmf import HIGHS_OPTIONS
+
+        lp, options = core.HighsLp(), core.HighsOptions()
+        solution = core._Highs().getSolution()
+        missing += [
+            f"HighsLp.{name}"
+            for name in _HIGHS_LP_FIELDS
+            if not _has_path(lp, name)
+        ]
+        missing += [
+            f"HighsOptions.{name}"
+            for name in HIGHS_OPTIONS
+            if not hasattr(options, name)
+        ]
+        missing += [
+            f"HighsSolution.{name}"
+            for name in ("col_value", "row_value")
+            if not hasattr(solution, name)
+        ]
+    assert not missing, f"{hint}; missing: {missing}"

@@ -1,0 +1,233 @@
+"""The multicommodity LP on a reused HiGHS instance.
+
+:func:`repro.core.mcmf.multicommodity_min_time` hands HiGHS the model
+``scipy.optimize.linprog`` would, assembled straight into CSC form; the
+``linprog`` formulation is kept as
+:func:`tests.oracles.reference_multicommodity_min_time`.  These tests
+pin the two to each other bit for bit on every LP a search solves,
+check the post-solve feasibility guard that replaces ``linprog``'s, and
+check that each search owns its solver (threads, pool workers).
+"""
+
+from __future__ import annotations
+
+import threading
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+import repro.core.mcmf as mcmf
+import repro.core.search as search
+from repro.core.flowmodel import TrafficDemand
+from repro.core.mcmf import multicommodity_min_time, new_lp_solver
+from repro.core.optimizer import concrete_demand
+from repro.core.search import run_search
+from repro.core.topology import LinkKind, TopologyMask
+from repro.hardware.machines import classic_layouts, machine_a, machine_b
+from tests.oracles import reference_multicommodity_min_time
+from tests.test_search import DIFFERENTIAL_FABRICS, _ranking, _request
+
+
+def _differential_rows():
+    """(id, machine factory, request overrides) for every LP shape."""
+    rows = [
+        (name, make, dict(num_gpus=pool[0], num_ssds=pool[1]))
+        for name, make, pool in DIFFERENTIAL_FABRICS
+    ]
+    for make in (machine_a, machine_b):
+        rows.append(
+            (
+                f"{make.__name__}-4x8",
+                make,
+                dict(num_gpus=4, num_ssds=8, lp_top_k=48, top_k=10),
+            )
+        )
+    rows.append(
+        (
+            "partitioned",
+            machine_b,
+            dict(num_gpus=2, num_ssds=4, gpu_cache_policy="partitioned"),
+        )
+    )
+    # the replanning shape: layout c re-scored with ssd0 dropped
+    rows.append(
+        (
+            "replan-drop-ssd0",
+            machine_a,
+            dict(
+                num_gpus=4,
+                num_ssds=8,
+                candidates="c",
+                mask=TopologyMask(drop_nodes=("ssd0",)),
+            ),
+        )
+    )
+    return rows
+
+
+DIFFERENTIAL_ROWS = _differential_rows()
+
+
+def _qpi_keys(topo):
+    return {(l.src, l.dst) for l in topo.links if l.kind is LinkKind.QPI}
+
+
+class TestLinprogDifferential:
+    """Every LP a search solves equals the ``linprog`` formulation."""
+
+    @pytest.mark.parametrize(
+        "make_machine,overrides",
+        [row[1:] for row in DIFFERENTIAL_ROWS],
+        ids=[row[0] for row in DIFFERENTIAL_ROWS],
+    )
+    def test_every_finalist_bit_identical(
+        self, monkeypatch, make_machine, overrides
+    ):
+        machine = make_machine()
+        overrides = dict(overrides)
+        if overrides.get("candidates") == "c":
+            overrides["candidates"] = (classic_layouts(machine)["c"],)
+        solved = []
+
+        def recording(topo, demand, solver=None):
+            prediction = multicommodity_min_time(topo, demand, solver)
+            solved.append((topo, demand, prediction))
+            return prediction
+
+        # serial, so every LP runs here where the recorder can see it
+        monkeypatch.setattr(search, "multicommodity_min_time", recording)
+        result = run_search(_request(machine, **overrides))
+        assert solved and len(solved) == result.num_lp_scored
+        for topo, demand, got in solved:
+            want = reference_multicommodity_min_time(topo, demand)
+            assert got.scale == want.scale
+            assert got.time == want.time
+            assert got.throughput == want.throughput
+            assert got.utilisation.keys() == want.utilisation.keys()
+            qpi = _qpi_keys(topo)
+            for key, value in want.utilisation.items():
+                if key in qpi:
+                    # the reference reports the device edge only
+                    assert got.utilisation[key] >= value
+                else:
+                    assert got.utilisation[key] == value
+
+
+class TestFeasibilityCheck:
+    """The post-solve guard ``linprog`` applied, kept without it."""
+
+    @pytest.fixture()
+    def lp(self):
+        machine = machine_a()
+        topo = machine.build(classic_layouts(machine)["c"])
+        return topo, concrete_demand(topo, (0.0, 0.1, 0.9), {})
+
+    class _Tampered:
+        """A solver whose answer is altered before it is read back."""
+
+        def __init__(self, solution=None, status=None):
+            self._highs = new_lp_solver()
+            self._solution = solution
+            self._status = status
+
+        def __getattr__(self, name):
+            return getattr(self._highs, name)
+
+        def getModelStatus(self):
+            if self._status is not None:
+                return self._status
+            return self._highs.getModelStatus()
+
+        def getSolution(self):
+            solution = self._highs.getSolution()
+            if self._solution is None:
+                return solution
+            col, row = self._solution(
+                np.array(solution.col_value), np.array(solution.row_value)
+            )
+            return SimpleNamespace(col_value=list(col), row_value=list(row))
+
+    def test_untampered_passes(self, lp):
+        topo, demand = lp
+        pred = multicommodity_min_time(topo, demand, self._Tampered())
+        assert pred == multicommodity_min_time(topo, demand)
+
+    def test_capacity_violation_raises(self, lp):
+        # twice the optimal flow: conservation still holds, but every
+        # saturated capacity row is exceeded
+        solver = self._Tampered(solution=lambda col, row: (2 * col, 2 * row))
+        with pytest.raises(RuntimeError, match="tolerance"):
+            multicommodity_min_time(*lp, solver)
+
+    def test_nan_raises(self, lp):
+        def poison(col, row):
+            col[0] = np.nan
+            return col, row
+
+        with pytest.raises(RuntimeError, match="tolerance"):
+            multicommodity_min_time(*lp, self._Tampered(solution=poison))
+
+    def test_non_optimal_status_raises(self, lp):
+        from scipy.optimize._highspy._core import HighsModelStatus
+
+        solver = self._Tampered(status=HighsModelStatus.kInfeasible)
+        with pytest.raises(RuntimeError, match="LP failed: Infeasible"):
+            multicommodity_min_time(*lp, solver)
+
+
+class TestQpiUtilisation:
+    def test_saturated_memory_edge_is_a_bottleneck(self):
+        """CPU-memory traffic crossing sockets saturates the QPI link's
+        memory edge while its device edge stays idle; the link must
+        report the busier edge."""
+        machine = machine_a()
+        topo = machine.build(classic_layouts(machine)["c"])
+        demand = TrafficDemand()
+        demand.add("mem1", "gpu0", 1e9)  # socket 1 memory -> socket 0 GPU
+        pred = multicommodity_min_time(topo, demand)
+        assert pred.utilisation[("rc1", "rc0")] == pytest.approx(1.0)
+        assert ("rc1", "rc0") in pred.bottlenecks()
+        # the linprog formulation kept only the (idle) device edge
+        ref = reference_multicommodity_min_time(topo, demand)
+        assert ref.utilisation[("rc1", "rc0")] == 0.0
+        assert pred.scale == ref.scale
+
+
+class TestSolverOwnership:
+    """Each search owns its HiGHS instance: none is module-level, so
+    concurrent searches cannot share one (pool workers: see
+    ``test_search.py::test_workers_do_not_change_selection``)."""
+
+    def test_no_module_level_solver(self):
+        from scipy.optimize._highspy._core import _Highs
+
+        assert not [
+            name for name, value in vars(mcmf).items()
+            if isinstance(value, _Highs)
+        ]
+
+    def test_concurrent_searches_match_serial(self):
+        machine = machine_a()
+        request = _request(machine, 2, 4)
+        serial = run_search(request)
+        results = [None, None]
+        errors = []
+        barrier = threading.Barrier(2)
+
+        def solve(slot):
+            try:
+                barrier.wait()
+                results[slot] = run_search(request)
+            except BaseException as err:  # surfaced below
+                errors.append(err)
+
+        threads = [threading.Thread(target=solve, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        for result in results:
+            assert _ranking(result.scored) == _ranking(serial.scored)
+            assert result.best.throughput == serial.best.throughput

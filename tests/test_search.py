@@ -501,13 +501,18 @@ class TestDifferentialEquivalence:
 
     @pytest.mark.parametrize(
         "make_machine,pool",
-        [(machine_a, (2, 4)), (partial(_gen_machine, 7), (2, 2))],
-        ids=["machine_a", "gen:7"],
+        [
+            (machine_a, (2, 4)),
+            (machine_b, (2, 4)),
+            (partial(_gen_machine, 7), (2, 2)),
+        ],
+        ids=["machine_a", "machine_b", "gen:7"],
     )
     def test_workers_do_not_change_selection(self, make_machine, pool):
         """Warm-start chaining is batch-local and batch boundaries are
-        worker-independent, so any worker count picks the same plan —
-        bit for bit."""
+        worker-independent, and each pool worker LP-scores on its own
+        HiGHS instance, so any worker count picks the same plan — bit
+        for bit."""
         machine = make_machine()
         one = run_search(_request(machine, *pool))
         two = run_search(_request(machine, *pool, workers=2))
