@@ -22,6 +22,14 @@ placement on skewed graphs.
 Ties break by traffic descending then bin index, making the algorithm
 fully deterministic.
 
+The greedy runs as a scalar loop over Python floats: a machine has
+about ten bins, so per-pool NumPy calls cost more in overhead than the
+arithmetic they vectorise.  Priorities are computed in the same
+operation order as the array formulation (kept as the reference in the
+tests), and every pool's hotness comes from one row-wise reduction that
+sums each pool exactly as ``hotness[pool].sum()`` would, so placements
+are bit-identical to it.
+
 Note the interaction between pooling and capacities: a pool is placed
 whole, so a tier whose bins hold fewer than ``n`` vertices is skipped
 entirely (the vertex-granular tail fill only engages once *no* tier
@@ -214,67 +222,76 @@ def ddak_place(
         )
 
     order = np.argsort(-hotness, kind="stable")
-    bin_of = np.full(num_vertices, -1, dtype=np.int32)
+    ordered = hotness[order]
+    # every pool's hotness in one reduction: full pools are the rows of
+    # a (pools, n) view, each summed exactly as ``hotness[pool].sum()``
+    full = num_vertices - num_vertices % pool_size
+    pool_hot = ordered[:full].reshape(-1, pool_size).sum(axis=1).tolist()
+    if full < num_vertices:
+        pool_hot.append(float(ordered[full:].sum()))
 
     n_bins = len(bins)
-    access = np.zeros(n_bins)
-    used = np.zeros(n_bins)
-    cap = np.array([b.capacity_bytes for b in bins])
+    access = [0.0] * n_bins
+    used = [0.0] * n_bins
+    cap = [float(b.capacity_bytes) for b in bins]
+    denom = [max(c, 1e-12) for c in cap]
     traffic = np.array([max(b.traffic, 1e-12) for b in bins])
-    tiers = np.array([b.tier for b in bins])
-    tier_levels = sorted(set(int(t) for t in tiers))
     # deterministic tie-break within a tier: traffic desc, then index
     tie_rank = np.lexsort((np.arange(n_bins), -traffic))
     tie_order = np.empty(n_bins, dtype=np.int64)
     tie_order[tie_rank] = np.arange(n_bins)
+    tie_order = tie_order.tolist()
+    traffic = traffic.tolist()
+    tier_bins = [
+        [i for i, b in enumerate(bins) if b.tier == level]
+        for level in sorted({b.tier for b in bins})
+    ]
 
-    def pick(candidates: np.ndarray, add_hot: float, add_bytes: float) -> int:
-        """Prospective-priority argmin within one tier."""
-        pr = (
-            (access[candidates] + add_hot)
-            / traffic[candidates]
-            * (used[candidates] + add_bytes)
-            / np.maximum(cap[candidates], 1e-12)
-        )
-        j = min(
-            range(len(candidates)),
-            key=lambda k: (pr[k], tie_order[candidates[k]]),
-        )
-        return int(candidates[j])
-
-    vertex_bytes = float(feature_bytes)
-    for start in range(0, num_vertices, pool_size):
-        pool = order[start : start + pool_size]
-        pool_bytes = pool.size * vertex_bytes
-        pool_hotness = float(hotness[pool].sum())
-        best = -1
-        for level in tier_levels:
-            candidates = np.flatnonzero(
-                (tiers == level) & (used + pool_bytes <= cap)
-            )
-            if candidates.size:
-                best = pick(candidates, pool_hotness, pool_bytes)
-                break
-        if best < 0:
-            # no tier fits the whole pool: vertex-granular tail fill
-            for v in pool:
-                vb = -1
-                for level in tier_levels:
-                    candidates = np.flatnonzero(
-                        (tiers == level) & (used + vertex_bytes <= cap)
+    def pick(add_hot: float, add_bytes: float) -> int:
+        """Prospective-priority argmin in the highest tier with room."""
+        for members in tier_bins:
+            best, best_key = -1, None
+            for i in members:
+                if used[i] + add_bytes <= cap[i]:
+                    key = (
+                        (access[i] + add_hot)
+                        / traffic[i]
+                        * (used[i] + add_bytes)
+                        / denom[i],
+                        tie_order[i],
                     )
-                    if candidates.size:
-                        vb = pick(candidates, float(hotness[v]), vertex_bytes)
-                        break
-                if vb < 0:
-                    raise ValueError("all bins full during DDAK placement")
-                bin_of[v] = vb
-                access[vb] += float(hotness[v])
-                used[vb] += vertex_bytes
+                    if best_key is None or key < best_key:
+                        best, best_key = i, key
+            if best >= 0:
+                access[best] += add_hot
+                used[best] += add_bytes
+                return best
+        return -1
+
+    # the placement as runs over ``order``: run k puts counts[k]
+    # consecutive vertices into bin choice[k]
+    choice: List[int] = []
+    counts: List[int] = []
+    vertex_bytes = float(feature_bytes)
+    for p, hot in enumerate(pool_hot):
+        start = p * pool_size
+        size = min(pool_size, num_vertices - start)
+        best = pick(hot, size * vertex_bytes)
+        if best >= 0:
+            choice.append(best)
+            counts.append(size)
             continue
-        bin_of[pool] = best
-        access[best] += pool_hotness
-        used[best] += pool_bytes
+        # no tier fits the whole pool: vertex-granular tail fill
+        for h in ordered[start : start + size].tolist():
+            vb = pick(h, vertex_bytes)
+            if vb < 0:
+                raise ValueError("all bins full during DDAK placement")
+            choice.append(vb)
+            counts.append(1)
+    bin_of = np.empty(num_vertices, dtype=np.int32)
+    bin_of[order] = np.repeat(
+        np.array(choice, dtype=np.int32), np.array(counts, dtype=np.int64)
+    )
     placement = DataPlacement(list(bins), bin_of, method=f"ddak(n={pool_size})")
     placement.validate(feature_bytes)
     return placement

@@ -15,17 +15,21 @@ Pipeline, run once per (machine, device pool, dataset):
 
 The result is a :class:`MomentPlan`: hardware placement + topology +
 data placement + prediction, ready for the epoch simulator or reports.
+Its DDAK data placement is computed on first read: a system run places
+data itself, from reconciled rates and its cache budget, and never
+reads the plan's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.core.ddak import DataPlacement, ddak_place, make_bins
+from repro.core.ddak import Bin, DataPlacement, ddak_place, make_bins
 from repro.core.flowmodel import FlowPrediction
 from repro.core.mcmf import McfPrediction
 from repro.core.placement import Placement
@@ -151,10 +155,14 @@ class MomentPlan:
 
     placement: Placement
     topology: Topology
-    data_placement: DataPlacement
     prediction: FlowPrediction
     fractions: Tuple[float, float, float]
     hotness: np.ndarray
+    #: DDAK inputs of :attr:`data_placement`: the winner's storage bins
+    #: (max-flow traffic targets), bytes per vertex and pooling factor.
+    bins: List[Bin] = field(default_factory=list)
+    feature_bytes: int = 0
+    ddak_pool_size: int = 100
     #: All candidates scored, best first.
     scored: List[ScoredPlacement] = field(default_factory=list)
     #: Search-space statistics (before/after symmetry pruning).
@@ -167,6 +175,20 @@ class MomentPlan:
 
     #: Full engine result (stage counts, pruning/cache statistics).
     search: Optional[SearchResult] = None
+
+    @cached_property
+    def data_placement(self) -> DataPlacement:
+        """DDAK over :attr:`bins`, computed on first read.
+
+        Raises ``ValueError`` there if the bins cannot hold the dataset.
+        """
+        with obs.span("optimizer.ddak", pool_size=self.ddak_pool_size):
+            return ddak_place(
+                self.bins,
+                self.hotness,
+                self.feature_bytes,
+                pool_size=self.ddak_pool_size,
+            )
 
     @property
     def predicted_throughput(self) -> float:
@@ -344,7 +366,8 @@ class MomentOptimizer:
         The placement search itself is delegated to
         :mod:`repro.core.search` — this method only prepares the request
         (hotness, capacities, tier fractions) and post-processes the
-        winner (DDAK data placement).
+        winner into DDAK bins; the DDAK data placement itself runs on
+        the first read of :attr:`MomentPlan.data_placement`.
 
         Search time comes from the ``optimizer.optimize`` obs span —
         :attr:`MomentPlan.optimize_seconds` is its duration (spans
@@ -370,30 +393,25 @@ class MomentOptimizer:
             topo = self.machine.build(
                 best.placement, nvlink_pairs=cfg.nvlink_pairs
             )
-            with obs.span("optimizer.ddak", pool_size=cfg.ddak_pool_size):
-                bins = make_bins(
-                    topo,
-                    gpu_cache_bytes=plan.gpu_cache_bytes,
-                    cpu_cache_bytes=plan.cpu_cache_bytes,
-                    ssd_capacity_bytes=plan.ssd_capacity_bytes,
-                    traffic=best.prediction.storage_rate,
-                    gpu_cache_policy=cfg.gpu_cache_policy,
-                )
-                data_placement = ddak_place(
-                    bins,
-                    hotness,
-                    dataset.feature_bytes,
-                    pool_size=cfg.ddak_pool_size,
-                )
+            bins = make_bins(
+                topo,
+                gpu_cache_bytes=plan.gpu_cache_bytes,
+                cpu_cache_bytes=plan.cpu_cache_bytes,
+                ssd_capacity_bytes=plan.ssd_capacity_bytes,
+                traffic=best.prediction.storage_rate,
+                gpu_cache_policy=cfg.gpu_cache_policy,
+            )
             root.set(throughput=best.throughput)
         obs.observe("optimizer.optimize_seconds", root.duration)
         return MomentPlan(
             placement=best.placement,
             topology=topo,
-            data_placement=data_placement,
             prediction=best.prediction,
             fractions=fractions,
             hotness=hotness,
+            bins=bins,
+            feature_bytes=dataset.feature_bytes,
+            ddak_pool_size=cfg.ddak_pool_size,
             scored=result.scored,
             num_candidates=result.num_candidates,
             num_unique=result.num_unique,

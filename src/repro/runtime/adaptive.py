@@ -33,6 +33,7 @@ from repro.core.ddak import Bin, DataPlacement, ddak_place
 from repro.graphs.datasets import ScaledDataset
 from repro.hardware.machines import MachineSpec
 from repro.core.topology import Topology
+from repro.sampling.neighbor import sorted_unique
 from repro.simulator.pipeline import EpochResult, EpochSimulator, SimConfig
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_fraction, check_positive
@@ -188,7 +189,7 @@ class DriftingWorkload:
         n = self.dataset.graph.num_vertices
         start = int(epoch * self.drift_fraction * n) % n
         idx = (np.arange(self._window) + start) % n
-        return np.sort(np.unique(idx.astype(np.int64)))
+        return sorted_unique(idx.astype(np.int64))
 
     def dataset_at(self, epoch: int) -> ScaledDataset:
         """The dataset with epoch-``e``'s training window."""

@@ -63,6 +63,22 @@ class MiniBatchSample:
         return self.num_unique * bytes_per_vertex
 
 
+def sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``ids``, equal to ``np.unique(ids)``.
+
+    One sort and a neighbour-inequality mask.  A sampled hop holds a few
+    hundred ids, where ``np.unique``'s per-call overhead (a hash-based
+    path on NumPy 2.x) dominates; this is several times cheaper there.
+    """
+    out = np.sort(ids, axis=None)
+    if out.size > 1:
+        keep = np.empty(out.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(out[1:], out[:-1], out=keep[1:])
+        out = out[keep]
+    return out
+
+
 def sample_neighbors(
     graph: CSRGraph,
     frontier: np.ndarray,
@@ -110,14 +126,14 @@ def sample_batch(
     if seeds.ndim != 1:
         raise ValueError("seeds must be 1-D")
     layers: List[SampledLayer] = []
-    frontier = np.unique(seeds)
+    frontier = sorted_unique(seeds)
     all_ids = [frontier]
     for fanout in fanouts:
         layer = sample_neighbors(graph, frontier, fanout, rng)
         layers.append(layer)
-        frontier = np.unique(layer.dst)
+        frontier = sorted_unique(layer.dst)
         all_ids.append(frontier)
-    unique_vertices = np.unique(np.concatenate(all_ids)) if all_ids else seeds
+    unique_vertices = sorted_unique(np.concatenate(all_ids))
     return MiniBatchSample(
         seeds=seeds,
         layers=tuple(layers),

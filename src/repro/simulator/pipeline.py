@@ -375,10 +375,14 @@ class EpochSimulator:
             take = min(ds.batch_size, part.size)
             seeds = rng.choice(part, size=take, replace=False)
             sample = sample_batch(ds.graph, seeds, cfg.fanouts, seed=rng)
-            # per-GNN-layer work: layer l consumes hop L-l's edges
+            # per-GNN-layer work: layer l consumes hop L-l's edges; a
+            # hop's src repeats each distinct frontier vertex ``fanout``
+            # times, so it has num_edges // fanout destination nodes
             layer_work = tuple(
-                (int(np.unique(layer.src).size), layer.num_edges)
-                for layer in reversed(sample.layers)
+                (layer.num_edges // fanout, layer.num_edges)
+                for layer, fanout in zip(
+                    reversed(sample.layers), reversed(cfg.fanouts)
+                )
             )
             shapes[gpu] = BatchShape(
                 sample.num_unique, sample.num_edges, layer_work

@@ -17,6 +17,8 @@ vectorized production code to them.
 * multicommodity LP — :func:`reference_multicommodity_min_time`, the
   ``scipy.optimize.linprog`` formulation
   :func:`repro.core.mcmf.multicommodity_min_time` reproduces;
+* DDAK — :func:`reference_ddak_place`, the NumPy-per-pool pooled
+  greedy :func:`repro.core.ddak.ddak_place` reproduces as a scalar loop;
 * :func:`legacy_machine_a` / :func:`legacy_machine_b` — the hand-built
   chassis the compiled fabric specs must equal.
 """
@@ -30,6 +32,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
+from repro.core.ddak import Bin, DataPlacement
 from repro.core.flowmodel import (
     _SINK,
     _SOURCE,
@@ -647,6 +650,100 @@ def plain_max_flow(topo: Topology) -> float:
     for gpu in topo.gpus():
         net.add_edge(gpu, _SINK, float("inf"))
     return dinic(net, _SOURCE, _SINK)
+
+
+# ----------------------------------------------------------------------
+# DDAK pooled greedy, one NumPy candidate scan per pool
+# ----------------------------------------------------------------------
+def reference_ddak_place(
+    bins: Sequence[Bin],
+    hotness: np.ndarray,
+    feature_bytes: int,
+    pool_size: int = 100,
+) -> DataPlacement:
+    """The DDAK allocator (paper Algorithm, Section 3.3).
+
+    ``hotness`` is per-vertex expected access counts; ``pool_size`` is
+    the pooling factor n (paper fixes 100 as the balanced default).
+    Raises ``ValueError`` if total bin capacity cannot hold the dataset.
+    """
+    check_positive("feature_bytes", feature_bytes)
+    if pool_size < 1:
+        raise ValueError("pool_size must be >= 1")
+    hotness = np.asarray(hotness, dtype=np.float64)
+    num_vertices = hotness.size
+    total_needed = num_vertices * feature_bytes
+    total_cap = sum(b.capacity_bytes for b in bins)
+    if total_cap < total_needed:
+        raise ValueError(
+            f"bins hold {total_cap:.3g} B but dataset needs {total_needed:.3g} B"
+        )
+
+    order = np.argsort(-hotness, kind="stable")
+    bin_of = np.full(num_vertices, -1, dtype=np.int32)
+
+    n_bins = len(bins)
+    access = np.zeros(n_bins)
+    used = np.zeros(n_bins)
+    cap = np.array([b.capacity_bytes for b in bins])
+    traffic = np.array([max(b.traffic, 1e-12) for b in bins])
+    tiers = np.array([b.tier for b in bins])
+    tier_levels = sorted(set(int(t) for t in tiers))
+    # deterministic tie-break within a tier: traffic desc, then index
+    tie_rank = np.lexsort((np.arange(n_bins), -traffic))
+    tie_order = np.empty(n_bins, dtype=np.int64)
+    tie_order[tie_rank] = np.arange(n_bins)
+
+    def pick(candidates: np.ndarray, add_hot: float, add_bytes: float) -> int:
+        """Prospective-priority argmin within one tier."""
+        pr = (
+            (access[candidates] + add_hot)
+            / traffic[candidates]
+            * (used[candidates] + add_bytes)
+            / np.maximum(cap[candidates], 1e-12)
+        )
+        j = min(
+            range(len(candidates)),
+            key=lambda k: (pr[k], tie_order[candidates[k]]),
+        )
+        return int(candidates[j])
+
+    vertex_bytes = float(feature_bytes)
+    for start in range(0, num_vertices, pool_size):
+        pool = order[start : start + pool_size]
+        pool_bytes = pool.size * vertex_bytes
+        pool_hotness = float(hotness[pool].sum())
+        best = -1
+        for level in tier_levels:
+            candidates = np.flatnonzero(
+                (tiers == level) & (used + pool_bytes <= cap)
+            )
+            if candidates.size:
+                best = pick(candidates, pool_hotness, pool_bytes)
+                break
+        if best < 0:
+            # no tier fits the whole pool: vertex-granular tail fill
+            for v in pool:
+                vb = -1
+                for level in tier_levels:
+                    candidates = np.flatnonzero(
+                        (tiers == level) & (used + vertex_bytes <= cap)
+                    )
+                    if candidates.size:
+                        vb = pick(candidates, float(hotness[v]), vertex_bytes)
+                        break
+                if vb < 0:
+                    raise ValueError("all bins full during DDAK placement")
+                bin_of[v] = vb
+                access[vb] += float(hotness[v])
+                used[vb] += vertex_bytes
+            continue
+        bin_of[pool] = best
+        access[best] += pool_hotness
+        used[best] += pool_bytes
+    placement = DataPlacement(list(bins), bin_of, method=f"ddak(n={pool_size})")
+    placement.validate(feature_bytes)
+    return placement
 
 
 # ----------------------------------------------------------------------

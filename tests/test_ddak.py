@@ -1,5 +1,7 @@
 """Tests for DDAK and hash data placement."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from repro.core.ddak import (
     make_bins,
 )
 from repro.hardware.machines import classic_layouts, machine_a
+from tests.oracles import reference_ddak_place
 
 FB = 100  # feature bytes per vertex in these tests
 
@@ -123,6 +126,166 @@ class TestDdakPlace:
         p = ddak_place(bins, h, FB, pool_size=pool)
         p.validate(FB)
         assert p.bin_of.size == n
+
+
+def assert_matches_reference(bins, hotness, pool_size):
+    """``ddak_place`` equals the per-pool NumPy reference exactly."""
+    try:
+        ref = reference_ddak_place(bins, hotness, FB, pool_size=pool_size)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            ddak_place(bins, hotness, FB, pool_size=pool_size)
+        return None
+    got = ddak_place(bins, hotness, FB, pool_size=pool_size)
+    assert np.array_equal(got.bin_of, ref.bin_of)
+    assert got.bin_of.dtype == ref.bin_of.dtype
+    assert got.bins == ref.bins
+    assert got.method == ref.method
+    return got
+
+
+#: Traffic targets that tie (equal drives), default (the epsilon
+#: ``make_bins`` gives an unscored bin), are zero, or span the range.
+TRAFFIC = st.one_of(
+    st.sampled_from([0.0, 1e6, 6e9, 1.2e12]),
+    st.floats(min_value=0.0, max_value=1e13),
+)
+
+
+@st.composite
+def ddak_cases(draw):
+    """Bins over all three tiers, hotness over 1e-12..1e12, a pool size."""
+    n_bins = draw(st.integers(min_value=1, max_value=12))
+    bins = [
+        Bin(
+            f"b{i}",
+            draw(st.sampled_from([TIER_GPU, TIER_CPU, TIER_SSD])),
+            float(draw(st.integers(min_value=0, max_value=60 * FB))),
+            draw(TRAFFIC),
+        )
+        for i in range(n_bins)
+    ]
+    n = draw(st.integers(min_value=0, max_value=400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hotness = 10.0 ** rng.uniform(-12, 12, n)
+    if draw(st.booleans()):
+        # heavy ties: the stable hottest-first order decides the pools
+        hotness = np.round(hotness, 0) % 7
+    shortfall = n * FB - sum(b.capacity_bytes for b in bins)
+    if shortfall > 0:
+        # just enough room, so the last pools fall to the tail fill
+        slack = draw(st.integers(min_value=0, max_value=150 * FB))
+        bins.append(Bin("spill", TIER_SSD, float(shortfall + slack), 1e6))
+    return bins, hotness, draw(st.sampled_from([1, 7, 100]))
+
+
+class TestDdakDifferential:
+    """The scalar pooled greedy against the per-pool NumPy reference."""
+
+    @given(ddak_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_random_bins_match_reference(self, case):
+        assert_matches_reference(*case)
+
+    @given(
+        st.sampled_from(["a", "b", "c", "d"]),
+        st.integers(min_value=0, max_value=30),
+        st.integers(min_value=0, max_value=30),
+        st.dictionaries(
+            st.sampled_from(["gpu0:mem", "gpu2:mem", "mem0", "ssd1", "ssd3"]),
+            TRAFFIC,
+        ),
+        st.sampled_from([1, 7, 100]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_partitioned_gpu_bins_match_reference(
+        self, layout, gpu_slots, cpu_slots, traffic, pool, seed
+    ):
+        m = machine_a()
+        topo = m.build(classic_layouts(m)[layout])
+        bins = make_bins(
+            topo,
+            gpu_cache_bytes=gpu_slots * FB,
+            cpu_cache_bytes=cpu_slots * FB,
+            ssd_capacity_bytes=100 * FB,
+            traffic=traffic,
+            gpu_cache_policy="partitioned",
+        )
+        hotness = 10.0 ** np.random.default_rng(seed).uniform(-12, 12, 300)
+        assert_matches_reference(bins, hotness, pool)
+
+    def test_forced_tail_fill_matches_reference(self):
+        # every bin is smaller than a pool: DDAK places vertex by vertex
+        bins = [
+            Bin("gpu0:mem", TIER_GPU, 30 * FB, 1e12),
+            Bin("gpu1:mem", TIER_GPU, 30 * FB, 1e12),
+            Bin("mem0", TIER_CPU, 45 * FB, 2e9),
+            Bin("ssd0", TIER_SSD, 90 * FB, 6e9),
+            Bin("ssd1", TIER_SSD, 90 * FB, 6e9),
+            Bin("ssd2", TIER_SSD, 90 * FB, 0.0),
+        ]
+        h = zipf_hotness(375)
+        p = assert_matches_reference(bins, h, 100)
+        first_pool = p.bin_of[np.argsort(-h, kind="stable")[:100]]
+        assert np.unique(first_pool).size > 1  # the pool was split
+
+    def test_pool_sums_keep_their_bits(self):
+        # pools 1 and 2 differ by 35 ulp in one vertex: summed pairwise
+        # (NumPy's order) pool 1 is hotter, so the cold pool 3 joins
+        # pool 2's drive; summed left to right they tie and pool 3 would
+        # join pool 1's.  Only the reference's summation order passes.
+        x = 0.9745209780577792
+        h = np.concatenate(
+            [np.full(199, x), [x - 35 * np.spacing(x)], np.zeros(100)]
+        )
+        bins = [
+            Bin("ssd0", TIER_SSD, 1000 * FB, 6e9),
+            Bin("ssd1", TIER_SSD, 1000 * FB, 6e9),
+        ]
+        p = assert_matches_reference(bins, h, 100)
+        assert p.bin_of[0] == 0 and p.bin_of[199] == p.bin_of[200] == 1
+
+    def test_priority_keeps_its_operation_order(self):
+        # the hottest vertex ties in exact arithmetic (3/7e9 * 100/3e4
+        # against 3/3e9 * 100/7e4); the rounding of the reference's
+        # ((access + h) / traffic) * (used + b) / capacity decides it
+        bins = [
+            Bin("ssd0", TIER_SSD, 300 * FB, 7e9),
+            Bin("ssd1", TIER_SSD, 700 * FB, 3e9),
+        ]
+        h = np.array([0.3, 0.3, 3.0, 0.1])
+        p = assert_matches_reference(bins, h, 1)
+        assert p.bin_of.tolist() == [1, 1, 0, 1]
+
+    #: The bins of a machine-A layout-(c) run (IGB-HOM, 1/16 of the
+    #: default scale, 4096-byte features) and of its replan after ssd0
+    #: fails: (name, tier, capacity bytes, max-flow traffic).
+    MACHINE_A_RUN = [
+        ("gpu:all", 0, 3355800.192, 1200000000000.0),
+        ("mem0", 1, 860800.0, 1853264415.4611151),
+        ("mem1", 1, 860800.0, 1853264415.4611125),
+    ] + [(f"ssd{i}", 2, 600000000.0, 6000000000.0) for i in range(8)]
+    MACHINE_A_REPLAN = [
+        ("gpu:all", 0, 3355800.192, 1200000000000.0),
+        ("mem0", 1, 860800.0, 3243212727.0569487),
+        ("mem1", 1, 860800.0, 1000000.0),
+    ] + [(f"ssd{i}", 2, 600000000.0, 6000000000.0) for i in range(1, 7)] + [
+        ("ssd7", 2, 600000000.0, 5999999999.999993),
+    ]
+
+    @pytest.mark.parametrize("rows", [MACHINE_A_RUN, MACHINE_A_REPLAN])
+    @pytest.mark.parametrize("pool", [7, 100])
+    def test_machine_a_bins_match_reference(self, rows, pool):
+        bins = [Bin(*row) for row in rows]
+        # integer access counts with many ties, as pre-sampling gives
+        rng = np.random.default_rng(0)
+        hotness = np.floor(rng.zipf(1.6, 42031).astype(np.float64) * 25)
+        feature_bytes = 4096
+        ref = reference_ddak_place(bins, hotness, feature_bytes, pool)
+        got = ddak_place(bins, hotness, feature_bytes, pool)
+        assert np.array_equal(got.bin_of, ref.bin_of)
+        assert got.bins == ref.bins and got.method == ref.method
 
 
 class TestHashPlace:

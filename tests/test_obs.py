@@ -391,6 +391,7 @@ class TestSimulatorTelemetry:
         )
         with obs.capture() as tel:
             plan = opt.optimize(dataset)
+            plan.data_placement  # DDAK (and its span) runs on first read
         root = tel.tracer.find("optimizer.optimize")
         assert len(root) == 1
         assert plan.optimize_seconds == pytest.approx(root[0].duration)

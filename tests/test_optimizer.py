@@ -214,3 +214,104 @@ class TestOptimizer:
         h = optimizer.estimate_hotness(dataset)
         assert h.shape == (dataset.graph.num_vertices,)
         assert (h > 0).all()  # degree-proxy smoothing: no zero ties
+
+
+class TestOneDdakPerRun:
+    """A system run places data once; the plan's placement is lazy."""
+
+    @pytest.fixture()
+    def ddak_calls(self, monkeypatch):
+        import repro.core.ddak as ddak
+        import repro.core.optimizer as optimizer_mod
+        import repro.runtime.adaptive as adaptive
+        import repro.runtime.system as system
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return ddak.ddak_place(*args, **kwargs)
+
+        for module in (optimizer_mod, system, adaptive):
+            monkeypatch.setattr(module, "ddak_place", counting)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def small_ig(self):
+        # x16 leaves 6 steps, so a step-2 failure is replanned mid-epoch
+        return IGB_HOM.build(scale=IGB_HOM.default_scale * 16, seed=0)
+
+    def _run(self, machine, spec):
+        from repro.api import run
+        from repro.runtime.system import MomentSystem
+
+        return run(MomentSystem(machine), spec)
+
+    def test_fixed_placement_places_once(self, machine, small_ig, ddak_calls):
+        from repro.runtime.spec import RunSpec
+
+        spec = RunSpec(
+            dataset=small_ig,
+            placement=classic_layouts(machine)["c"],
+            sample_batches=6,
+        )
+        result = self._run(machine, spec)
+        assert len(ddak_calls) == 1
+        assert result.data_placement.bins == ddak_calls[0]
+
+    def test_replan_places_twice(self, machine, small_ig, ddak_calls):
+        from repro.faults import FaultSchedule
+        from repro.runtime.spec import RunSpec
+
+        spec = RunSpec(
+            dataset=small_ig,
+            placement=classic_layouts(machine)["c"],
+            sample_batches=6,
+            faults=FaultSchedule.parse("ssd_failure@2:ssd0"),
+            replan=True,
+        )
+        result = self._run(machine, spec)
+        assert result.replan is not None and result.replan.events
+        assert len(ddak_calls) == 2
+
+    def test_searched_plan_places_once(self, machine, ddak_calls):
+        from repro.runtime.spec import RunSpec
+
+        spec = RunSpec(
+            dataset=tiny_dataset(
+                num_vertices=2000, avg_degree=6, batch_size=64, seed=0
+            ),
+            num_gpus=2,
+            num_ssds=2,
+            sample_batches=2,
+        )
+        result = self._run(machine, spec)
+        assert result.plan is not None
+        assert len(ddak_calls) == 1
+
+    def test_lazy_placement_equals_eager_ddak(self, plan, dataset, ddak_calls):
+        import dataclasses
+
+        from repro.core.ddak import ddak_place
+
+        fresh = dataclasses.replace(plan)  # nothing computed yet
+        assert not ddak_calls
+        lazy = fresh.data_placement
+        assert fresh.data_placement is lazy  # computed once
+        assert len(ddak_calls) == 1
+        eager = ddak_place(
+            plan.bins, plan.hotness, dataset.feature_bytes, pool_size=100
+        )
+        assert np.array_equal(lazy.bin_of, eager.bin_of)
+        assert lazy.bins == eager.bins and lazy.method == eager.method
+
+    def test_ddak_error_raises_on_first_read(self, plan):
+        import dataclasses
+
+        from repro.core.ddak import TIER_SSD, Bin
+
+        cramped = dataclasses.replace(
+            plan, bins=[Bin("ssd0", TIER_SSD, 1.0, 1e9)]
+        )
+        with pytest.raises(ValueError, match="dataset needs"):
+            cramped.data_placement

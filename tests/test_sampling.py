@@ -13,7 +13,7 @@ from repro.sampling.hotness import (
     hotness_coverage,
     presample_hotness,
 )
-from repro.sampling.neighbor import sample_batch, sample_neighbors
+from repro.sampling.neighbor import sample_batch, sample_neighbors, sorted_unique
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +85,55 @@ class TestSampleBatch:
         s = sample_batch(g, np.arange(n_seeds), [fanout], seed=2)
         assert s.unique_vertices.max(initial=0) < g.num_vertices
         assert s.unique_vertices.min(initial=0) >= 0
+
+
+def unique_formulation(graph, seeds, fanouts, seed):
+    """``sample_batch`` written with ``np.unique``: (layers, vertex set)."""
+    rng = np.random.default_rng(seed)
+    frontier = np.unique(np.asarray(seeds, dtype=np.int64))
+    all_ids, layers = [frontier], []
+    for fanout in fanouts:
+        layer = sample_neighbors(graph, frontier, fanout, rng)
+        layers.append(layer)
+        frontier = np.unique(layer.dst)
+        all_ids.append(frontier)
+    return layers, np.unique(np.concatenate(all_ids))
+
+
+class TestSortedUnique:
+    @given(
+        st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1)),
+        st.sampled_from([np.int64, np.int32]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_np_unique(self, values, dtype):
+        ids = np.array(values, dtype=np.int64).astype(dtype)
+        got, want = sorted_unique(ids), np.unique(ids)
+        assert np.array_equal(got, want)
+        assert got.dtype == want.dtype
+
+    @pytest.mark.parametrize(
+        "ids",
+        [[], [7], [3, 3, 3, 3], [5, -1, 5, -1], list(range(20, 0, -1))],
+    )
+    def test_edge_inputs(self, ids):
+        ids = np.array(ids, dtype=np.int64)
+        got = sorted_unique(ids)
+        assert np.array_equal(got, np.unique(ids))
+        assert got.dtype == np.int64
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_sample_batch_equals_unique_formulation(self, graph, seed):
+        seeds = np.random.default_rng(seed).integers(0, 1000, 64)  # dups
+        sample = sample_batch(graph, seeds, [25, 10], seed=seed)
+        layers, unique_vertices = unique_formulation(
+            graph, seeds, [25, 10], seed
+        )
+        assert np.array_equal(sample.unique_vertices, unique_vertices)
+        assert sample.unique_vertices.dtype == unique_vertices.dtype
+        for got, want in zip(sample.layers, layers, strict=True):
+            assert np.array_equal(got.src, want.src)
+            assert np.array_equal(got.dst, want.dst)
 
 
 class TestBatching:

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from repro.core.ddak import GPU_REPLICATED, ddak_place, hash_place, make_bins
+from repro.gnn.costmodel import BatchShape
 from repro.graphs.datasets import tiny_dataset
 from repro.hardware.machines import classic_layouts, machine_a, machine_b
 from repro.hardware.specs import P5510
 from repro.sampling.hotness import degree_proxy_hotness
+from repro.sampling.neighbor import sample_batch
 from repro.simulator.binding import static_ssd_binding
 from repro.simulator.iostack import (
     GpuIoQueues,
@@ -254,6 +256,47 @@ class TestEpochSimulator:
         assert result.local_bytes >= 0
         assert set(result.per_gpu_inlet) == set(topo_c.gpus())
         assert result.seeds_per_s > 0
+
+    @pytest.mark.parametrize("fanouts", [(25, 10), (4, 3, 2)])
+    def test_layer_work_equals_unique_src_count(
+        self, machine, topo_c, dataset, fanouts, monkeypatch
+    ):
+        # each GNN layer's destination count is the number of distinct
+        # src vertices in its hop, as np.unique counts them
+        import repro.simulator.pipeline as pipeline
+
+        events = []
+
+        def recording_sample_batch(*args, **kwargs):
+            sample = sample_batch(*args, **kwargs)
+            events.append(("sample", sample))
+            return sample
+
+        def recording_shape(num_nodes, num_edges, layers=()):
+            events.append(("shape", layers))
+            return BatchShape(num_nodes, num_edges, layers)
+
+        monkeypatch.setattr(pipeline, "sample_batch", recording_sample_batch)
+        monkeypatch.setattr(pipeline, "BatchShape", recording_shape)
+        placement = make_placement(topo_c, dataset)
+        EpochSimulator(
+            topo_c,
+            machine,
+            dataset,
+            placement,
+            SimConfig(fanouts=fanouts, sample_batches=2, seed=3),
+        ).run_epoch()
+        checked = 0
+        for i, (kind, layer_work) in enumerate(events):
+            if kind != "shape":
+                continue
+            sample = events[i - 1][1]  # the batch this shape describes
+            assert layer_work == tuple(
+                (int(np.unique(layer.src).size), layer.num_edges)
+                for layer in reversed(sample.layers)
+            )
+            checked += 1
+        assert checked >= len(topo_c.gpus())  # every GPU of a step
 
     def test_replicated_cache_is_local(self, machine, topo_c, dataset):
         placement = make_placement(topo_c, dataset)
