@@ -18,12 +18,11 @@ rest are plain re-executions.  Runners that accept a ``seed`` kwarg get
 per-repetition derived seeds (:func:`repro.utils.rng.derive_seed`);
 seed-stable runners measure wall-time noise, which is the point.
 
-Placement-search knobs pass straight through the engine's env defaults:
-``REPRO_SEARCH_WORKERS=N`` scores candidates on N processes and
-``REPRO_SEARCH_PRUNE=1`` enables bound pruning (see
-:mod:`repro.core.search`); both are recorded in each benchmark's
-metadata so JSONL records from different engine settings stay
-distinguishable.
+The placement-search worker count passes straight through the engine's
+env default: ``REPRO_SEARCH_WORKERS=N`` scores candidates on N
+processes (see :mod:`repro.core.search`); it is recorded in each
+benchmark's metadata so JSONL records from different engine settings
+stay distinguishable.
 """
 
 import inspect
@@ -65,7 +64,6 @@ def bench_metadata(**extra) -> dict:
         },
         scale_profile="full" if os.environ.get("REPRO_FULL") == "1" else "quick",
         search_workers=search.default_workers(),
-        prune_bounds=search.default_prune_bounds(),
         **extra,
     )
 
@@ -93,7 +91,6 @@ def bench_metrics(result) -> dict:
         out["search_seconds"] = float(result.seconds)
         out["num_unique"] = float(result.num_unique)
         out["num_lp_scored"] = float(result.num_lp_scored)
-        out["pruned_by_bound"] = float(result.pruned_by_bound)
         if result.seconds > 0:
             out["candidates_per_s"] = result.num_unique / result.seconds
     return out

@@ -173,8 +173,11 @@ class MomentPlan:
     #: Pass-2 multicommodity prediction for the winner.
     mcf: Optional["McfPrediction"] = None
 
-    #: Full engine result (stage counts, pruning/cache statistics).
+    #: Full engine result (stage and LP-scored counts).
     search: Optional[SearchResult] = None
+
+    #: The NVLink pairs :attr:`topology` was built with.
+    nvlink_pairs: Optional[Tuple[Tuple[int, int], ...]] = None
 
     @cached_property
     def data_placement(self) -> DataPlacement:
@@ -220,8 +223,7 @@ class MomentPlan:
         if self.search is not None:
             lines.append(
                 f"  search engine: workers={self.search.workers}, "
-                f"{self.search.num_lp_scored} LP-scored, "
-                f"{self.search.pruned_by_bound} pruned by bound"
+                f"{self.search.num_lp_scored} LP-scored"
             )
         return "\n".join(lines)
 
@@ -249,10 +251,6 @@ class OptimizerConfig:
     #: Placement-scoring processes; None = the engine default
     #: (``REPRO_SEARCH_WORKERS`` env / ``--search-workers`` CLI, else 1).
     search_workers: Optional[int] = None
-    #: Skip LPs that provably cannot beat the current top-k floor;
-    #: None = the engine default (``REPRO_SEARCH_PRUNE`` env /
-    #: ``--prune-bounds`` CLI, else off).
-    prune_bounds: Optional[bool] = None
 
 
 class MomentOptimizer:
@@ -334,7 +332,6 @@ class MomentOptimizer:
             lp_top_k=max(1, cfg.lp_top_k),
             top_k=max(1, cfg.report_top_k),
             workers=cfg.search_workers,
-            prune_bounds=cfg.prune_bounds,
             candidates=tuple(candidates) if candidates is not None else None,
         )
 
@@ -418,4 +415,5 @@ class MomentOptimizer:
             optimize_seconds=root.duration,
             mcf=best.mcf,
             search=result,
+            nvlink_pairs=cfg.nvlink_pairs,
         )

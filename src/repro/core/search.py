@@ -22,15 +22,12 @@ and experiments) all speak the same :class:`SearchRequest` /
    :data:`PASS1_BATCH`, and each batch's first solution warm-starts the
    rest (``search.warm_starts``).  Its
    throughput is an upper bound on the exact score (the class demand is
-   a relaxation of any concrete bin split), which makes it both the
-   top-k funnel key and the pruning bound.
+   a relaxation of any concrete bin split), which makes it the top-k
+   funnel key.
 3. **Exact scoring (pass 2)** — :class:`MulticommodityScorer`, the
-   multicommodity concurrent-flow LP on the concretised demand.  Only
-   the ``lp_top_k`` best pass-1 candidates reach this stage, and with
-   ``prune_bounds`` on, a candidate whose pass-1 upper bound cannot
-   beat the current best-``top_k`` floor by more than
-   :data:`PRUNE_REL_SLACK` skips the LP — the winner's throughput is
-   preserved to within :data:`PRUNE_EQUIV_TOL` (LP-solver noise).
+   multicommodity concurrent-flow LP on the concretised demand.  The
+   ``lp_top_k`` best pass-1 candidates reach this stage and every one
+   of them is LP-scored; the highest exact score wins.
 
 Scoring runs on a :class:`ParallelExecutor`: ``workers=1`` executes
 inline, ``workers>1`` submits every chunk of a stage to a
@@ -44,8 +41,8 @@ Pass 1 keeps only each candidate's prediction; pass 2 builds the
 topology of each of its ``lp_top_k`` finalists for its LP and drops it
 once scored.  Every stage reports
 through :mod:`repro.obs`: ``search.candidates``, ``search.unique``,
-``search.pass1_scored``, ``search.lp_scored``, ``search.pruned_by_bound``
-and ``search.warm_starts``.
+``search.pass1_scored``, ``search.lp_scored`` and
+``search.warm_starts``.
 """
 
 from __future__ import annotations
@@ -86,22 +83,6 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only, avoids import cycle
     from repro.hardware.machines import MachineSpec
 
 
-#: Relative slack for bound pruning.  Pass-1 max flow and the pass-2 LP
-#: can land within float/solver noise of each other when both clamp on
-#: the same analytic bottleneck (e.g. the SSD aggregate), so an exact
-#: ``bound < floor`` test never fires on tied searches.  Pruning instead
-#: drops candidates whose bound cannot beat the floor by more than one
-#: part in 10⁹, which deliberately includes exact ties.
-PRUNE_REL_SLACK = 1e-9
-
-#: How closely bound pruning preserves the unpruned winner's
-#: throughput.  The pass-1 max-flow relaxation is an upper bound on the
-#: exact multicommodity score only *up to LP-solver tolerance*: a
-#: pruned tie's exact score can exceed its bound (violations up to a
-#: few parts in 10⁵ observed), so the equivalence contract is solver
-#: noise, not float epsilon.
-PRUNE_EQUIV_TOL = 1e-3
-
 #: Candidates per pass-1 scoring batch.  Warm-start chaining operates
 #: within a batch, so serial and parallel runs must cut the candidate
 #: stream into the same batches — a determinism requirement, not a
@@ -113,7 +94,6 @@ PASS1_BATCH = 32
 # Process-wide knob defaults (env-overridable, CLI-settable)
 # ----------------------------------------------------------------------
 _DEFAULT_WORKERS: Optional[int] = None
-_DEFAULT_PRUNE: Optional[bool] = None
 
 
 def default_workers() -> int:
@@ -133,22 +113,10 @@ def set_default_workers(workers: Optional[int]) -> None:
 
 
 def default_prune_bounds() -> bool:
-    """Default bound-pruning switch: ``REPRO_SEARCH_PRUNE`` == 1.
-
-    Off by default: pruning preserves the winner's *throughput* only to
-    within :data:`PRUNE_EQUIV_TOL` and may pick a different member of a
-    solver-noise tie, while the default path must reproduce the serial
-    reference bit-for-bit.
-    """
-    if _DEFAULT_PRUNE is not None:
-        return _DEFAULT_PRUNE
-    return os.environ.get("REPRO_SEARCH_PRUNE", "0") not in ("0", "")
-
-
-def set_default_prune_bounds(prune: Optional[bool]) -> None:
-    """Override the process-wide pruning default (None = env/off)."""
-    global _DEFAULT_PRUNE
-    _DEFAULT_PRUNE = None if prune is None else bool(prune)
+    """Always ``False``: pass 2 LP-scores every finalist and has no
+    bound pruning.  Kept as a constant only because recorded run
+    environments (``perfbench/common.py::env_record``) report it."""
+    return False
 
 
 def default_batch_size() -> int:
@@ -573,13 +541,10 @@ class SearchRequest:
     nvlink_pairs: Optional[Tuple[Tuple[int, int], ...]] = None
     #: Pass-1 → pass-2 funnel width (pass 1 is optimistic, so generous).
     lp_top_k: int = 48
-    #: Candidates kept in the ranked result (also the pruning floor k).
+    #: Candidates kept in the ranked result.
     top_k: int = 10
     #: Scoring processes; None = :func:`default_workers` (env/CLI).
     workers: Optional[int] = None
-    #: Skip the LP for candidates whose pass-1 upper bound cannot beat
-    #: the current best-``top_k`` floor; None = :func:`default_prune_bounds`.
-    prune_bounds: Optional[bool] = None
     #: Restrict the search to these placements (skips enumeration and
     #: symmetry dedupe, e.g. data-placement-only runs à la §4.5).
     candidates: Optional[Tuple[Placement, ...]] = None
@@ -600,12 +565,6 @@ class SearchRequest:
             return default_workers()
         return max(1, int(self.workers))
 
-    def resolved_prune_bounds(self) -> bool:
-        """The effective bound-pruning switch for this request."""
-        if self.prune_bounds is None:
-            return default_prune_bounds()
-        return bool(self.prune_bounds)
-
 
 @dataclass
 class SearchResult:
@@ -620,12 +579,8 @@ class SearchResult:
     num_candidates: int = 0
     #: Candidates scored by pass 1 (after symmetry pruning).
     num_unique: int = 0
-    #: Candidates that entered the pass-2 funnel.
-    num_finalists: int = 0
-    #: Finalists the LP actually evaluated.
+    #: Finalists the LP scored: ``min(lp_top_k, num_unique)``.
     num_lp_scored: int = 0
-    #: Finalists skipped because their pass-1 bound could not win.
-    pruned_by_bound: int = 0
     #: Effective parallelism the search ran with.
     workers: int = 1
     #: Wall-clock duration of the engine run (``search.run`` span).
@@ -640,15 +595,13 @@ class SearchResult:
 # The engine
 # ----------------------------------------------------------------------
 class SearchEngine:
-    """Candidates → pass-1 batches → top-k funnel → pruned pass-2 LPs.
+    """Candidates → pass-1 batches → top-k funnel → pass-2 LPs.
 
     Determinism contract: for fixed candidates and scorers, the winner
     and the ranked top-k are identical for every ``workers`` count;
     throughput ties break on funnel order (pass-1 score descending,
     enumeration index ascending), matching the pre-engine serial path
-    bit-for-bit.  ``prune_bounds`` preserves the winner's throughput to
-    within :data:`PRUNE_EQUIV_TOL` (LP-solver noise) and may pick a
-    different member of a solver-noise tie.
+    bit-for-bit.
     """
 
     def __init__(
@@ -658,14 +611,12 @@ class SearchEngine:
         executor: ParallelExecutor,
         lp_top_k: int = 48,
         top_k: int = 10,
-        prune_bounds: bool = False,
     ) -> None:
         self.placements = placements
         self.num_candidates = num_candidates
         self.executor = executor
         self.lp_top_k = max(1, lp_top_k)
         self.top_k = max(1, top_k)
-        self.prune_bounds = prune_bounds
 
     # -- stage 1: coarse-score every candidate ---------------------------
     def _score_pass1(self):
@@ -683,7 +634,7 @@ class SearchEngine:
             (idx, placements[idx], prediction) for idx, prediction in results
         ]
 
-    # -- stage 2: top-k funnel + bound-pruned exact scoring ---------------
+    # -- stage 2: top-k funnel + exact scoring ----------------------------
     def _select_finalists(self, entries):
         """The ``lp_top_k`` best pass-1 candidates, best first: a stable
         descending sort on pass-1 throughput (ties keep enumeration
@@ -695,63 +646,29 @@ class SearchEngine:
         )
 
     def _score_exact(self, finalists):
-        """LP-score the finalists, skipping candidates that cannot win.
+        """LP-score every finalist in one ``"exact"`` stage, split into
+        one chunk per worker, and rank by exact throughput.
 
-        Finalists arrive sorted by descending pass-1 bound.  A min-heap
-        of the ``top_k`` best exact scores so far gives the floor; a
-        candidate whose bound cannot beat the floor by more than
-        :data:`PRUNE_REL_SLACK` (ties included) skips the LP.  Exact
-        scores can exceed the pass-1 "upper" bound by LP-solver noise,
-        so the winner is preserved to :data:`PRUNE_EQUIV_TOL`, not to
-        float epsilon.
-
-        Scoring proceeds in fixed waves of ``top_k`` candidates and the
-        floor only tightens *between* waves, so prune decisions depend
-        solely on wave boundaries — never on the worker count — and any
-        ``workers`` setting reproduces the serial result exactly.
+        Finalists arrive in funnel order (pass-1 score descending,
+        enumeration index ascending); sorting on that position breaks
+        throughput ties exactly as the serial reference path does.
         """
-        scored: List[Tuple[int, ScoredPlacement]] = []
-        floor_heap: List[float] = []
-        pruned = 0
-        wave_size = max(1, self.top_k)
-        position = 0
-        while position < len(finalists):
-            batch = []
-            while position < len(finalists) and len(batch) < wave_size:
-                entry = finalists[position]
-                position += 1
-                if (
-                    self.prune_bounds
-                    and len(floor_heap) >= self.top_k
-                    and entry[4] <= floor_heap[0] * (1.0 + PRUNE_REL_SLACK)
-                ):
-                    pruned += 1
-                    continue
-                batch.append(entry)
-            if not batch:
-                continue
-            results = self.executor.run_stage(
-                "exact",
-                [(pos, placement, p1) for pos, _, placement, p1, _ in batch],
-                chunk_size=max(
-                    1, -(-len(batch) // max(1, self.executor.workers))
-                ),
+        results = self.executor.run_stage(
+            "exact",
+            [
+                (pos, placement, p1)
+                for pos, (_, placement, p1) in enumerate(finalists)
+            ],
+            chunk_size=-(-len(finalists) // self.executor.workers),
+        )
+        scored = []
+        for pos, mcf in results:
+            _, placement, p1 = finalists[pos]
+            scored.append(
+                (pos, ScoredPlacement(placement, mcf.throughput, p1, mcf))
             )
-            prior = {pos: (placement, p1) for pos, _, placement, p1, _ in batch}
-            for pos, mcf in results:
-                placement, p1 = prior[pos]
-                scored.append(
-                    (pos, ScoredPlacement(placement, mcf.throughput, p1, mcf))
-                )
-                if len(floor_heap) < self.top_k:
-                    heapq.heappush(floor_heap, mcf.throughput)
-                elif mcf.throughput > floor_heap[0]:
-                    heapq.heappushpop(floor_heap, mcf.throughput)
-        # funnel position is the pre-engine stable order: pass-1 score
-        # descending, enumeration index ascending — sorting on it keeps
-        # throughput ties ranked exactly as the serial reference path.
         ranked = sorted(scored, key=lambda pair: (-pair[1].throughput, pair[0]))
-        return [row for _, row in ranked], pruned
+        return [row for _, row in ranked]
 
     # -- entry point ------------------------------------------------------
     def run(self) -> SearchResult:
@@ -760,7 +677,6 @@ class SearchEngine:
             "search.run",
             workers=self.executor.workers,
             lp_top_k=self.lp_top_k,
-            prune_bounds=self.prune_bounds,
         ) as root:
             with self.executor:
                 with obs.span("search.pass1") as sp:
@@ -768,32 +684,21 @@ class SearchEngine:
                     sp.set(candidates=self.num_candidates, unique=len(entries))
                 if not entries:
                     raise ValueError("no placements to score")
-                # bound = pass-1 throughput; funnel position = stable rank
-                finalists = [
-                    (pos, idx, placement, p1, p1.throughput)
-                    for pos, (idx, placement, p1) in enumerate(
-                        self._select_finalists(entries)
-                    )
-                ]
-                with obs.span("search.pass2", finalists=len(finalists)) as sp:
-                    ranked, pruned = self._score_exact(finalists)
-                    sp.set(pruned=pruned, lp_scored=len(ranked))
-            num_lp = len(ranked)
+                with obs.span("search.pass2") as sp:
+                    ranked = self._score_exact(self._select_finalists(entries))
+                    sp.set(lp_scored=len(ranked))
             result = SearchResult(
                 best=ranked[0],
                 scored=ranked[: self.top_k],
                 num_candidates=self.num_candidates,
                 num_unique=len(entries),
-                num_finalists=len(finalists),
-                num_lp_scored=num_lp,
-                pruned_by_bound=pruned,
+                num_lp_scored=len(ranked),
                 workers=self.executor.workers,
                 warm_starts=self.executor.warm_starts,
                 num_batches=len(self.executor.batch_sizes),
             )
             root.set(
                 unique=result.num_unique,
-                pruned=result.pruned_by_bound,
                 throughput=result.best.throughput,
             )
         result.seconds = root.duration
@@ -801,7 +706,6 @@ class SearchEngine:
         obs.add("search.unique", result.num_unique)
         obs.add("search.pass1_scored", result.num_unique)
         obs.add("search.lp_scored", result.num_lp_scored)
-        obs.add("search.pruned_by_bound", result.pruned_by_bound)
         obs.add("search.warm_starts", result.warm_starts)
         for size in self.executor.batch_sizes:
             obs.observe("search.batch_size", size)
@@ -845,7 +749,6 @@ def run_search(request: SearchRequest) -> SearchResult:
         executor,
         lp_top_k=request.lp_top_k,
         top_k=request.top_k,
-        prune_bounds=request.resolved_prune_bounds(),
     )
     try:
         return engine.run()

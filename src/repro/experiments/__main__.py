@@ -6,7 +6,7 @@ Usage::
     python -m repro.experiments fig10      # run one (full settings)
     python -m repro.experiments all --quick
     python -m repro.experiments fig10 --trace --json-out runs.jsonl
-    python -m repro.experiments fig10 --search-workers 4 --prune-bounds
+    python -m repro.experiments fig10 --search-workers 4
     python -m repro.experiments faults --faults "fail@2:ssd0;slow@5:ssd3:0.5"
 
 ``--trace`` prints the telemetry report (span tree, tier breakdown,
@@ -17,8 +17,8 @@ overwrite`` truncates once at startup), and a run that raises
 mid-epoch still flushes its partial record with an ``error`` field
 before the exception propagates.  Either flag enables telemetry for
 the run.
-``--search-workers`` / ``--prune-bounds`` set the placement-search
-engine's process-wide defaults (see :mod:`repro.core.search`).
+``--search-workers`` sets the placement-search engine's process-wide
+scoring parallelism (see :mod:`repro.core.search`).
 """
 
 from __future__ import annotations
@@ -93,19 +93,10 @@ def main(argv=None) -> int:
         "$REPRO_SEARCH_WORKERS or 1; serial and parallel runs pick "
         "identical winners)",
     )
-    parser.add_argument(
-        "--prune-bounds",
-        action="store_true",
-        help="skip pass-2 LP scoring of candidates whose pass-1 bound "
-        "cannot win (preserves the winner's throughput to LP-solver "
-        "noise; see repro.core.search.PRUNE_EQUIV_TOL)",
-    )
     args = parser.parse_args(argv)
 
     if args.search_workers is not None:
         search.set_default_workers(args.search_workers)
-    if args.prune_bounds:
-        search.set_default_prune_bounds(True)
     faults = None
     if args.faults is not None:
         from repro.faults import FaultSchedule

@@ -68,7 +68,7 @@ class SystemResult:
     plan: Optional[MomentPlan] = None
     placement: Optional[Placement] = None
     data_placement: Optional[DataPlacement] = None
-    #: Placement-search outcome (candidate/prune/cache counts) when the
+    #: Placement-search outcome (candidate and LP-scored counts) when the
     #: system ran the search engine (None for fixed-layout baselines).
     search: Optional[SearchResult] = None
     #: Spans + metric deltas recorded during this run (None when
@@ -288,6 +288,11 @@ def gpu_memory_budget(
     return ledger
 
 
+def _pair_key(pairs) -> Tuple[Tuple[int, int], ...]:
+    """NVLink pairs as a comparable tuple (None and empty both mean none)."""
+    return tuple(tuple(pair) for pair in pairs or ())
+
+
 class GnnSystem:
     """Base recipe for a single-machine multi-GPU out-of-core system.
 
@@ -479,7 +484,13 @@ class GnnSystem:
             chosen, plan = self.choose_placement(
                 dataset, placement, num_gpus, num_ssds, nvlink_pairs
             )
-        topo = self.machine.build(chosen, nvlink_pairs=nvlink_pairs)
+        if plan is not None and _pair_key(plan.nvlink_pairs) == _pair_key(
+            nvlink_pairs
+        ):
+            # optimize() already built the chosen placement on these pairs
+            topo = plan.topology
+        else:
+            topo = self.machine.build(chosen, nvlink_pairs=nvlink_pairs)
         fab = fabric_summary(self.machine, topo)
         result.fabric = fab
         # Key the run's counters by fabric shape so warehouse rows can

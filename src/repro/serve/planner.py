@@ -131,7 +131,6 @@ def _plan_payload(plan) -> Optional[Dict]:
         payload["search"] = {
             "workers": int(s.workers),
             "num_lp_scored": int(s.num_lp_scored),
-            "pruned_by_bound": int(s.pruned_by_bound),
         }
     return payload
 

@@ -82,7 +82,6 @@ def test_package_never_imports_tests():
 #: is a new global knob: add it here only together with its docs.
 ENV_KNOBS = {
     "REPRO_SEARCH_WORKERS",
-    "REPRO_SEARCH_PRUNE",
     "REPRO_FABRIC_SEEDS",
     "REPRO_OBS_HIST_MAX",
 }

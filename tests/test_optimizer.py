@@ -315,3 +315,56 @@ class TestOneDdakPerRun:
         )
         with pytest.raises(ValueError, match="dataset needs"):
             cramped.data_placement
+
+
+class TestOneWinnerBuildPerRun:
+    """A searched run simulates on the topology ``optimize`` built for
+    the winner instead of building the same placement again."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        from repro.hardware.machines import MachineSpec
+
+        # score inline so the search's builds happen in this process
+        monkeypatch.setenv("REPRO_SEARCH_WORKERS", "1")
+        built = []
+        build = MachineSpec.build
+
+        def counting(self, *args, **kwargs):
+            topo = build(self, *args, **kwargs)
+            built.append(topo)
+            return topo
+
+        monkeypatch.setattr(MachineSpec, "build", counting)
+        return built
+
+    def _run(self, machine, dataset, **system_kwargs):
+        from repro.api import run
+        from repro.runtime.spec import RunSpec
+        from repro.runtime.system import MomentSystem
+
+        spec = RunSpec(
+            dataset=dataset,
+            placement=classic_layouts(machine)["c"],
+            sample_batches=2,
+        )
+        return run(MomentSystem(machine, **system_kwargs), spec)
+
+    def test_run_reuses_the_plan_topology(self, machine, dataset, builds):
+        result = self._run(machine, dataset)
+        # the search's one LP build, then optimize()'s winner build
+        assert result.plan.search.num_lp_scored == 1
+        assert len(builds) == 2
+        assert builds[-1] is result.plan.topology
+
+    def test_other_nvlink_pairs_rebuild(self, machine, dataset, builds):
+        from repro.hardware.fabric import fabric_summary
+
+        cfg = OptimizerConfig(nvlink_pairs=((0, 1),))
+        result = self._run(machine, dataset, optimizer_config=cfg)
+        assert result.plan.nvlink_pairs == ((0, 1),)
+        assert len(builds) == 3
+        # the run simulates the spec's fabric (no NVLink), not the plan's
+        assert builds[-1] is not result.plan.topology
+        planned = fabric_summary(machine, result.plan.topology)
+        assert result.fabric["links"] < planned["links"]

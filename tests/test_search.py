@@ -23,6 +23,7 @@ from repro.core.flowmodel import FlowTemplate, min_completion_time
 from repro.core.optimizer import (
     CapacityPlan,
     MomentOptimizer,
+    OptimizerConfig,
     tier_fractions,
 )
 from repro.core.placement import (
@@ -37,7 +38,6 @@ from repro.core.search import (
     FlexibleMaxFlowScorer,
     MulticommodityScorer,
     ParallelExecutor,
-    PRUNE_EQUIV_TOL,
     ScoredPlacement,
     SearchRequest,
     default_batch_size,
@@ -46,7 +46,6 @@ from repro.core.search import (
     default_workers,
     run_search,
     scoring_demand,
-    set_default_prune_bounds,
     set_default_workers,
 )
 from repro.core.symmetry import (
@@ -68,6 +67,12 @@ from tests.oracles import (
 FRACTIONS = (0.35, 0.15, 0.5)
 LP_TOP_K = 12
 TOP_K = 5
+
+#: How closely the engine (cut-parametric pass 1) and the legacy
+#: pipeline (bisection pass 1 at ``rel_tol=1e-4``) must agree on the
+#: winning exact throughput: the bisection's slack shifts the pass-2
+#: demand split, and the LP then lands within solver noise.
+KERNEL_EQUIV_TOL = 1e-3
 
 CONFIGS = [
     (machine_a, 2, 4),
@@ -112,7 +117,6 @@ def _request(machine, num_gpus, num_ssds, **overrides):
         lp_top_k=LP_TOP_K,
         top_k=TOP_K,
         workers=1,
-        prune_bounds=False,
     )
     base.update(overrides)
     return SearchRequest(**base)
@@ -120,6 +124,22 @@ def _request(machine, num_gpus, num_ssds, **overrides):
 
 def _ranking(scored):
     return [(row.placement.as_tuple(), row.throughput) for row in scored]
+
+
+@pytest.fixture()
+def stage_calls(monkeypatch):
+    """Every ``ParallelExecutor.run_stage`` call, as ``(stage, items,
+    chunk_size)``."""
+    calls = []
+    run_stage = ParallelExecutor.run_stage
+
+    def recording(self, stage, items, chunk_size):
+        items = list(items)
+        calls.append((stage, len(items), chunk_size))
+        return run_stage(self, stage, items, chunk_size)
+
+    monkeypatch.setattr(ParallelExecutor, "run_stage", recording)
+    return calls
 
 
 class TestEquivalence:
@@ -149,85 +169,50 @@ class TestEquivalence:
         assert parallel.num_candidates == serial.num_candidates
         assert parallel.num_unique == serial.num_unique
 
-    def test_pool_runs_pass1_as_one_stage(self, monkeypatch):
+    def test_pool_runs_pass1_as_one_stage(self, stage_calls):
         """Pass 1 reaches the pool as one ``"coarse"`` stage cut into
         ``PASS1_BATCH`` chunks, so every batch is submitted before any
         is awaited, and the ranking is still the serial one."""
-        calls = []
-        run_stage = ParallelExecutor.run_stage
-
-        def recording(self, stage, items, chunk_size):
-            items = list(items)
-            calls.append((stage, len(items), chunk_size))
-            return run_stage(self, stage, items, chunk_size)
-
         machine = machine_b()
         serial = run_search(_request(machine, 2, 4))
-        monkeypatch.setattr(ParallelExecutor, "run_stage", recording)
+        stage_calls.clear()
         parallel = run_search(_request(machine, 2, 4, workers=2))
-        coarse = [call for call in calls if call[0] == "coarse"]
+        coarse = [call for call in stage_calls if call[0] == "coarse"]
         assert parallel.num_unique > PASS1_BATCH
         assert coarse == [("coarse", parallel.num_unique, PASS1_BATCH)]
         assert parallel.num_batches == -(-parallel.num_unique // PASS1_BATCH)
         assert _ranking(parallel.scored) == _ranking(serial.scored)
         assert parallel.best.throughput == serial.best.throughput
 
-    def test_parallel_pruning_matches_serial_pruning(self):
-        """Prune decisions are wave-based, never worker-dependent."""
-        machine = machine_b()
-        serial = run_search(_request(machine, 2, 4, prune_bounds=True))
-        parallel = run_search(
-            _request(machine, 2, 4, workers=2, prune_bounds=True)
-        )
-        assert serial.pruned_by_bound == parallel.pruned_by_bound
-        assert _ranking(parallel.scored) == _ranking(serial.scored)
-
-    def test_pruning_fires_and_keeps_winner(self):
-        machine = machine_b()
-        off = run_search(_request(machine, 2, 4))
-        on = run_search(_request(machine, 2, 4, prune_bounds=True))
-        assert on.pruned_by_bound > 0
-        assert on.num_lp_scored + on.pruned_by_bound == off.num_lp_scored
-        rel = abs(on.best.throughput - off.best.throughput) / off.best.throughput
-        # the pass-1 bound holds only to LP-solver tolerance, so the
-        # winner is preserved to PRUNE_EQUIV_TOL, not float epsilon
-        assert rel <= PRUNE_EQUIV_TOL
-
-
-class TestPruneNeverDropsArgmax:
-    """Property: bound pruning preserves the winning throughput."""
-
-    @given(
-        machine_idx=st.integers(min_value=0, max_value=1),
-        num_gpus=st.integers(min_value=1, max_value=2),
-        num_ssds=st.integers(min_value=1, max_value=4),
-        f_gpu=st.floats(min_value=0.0, max_value=0.8),
-        f_cpu=st.floats(min_value=0.0, max_value=0.5),
-    )
-    @settings(max_examples=6, deadline=None)
-    def test_prune_on_equals_prune_off(
-        self, machine_idx, num_gpus, num_ssds, f_gpu, f_cpu
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pass2_scores_every_finalist_in_one_stage(
+        self, stage_calls, workers
     ):
-        machine = (machine_a, machine_b)[machine_idx]()
-        total = f_gpu + f_cpu
-        if total > 0.9:
-            f_gpu, f_cpu = 0.9 * f_gpu / total, 0.9 * f_cpu / total
-        fractions = (f_gpu, f_cpu, 1.0 - f_gpu - f_cpu)
-        off = run_search(
-            _request(machine, num_gpus, num_ssds, fractions=fractions)
-        )
-        on = run_search(
-            _request(
-                machine, num_gpus, num_ssds,
-                fractions=fractions, prune_bounds=True,
+        """Pass 2 LP-scores every finalist in one ``"exact"`` stage cut
+        into one chunk per worker, and any worker count ranks the same.
+        Machine B 2/4 has finalists whose pass-1 bound cannot beat the
+        top-k exact floor; they are scored all the same."""
+        machine = machine_b()
+        serial = run_search(_request(machine, 2, 4))
+        stage_calls.clear()
+        result = run_search(_request(machine, 2, 4, workers=workers))
+        n = min(LP_TOP_K, result.num_unique)
+        assert result.num_lp_scored == n
+        exact = [call for call in stage_calls if call[0] == "exact"]
+        assert exact == [("exact", n, -(-n // workers))]
+        assert _ranking(result.scored) == _ranking(serial.scored)
+        assert result.best.throughput == serial.best.throughput
+
+    def test_pruning_settings_are_gone(self):
+        machine = machine_b()
+        with pytest.raises(TypeError):
+            SearchRequest(
+                machine=machine, num_gpus=2, num_ssds=4,
+                fractions=FRACTIONS, prune_bounds=True,
             )
-        )
-        rel = abs(on.best.throughput - off.best.throughput) / (
-            off.best.throughput
-        )
-        # a pruned tie's exact score can exceed its pass-1 bound by
-        # solver noise; the guarantee is PRUNE_EQUIV_TOL (see search.py)
-        assert rel <= PRUNE_EQUIV_TOL
+        with pytest.raises(TypeError):
+            OptimizerConfig(prune_bounds=True)
+        assert default_prune_bounds() is False
 
 
 class TestStreamingSource:
@@ -322,13 +307,6 @@ class TestKnobDefaults:
             set_default_workers(None)
         assert default_workers() >= 1
 
-    def test_set_default_prune_roundtrip(self):
-        try:
-            set_default_prune_bounds(True)
-            assert default_prune_bounds() is True
-        finally:
-            set_default_prune_bounds(None)
-
     def test_pass1_defaults_are_constants(self):
         """Batch size and warm starts are fixed, not knobs: identical
         batches for every worker count is a determinism requirement,
@@ -422,7 +400,7 @@ def _legacy_reference(machine, num_gpus, num_ssds, fractions,
     original scalar bisection solver, kept in ``tests/oracles.py`` —
     making it a true differential test of the cut-parametric kernel
     itself.  ``rel_tol=1e-4`` keeps the bisection slack well inside
-    ``PRUNE_EQUIV_TOL``.
+    :data:`KERNEL_EQUIV_TOL`.
     """
     candidates = enumerate_placements(machine.chassis, num_gpus, num_ssds)
     unique = dedupe_placements(candidates, machine.chassis)
@@ -470,7 +448,7 @@ class TestDifferentialEquivalence:
         rel = abs(result.best.throughput - ref_best.throughput) / (
             ref_best.throughput
         )
-        assert rel <= PRUNE_EQUIV_TOL
+        assert rel <= KERNEL_EQUIV_TOL
         if result.best.placement.as_tuple() != ref_best.placement.as_tuple():
             # Some fabrics have an exact tie plateau at the optimum; the
             # two kernels may break it differently (LP solver noise is
@@ -484,7 +462,7 @@ class TestDifferentialEquivalence:
                 if runner_up is not None
                 else 0.0
             )
-            assert gap <= PRUNE_EQUIV_TOL, (
+            assert gap <= KERNEL_EQUIV_TOL, (
                 "winner differs although the reference optimum is unique"
             )
             topo = machine.build(result.best.placement)
@@ -497,7 +475,7 @@ class TestDifferentialEquivalence:
             tie_rel = abs(mcf.throughput - ref_best.throughput) / (
                 ref_best.throughput
             )
-            assert tie_rel <= PRUNE_EQUIV_TOL
+            assert tie_rel <= KERNEL_EQUIV_TOL
 
     @pytest.mark.parametrize(
         "make_machine,pool",
