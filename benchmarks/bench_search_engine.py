@@ -4,8 +4,8 @@ Measures the staged engine on the machine-B reference searches: the
 serial path (workers=1, bit-identical to the pre-engine optimizer)
 against the same search on ``REPRO_SEARCH_WORKERS`` processes, which
 must rank identically.  Machine B has no chassis symmetries, so its
-searches are the largest (every enumerated candidate is scored) and the
-ones the ≥2× parallel-speedup target is defined on.
+searches are the largest (every enumerated candidate is canonical) and
+the ones the ≥2× parallel-speedup target is defined on.
 
 Quick profile searches 2 GPUs / 4 SSDs (280 candidates); ``REPRO_FULL=1``
 runs the full 4 GPUs / 8 SSDs search (1936 candidates).
@@ -48,13 +48,16 @@ def _request(machine, quick, pool=None):
 
 
 def test_search_serial_reference(benchmark, machine, quick):
-    """The exhaustive serial path: every unique candidate through both
-    scoring passes (the pre-engine behaviour, the speedup baseline)."""
+    """The serial path (the speedup baseline): pass 1 scores the
+    canonical candidates in batches until ``lp_top_k`` reach the
+    storage-egress ceiling (every one when the pool has no ceiling),
+    and pass 2 LP-scores the ``lp_top_k`` best of those."""
     request = dataclasses.replace(_request(machine, quick), workers=1)
     result = run_once(benchmark, run_search, request)
     print(
-        f"\nserial: {result.num_unique} unique, {result.num_lp_scored} "
-        f"LP-scored, {result.seconds:.2f}s"
+        f"\nserial: {result.num_unique} unique, {result.num_pass1_scored} "
+        f"pass-1 scored, {result.num_lp_scored} LP-scored, "
+        f"{result.seconds:.2f}s"
     )
     assert result.num_lp_scored == min(request.lp_top_k, result.num_unique)
 
@@ -62,8 +65,8 @@ def test_search_serial_reference(benchmark, machine, quick):
 def test_search_parallel(benchmark, machine, quick):
     """The engine on the env-configured worker count.
 
-    Its ranking and winning throughput must equal the serial run's
-    exactly (the engine's determinism contract).
+    Its ranking, winning throughput and pass-1 stop must equal the
+    serial run's exactly (the engine's determinism contract).
     """
     request = _request(machine, quick)
     serial = run_search(dataclasses.replace(request, workers=1))
@@ -77,11 +80,19 @@ def test_search_parallel(benchmark, machine, quick):
         (row.placement.as_tuple(), row.throughput) for row in result.scored
     ] == [(row.placement.as_tuple(), row.throughput) for row in serial.scored]
     assert result.best.throughput == serial.best.throughput
+    assert (result.num_pass1_scored, result.num_batches) == (
+        serial.num_pass1_scored,
+        serial.num_batches,
+    )
 
 
 @pytest.mark.parametrize("gpus,ssds", SCALING_POOLS)
 def test_search_scaling_a(benchmark, quick, gpus, ssds):
-    """Candidates/sec scaling curve on machine A (serial, exhaustive).
+    """Candidates/sec scaling curve on machine A (serial).
+
+    The rate is canonical candidates (``num_unique``) per search
+    second, counting those pass 1 never scored after it stopped at the
+    storage-egress ceiling.
 
     One point per (GPUs, SSDs) pool; the ``[4-8]`` point is the
     acceptance benchmark for the vectorized-search speedup.  Runs the

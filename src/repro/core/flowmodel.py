@@ -53,6 +53,7 @@ solves agree exactly (see the warm-start regression tests).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -170,6 +171,72 @@ class FlowPrediction:
     #: that ``time`` is optimal); reusable as a warm-start hint when
     #: re-scoring a similar placement or a degraded fabric.
     cut_partition: Tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class EgressCeiling:
+    """A placement-independent lower bound on every candidate's t*.
+
+    For a set S of flexible classes, the node set {source} ∪ {S's class
+    nodes} ∪ {``m/in`` for every member m of S} is a cut of every
+    candidate's network.  Its constant part is the demand of the bins
+    outside S; its rate part is the members' split edges, each of which
+    is at most the member's largest egress over all slots.  The root of
+    that line bounds t* from below; :attr:`time` is the largest such
+    root over S, summed in :meth:`FlowTemplate.cut_line`'s edge order,
+    so a candidate bound by this very cut solves to the same float.
+    """
+
+    #: The bound (seconds).
+    time: float
+    #: The binding cut, e.g. ``"SSD egress, 8 × 6.0 GB/s"``.
+    cut: str
+
+
+#: Bound-report names of the flexible classes.
+_CLASS_LABELS = {CPU_CLASS: "CPU-memory", SSD_CLASS: "SSD"}
+
+
+def _egress_ceiling(
+    per_bin: Sequence[Tuple[str, float]],
+    total: float,
+    members: Dict[str, List[float]],
+) -> Optional[EgressCeiling]:
+    """The :class:`EgressCeiling` of a demand, or ``None`` when it is
+    zero or names no class.  ``per_bin`` is the demand by sorted bin
+    name; ``members`` maps each class, in split-edge order (CPU
+    memories' splits precede every slot's), to its surviving members'
+    largest egress, in edge order."""
+    if total <= _MIN_DEMAND:
+        return None
+    classes = [name for name, _ in per_bin if name in members]
+    best: Optional[EgressCeiling] = None
+    for mask in range(1, 1 << len(classes)):
+        subset = {c for i, c in enumerate(classes) if mask >> i & 1}
+        # left-to-right sums, as cut_line adds them (sum() would
+        # compensate on Python >= 3.12)
+        b = r = 0.0
+        for bin_name, nbytes in per_bin:
+            if bin_name not in subset:
+                b += nbytes
+        for cls, egresses in members.items():
+            if cls in subset:
+                for egress in egresses:
+                    r += egress
+        if not (np.isfinite(r) and r > _EPS and b < total):
+            continue
+        t = (total - b) / r
+        if best is None or t > best.time:
+            parts = []
+            for cls, egresses in members.items():
+                if cls in subset:
+                    counts = Counter(egresses)
+                    terms = " + ".join(
+                        f"{k} × {egress / 1e9:.1f}" for egress, k in counts.items()
+                    )
+                    parts.append(f"{_CLASS_LABELS[cls]} egress, {terms} GB/s")
+            best = EgressCeiling(t, "; ".join(parts))
+    return best
 
 
 def _storage_members(topo: Topology, class_key: str) -> List[str]:
@@ -725,6 +792,32 @@ class ChassisNetwork:
             if bin_name in (SSD_CLASS, CPU_CLASS):
                 node(f"{bin_name}/class")
         n = len(net.labels)
+        # every SSD rank can land in any group with an SSD slot
+        ssd_bw = max(
+            (
+                ssd_parts.get(group.name, machine.ssd).read_bw
+                for group, _, ssd_slots in slots
+                if ssd_slots
+            ),
+            default=0.0,
+        )
+        #: Lower bound on every placement's t*; None = no stop.
+        self.ceiling = _egress_ceiling(
+            per_bin,
+            self.total,
+            {
+                CPU_CLASS: [
+                    scaled(mem.name, mem.bandwidth)
+                    for mem in chassis.memories
+                    if mem.name not in dropped
+                ],
+                SSD_CLASS: [
+                    scaled(f"ssd{r}", ssd_bw)
+                    for r in range(num_ssds)
+                    if f"ssd{r}" not in dropped
+                ],
+            },
+        )
 
         # a device label's node is ``n + offset + rank`` in the per-
         # placement node table (see :meth:`template`); an edge into a

@@ -221,10 +221,22 @@ class MomentPlan:
             f"  bottlenecks: {', '.join(self.prediction.bottlenecks) or 'none'}",
         ]
         if self.search is not None:
+            s = self.search
             lines.append(
-                f"  search engine: workers={self.search.workers}, "
-                f"{self.search.num_lp_scored} LP-scored"
+                f"  search engine: workers={s.workers}, "
+                f"{s.num_lp_scored} LP-scored"
             )
+            if s.num_pass1_scored < s.num_unique:
+                scan = f"stopped at {s.num_pass1_scored} of {s.num_unique}"
+            else:
+                scan = f"scored all {s.num_unique}"
+            if s.ceiling_cut is None:
+                lines.append(f"  pass 1 {scan} (no storage-egress ceiling)")
+            else:
+                lines.append(
+                    f"  pass 1 {scan}: {s.ceiling_hits} candidates reached "
+                    f"the ceiling ({s.ceiling_cut})"
+                )
         return "\n".join(lines)
 
 
@@ -386,12 +398,8 @@ class MomentOptimizer:
             obs.add("optimizer.candidates", result.num_candidates)
             obs.add("optimizer.unique", result.num_unique)
             best = result.best
-
-            topo = self.machine.build(
-                best.placement, nvlink_pairs=cfg.nvlink_pairs
-            )
             bins = make_bins(
-                topo,
+                result.topology,
                 gpu_cache_bytes=plan.gpu_cache_bytes,
                 cpu_cache_bytes=plan.cpu_cache_bytes,
                 ssd_capacity_bytes=plan.ssd_capacity_bytes,
@@ -402,7 +410,7 @@ class MomentOptimizer:
         obs.observe("optimizer.optimize_seconds", root.duration)
         return MomentPlan(
             placement=best.placement,
-            topology=topo,
+            topology=result.topology,
             prediction=best.prediction,
             fractions=fractions,
             hotness=hotness,

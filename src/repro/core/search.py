@@ -19,37 +19,45 @@ and experiments) all speak the same :class:`SearchRequest` /
    :class:`~repro.core.flowmodel.ChassisNetwork` per search: each
    candidate is a capacity vector over it, so pass 1 builds no
    topology.  Candidates are scored in fixed batches of
-   :data:`PASS1_BATCH`, and each batch's first solution warm-starts the
-   rest (``search.warm_starts``).  Its
+   :data:`PASS1_BATCH`, in enumeration order, and each batch's first
+   solution warm-starts the rest (``search.warm_starts``).  Its
    throughput is an upper bound on the exact score (the class demand is
    a relaxation of any concrete bin split), which makes it the top-k
-   funnel key.
+   funnel key.  No candidate's time beats the network's
+   :class:`~repro.core.flowmodel.EgressCeiling`, so pass 1 stops at the
+   first batch end by which ``lp_top_k`` candidates have reached it: a
+   later candidate could at best tie them and would then lose on
+   enumeration index, so the finalists are the full scan's.
 3. **Exact scoring (pass 2)** — :class:`MulticommodityScorer`, the
    multicommodity concurrent-flow LP on the concretised demand.  The
    ``lp_top_k`` best pass-1 candidates reach this stage and every one
    of them is LP-scored; the highest exact score wins.
 
 Scoring runs on a :class:`ParallelExecutor`: ``workers=1`` executes
-inline, ``workers>1`` submits every chunk of a stage to a
-``concurrent.futures`` process pool before collecting any.  Chunks are
-cut identically either way, results are reassembled by enumeration
-index and the final ranking breaks throughput ties on funnel order
-(pass-1 score descending, enumeration index ascending — the pre-engine
-stable sort), so serial and parallel runs pick the same winner.
+inline, one chunk at a time; ``workers>1`` keeps at most ``workers``
+chunks in flight on a ``concurrent.futures`` process pool and drops
+what is in flight when pass 1 stops.  Chunks are cut identically
+either way, outcomes come back in chunk order and the final ranking
+breaks throughput ties on funnel order (pass-1 score descending,
+enumeration index ascending — the pre-engine stable sort), so serial
+and parallel runs stop at the same batch and pick the same winner.
 
 Pass 1 keeps only each candidate's prediction; pass 2 builds the
-topology of each of its ``lp_top_k`` finalists for its LP and drops it
-once scored.  Every stage reports
-through :mod:`repro.obs`: ``search.candidates``, ``search.unique``,
-``search.pass1_scored``, ``search.lp_scored`` and
-``search.warm_starts``.
+topology of each of its ``lp_top_k`` finalists for its LP and keeps
+only the winner's (:attr:`SearchResult.topology`).  Every stage
+reports through :mod:`repro.obs`: ``search.candidates``,
+``search.unique``, ``search.pass1_scored`` (candidates pass 1 scored),
+``search.ceiling_hits``, ``search.pass1_stopped_at`` (only when pass 1
+stopped early), ``search.lp_scored`` and ``search.warm_starts``.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import (
@@ -57,7 +65,9 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -70,6 +80,7 @@ from repro.core.flowmodel import (
     CPU_CLASS,
     SSD_CLASS,
     ChassisNetwork,
+    EgressCeiling,
     FlowPrediction,
     TrafficDemand,
     solve_batch,
@@ -347,6 +358,18 @@ class MulticommodityScorer:
 # Scoring runtime: topology build + stage dispatch (shared by the
 # inline path and every pool worker)
 # ----------------------------------------------------------------------
+class ChunkOutcome(NamedTuple):
+    """What one scored chunk hands back, inline or across the pool."""
+
+    #: ``(index, prediction)`` per item, in item order.
+    results: List[Tuple[int, object]]
+    #: Pass-1 solves that started from a warm (non-zero) cut root.
+    warm_starts: int = 0
+    #: An ``"exact"`` chunk's best row as ``(index, topology)``: the one
+    #: topology of the chunk that can be the winner's.
+    best_topology: Optional[Tuple[int, Topology]] = None
+
+
 class _ScoreRuntime:
     """Runs one stage on a chunk of candidates.
 
@@ -355,11 +378,12 @@ class _ScoreRuntime:
     pool (built on first use, once per runtime): its first candidate is
     solved alone (seeded by ``warm_cut``) and its binding cut
     warm-starts the rest.  Chaining never crosses a chunk boundary, and
-    :meth:`ParallelExecutor.run_stage` cuts chunks identically inline
-    and on the pool, so every worker count solves identical batches.
-    An ``"exact"`` chunk builds each candidate's topology and LP-scores
-    it against its pass-1 prediction, on one HiGHS instance per runtime
-    (made on the first exact chunk, in the process that runs it).
+    every worker count cuts the same chunks, so every worker count
+    solves identical batches.  An ``"exact"`` chunk builds each
+    candidate's topology and LP-scores it against its pass-1
+    prediction, on one HiGHS instance per runtime (made on the first
+    exact chunk, in the process that runs it), and keeps only the
+    topology of its best row.
     """
 
     def __init__(
@@ -404,35 +428,33 @@ class _ScoreRuntime:
 
     def run_chunk(
         self, stage: str, items: Sequence[Tuple[int, Placement, object]]
-    ) -> Tuple[List[Tuple[int, object]], int]:
-        """Score one chunk; returns ``(results, warm_starts)`` with the
-        pass-1 warm-start count for this chunk."""
-        warm_starts = 0
+    ) -> ChunkOutcome:
+        """Score one chunk of ``(index, placement, pass-1 prediction)``."""
         if stage == "coarse":
             predictions, warm_starts = self.coarse.score_batch(
                 [placement for _, placement, _ in items],
                 self.network,
                 self.warm_cut,
             )
-            results = [
-                (idx, prediction)
-                for (idx, _, _), prediction in zip(items, predictions)
-            ]
-        else:
-            if self._lp_scorer is None:
-                self._lp_scorer = replace(
-                    self.exact, solver=new_lp_solver()
-                )
-            results = [
-                (
-                    idx,
-                    self._lp_scorer.score(
-                        self.topology(placement), placement, p1
-                    ),
-                )
-                for idx, placement, p1 in items
-            ]
-        return results, warm_starts
+            return ChunkOutcome(
+                [
+                    (idx, prediction)
+                    for (idx, _, _), prediction in zip(items, predictions)
+                ],
+                warm_starts,
+            )
+        if self._lp_scorer is None:
+            self._lp_scorer = replace(self.exact, solver=new_lp_solver())
+        results = []
+        best_topology, best_throughput = None, 0.0
+        for idx, placement, p1 in items:
+            topo = self.topology(placement)
+            mcf = self._lp_scorer.score(topo, placement, p1)
+            results.append((idx, mcf))
+            # items arrive in index order: the first of a tie stays best
+            if best_topology is None or mcf.throughput > best_throughput:
+                best_topology, best_throughput = (idx, topo), mcf.throughput
+        return ChunkOutcome(results, best_topology=best_topology)
 
 
 _WORKER_RUNTIME: Optional[_ScoreRuntime] = None
@@ -452,8 +474,8 @@ class ParallelExecutor:
 
     ``workers=1`` runs every chunk in-process through the exact same
     :class:`_ScoreRuntime` code path the pool workers use, so the serial
-    engine is bit-identical to the parallel one; results are always
-    reassembled in submission (enumeration-index) order.
+    engine is bit-identical to the parallel one; outcomes always come
+    back in chunk order.
     """
 
     def __init__(
@@ -470,9 +492,6 @@ class ParallelExecutor:
         self._init_args = (machine, nvlink_pairs, coarse, exact, mask, warm_cut)
         self._local = _ScoreRuntime(*self._init_args)
         self._pool: Optional[ProcessPoolExecutor] = None
-        self.warm_starts = 0
-        #: Size of every pass-1 batch scored, in submission order.
-        self.batch_sizes: List[int] = []
 
     # -- lifecycle -------------------------------------------------------
     def __enter__(self) -> "ParallelExecutor":
@@ -490,39 +509,57 @@ class ParallelExecutor:
             self._pool = None
 
     # -- execution -------------------------------------------------------
+    def ceiling(self, placement: Placement) -> Optional[EgressCeiling]:
+        """The storage-egress bound of ``placement``'s pool network."""
+        return self._local.network(placement).ceiling
+
+    def stream_stage(
+        self,
+        stage: str,
+        chunks: Iterable[Sequence[Tuple[int, Placement, object]]],
+    ) -> Iterator[ChunkOutcome]:
+        """Score ``chunks`` with the named stage, yielding each chunk's
+        outcome in chunk order.
+
+        Inline, a chunk is scored only when the consumer asks for it.
+        On the pool at most ``workers`` chunks are in flight: the next
+        is submitted as the oldest is handed over.  A consumer that
+        stops early discards what is still in flight.
+        """
+        if self._pool is None:
+            for chunk in chunks:
+                yield self._local.run_chunk(stage, chunk)
+            return
+        in_flight: deque = deque()
+        try:
+            for chunk in chunks:
+                in_flight.append(self._pool.submit(_pool_chunk, stage, chunk))
+                if len(in_flight) == self.workers:
+                    yield in_flight.popleft().result()
+            while in_flight:
+                yield in_flight.popleft().result()
+        finally:
+            for future in in_flight:
+                future.cancel()
+
     def run_stage(
         self,
         stage: str,
         items: Sequence[Tuple[int, Placement, object]],
         chunk_size: int,
-    ) -> List[Tuple[int, object]]:
-        """Score ``items`` with the named stage, in index order.
-
-        ``items`` is cut into ``chunk_size`` chunks the same way inline
-        and on the pool; the pool gets every chunk before any result is
-        awaited, so chunks run concurrently.
-        """
+    ) -> List[ChunkOutcome]:
+        """Score all of ``items`` with the named stage, cut into
+        ``chunk_size`` chunks the same way inline and on the pool."""
         items = list(items)
-        chunks = [
-            items[i : i + chunk_size]
-            for i in range(0, len(items), chunk_size)
-        ]
-        if self._pool is None:
-            outcomes = [self._local.run_chunk(stage, chunk) for chunk in chunks]
-        else:
-            futures = [
-                self._pool.submit(_pool_chunk, stage, chunk)
-                for chunk in chunks
-            ]
-            outcomes = [future.result() for future in futures]
-        results: List[Tuple[int, object]] = []
-        for chunk, (chunk_results, warm) in zip(chunks, outcomes):
-            results.extend(chunk_results)
-            self.warm_starts += warm
-            if stage == "coarse":
-                self.batch_sizes.append(len(chunk))
-        results.sort(key=lambda pair: pair[0])
-        return results
+        return list(
+            self.stream_stage(
+                stage,
+                (
+                    items[i : i + chunk_size]
+                    for i in range(0, len(items), chunk_size)
+                ),
+            )
+        )
 
 
 # ----------------------------------------------------------------------
@@ -577,8 +614,15 @@ class SearchResult:
     scored: List[ScoredPlacement] = field(default_factory=list)
     #: Raw enumeration size (before symmetry pruning).
     num_candidates: int = 0
-    #: Candidates scored by pass 1 (after symmetry pruning).
+    #: Candidates after symmetry pruning (the whole canonical set).
     num_unique: int = 0
+    #: Candidates pass 1 scored before it stopped at the ceiling.
+    num_pass1_scored: int = 0
+    #: Scored candidates whose pass-1 time reached the ceiling.
+    ceiling_hits: int = 0
+    #: The ceiling's binding cut (:attr:`EgressCeiling.cut`); ``None``
+    #: when the search had no ceiling.
+    ceiling_cut: Optional[str] = None
     #: Finalists the LP scored: ``min(lp_top_k, num_unique)``.
     num_lp_scored: int = 0
     #: Effective parallelism the search ran with.
@@ -587,8 +631,23 @@ class SearchResult:
     seconds: float = 0.0
     #: Pass-1 solves that started from a warm (non-zero) cut root.
     warm_starts: int = 0
-    #: Pass-1 scoring batches dispatched (serial and parallel alike).
+    #: Pass-1 scoring batches scored (serial and parallel alike).
     num_batches: int = 0
+    #: The winner's topology as pass 2 scored it (under the request's
+    #: ``mask``, if any).
+    topology: Optional[Topology] = None
+
+
+class _Pass1(NamedTuple):
+    """What pass 1 scored, and where and why it stopped."""
+
+    #: ``(index, placement, prediction)`` per scored candidate, in
+    #: enumeration order.
+    entries: List[Tuple[int, Placement, FlowPrediction]]
+    ceiling: Optional[EgressCeiling]
+    hits: int
+    warm_starts: int
+    batch_sizes: List[int]
 
 
 # ----------------------------------------------------------------------
@@ -618,21 +677,48 @@ class SearchEngine:
         self.lp_top_k = max(1, lp_top_k)
         self.top_k = max(1, top_k)
 
-    # -- stage 1: coarse-score every candidate ---------------------------
-    def _score_pass1(self):
-        """Pass-1 score every candidate in :data:`PASS1_BATCH` batches
-        (one executor call, so a pool runs the batches concurrently).
-        Returns ``entries`` with ``entries[i] = (index, placement,
-        pass1_prediction)`` in enumeration order."""
-        placements = list(self.placements)
-        results = self.executor.run_stage(
-            "coarse",
-            [(idx, placement, None) for idx, placement in enumerate(placements)],
-            chunk_size=PASS1_BATCH,
+    # -- stage 1: coarse-score candidates up to the ceiling ---------------
+    def _ceiling(self, placements: List[Placement]) -> Optional[EgressCeiling]:
+        """The bound every candidate's pass-1 time is at least: the
+        storage-egress ceiling of their one pool (``None`` for a mixed
+        or empty candidate list)."""
+        pools = {(p.num_gpus, p.num_ssds) for p in placements}
+        if len(pools) != 1:
+            return None
+        return self.executor.ceiling(placements[0])
+
+    def _score_pass1(self, placements: List[Placement]) -> _Pass1:
+        """Pass-1 score candidates in :data:`PASS1_BATCH` batches, in
+        enumeration order, up to the first batch end by which
+        ``lp_top_k`` of them have reached the ceiling.
+
+        Those candidates have the best pass-1 throughput any candidate
+        can have, so a later one at best ties them and then loses on
+        enumeration index: the finalists are the full scan's.
+        """
+        ceiling = self._ceiling(placements)
+        n = len(placements)
+        chunks = (
+            [
+                (idx, placements[idx], None)
+                for idx in range(start, min(start + PASS1_BATCH, n))
+            ]
+            for start in range(0, n, PASS1_BATCH)
         )
-        return [
-            (idx, placements[idx], prediction) for idx, prediction in results
-        ]
+        entries: List[Tuple[int, Placement, FlowPrediction]] = []
+        hits = warm_starts = 0
+        batch_sizes: List[int] = []
+        with closing(self.executor.stream_stage("coarse", chunks)) as stream:
+            for outcome in stream:
+                batch_sizes.append(len(outcome.results))
+                warm_starts += outcome.warm_starts
+                for idx, prediction in outcome.results:
+                    entries.append((idx, placements[idx], prediction))
+                    if ceiling is not None and prediction.time <= ceiling.time:
+                        hits += 1
+                if hits >= self.lp_top_k:
+                    break
+        return _Pass1(entries, ceiling, hits, warm_starts, batch_sizes)
 
     # -- stage 2: top-k funnel + exact scoring ----------------------------
     def _select_finalists(self, entries):
@@ -647,13 +733,15 @@ class SearchEngine:
 
     def _score_exact(self, finalists):
         """LP-score every finalist in one ``"exact"`` stage, split into
-        one chunk per worker, and rank by exact throughput.
+        one chunk per worker, and rank by exact throughput.  Returns the
+        ranked rows and the winner's topology.
 
         Finalists arrive in funnel order (pass-1 score descending,
         enumeration index ascending); sorting on that position breaks
-        throughput ties exactly as the serial reference path does.
+        throughput ties exactly as the serial reference path does, and
+        the winner is the best row of its own chunk.
         """
-        results = self.executor.run_stage(
+        outcomes = self.executor.run_stage(
             "exact",
             [
                 (pos, placement, p1)
@@ -662,13 +750,17 @@ class SearchEngine:
             chunk_size=-(-len(finalists) // self.executor.workers),
         )
         scored = []
-        for pos, mcf in results:
-            _, placement, p1 = finalists[pos]
-            scored.append(
-                (pos, ScoredPlacement(placement, mcf.throughput, p1, mcf))
-            )
+        topologies = {}
+        for outcome in outcomes:
+            for pos, mcf in outcome.results:
+                _, placement, p1 = finalists[pos]
+                scored.append(
+                    (pos, ScoredPlacement(placement, mcf.throughput, p1, mcf))
+                )
+            pos, topo = outcome.best_topology
+            topologies[pos] = topo
         ranked = sorted(scored, key=lambda pair: (-pair[1].throughput, pair[0]))
-        return [row for _, row in ranked]
+        return [row for _, row in ranked], topologies[ranked[0][0]]
 
     # -- entry point ------------------------------------------------------
     def run(self) -> SearchResult:
@@ -678,24 +770,36 @@ class SearchEngine:
             workers=self.executor.workers,
             lp_top_k=self.lp_top_k,
         ) as root:
+            placements = list(self.placements)
             with self.executor:
                 with obs.span("search.pass1") as sp:
-                    entries = self._score_pass1()
-                    sp.set(candidates=self.num_candidates, unique=len(entries))
-                if not entries:
+                    pass1 = self._score_pass1(placements)
+                    sp.set(
+                        candidates=self.num_candidates,
+                        unique=len(placements),
+                        scored=len(pass1.entries),
+                        ceiling_hits=pass1.hits,
+                    )
+                if not pass1.entries:
                     raise ValueError("no placements to score")
                 with obs.span("search.pass2") as sp:
-                    ranked = self._score_exact(self._select_finalists(entries))
+                    ranked, topology = self._score_exact(
+                        self._select_finalists(pass1.entries)
+                    )
                     sp.set(lp_scored=len(ranked))
             result = SearchResult(
                 best=ranked[0],
                 scored=ranked[: self.top_k],
                 num_candidates=self.num_candidates,
-                num_unique=len(entries),
+                num_unique=len(placements),
+                num_pass1_scored=len(pass1.entries),
+                ceiling_hits=pass1.hits,
+                ceiling_cut=pass1.ceiling.cut if pass1.ceiling else None,
                 num_lp_scored=len(ranked),
                 workers=self.executor.workers,
-                warm_starts=self.executor.warm_starts,
-                num_batches=len(self.executor.batch_sizes),
+                warm_starts=pass1.warm_starts,
+                num_batches=len(pass1.batch_sizes),
+                topology=topology,
             )
             root.set(
                 unique=result.num_unique,
@@ -704,10 +808,13 @@ class SearchEngine:
         result.seconds = root.duration
         obs.add("search.candidates", result.num_candidates)
         obs.add("search.unique", result.num_unique)
-        obs.add("search.pass1_scored", result.num_unique)
+        obs.add("search.pass1_scored", result.num_pass1_scored)
+        obs.add("search.ceiling_hits", result.ceiling_hits)
+        if result.num_pass1_scored < result.num_unique:
+            obs.add("search.pass1_stopped_at", result.num_pass1_scored)
         obs.add("search.lp_scored", result.num_lp_scored)
         obs.add("search.warm_starts", result.warm_starts)
-        for size in self.executor.batch_sizes:
+        for size in pass1.batch_sizes:
             obs.observe("search.batch_size", size)
         return result
 

@@ -131,6 +131,9 @@ def _plan_payload(plan) -> Optional[Dict]:
         payload["search"] = {
             "workers": int(s.workers),
             "num_lp_scored": int(s.num_lp_scored),
+            "num_pass1_scored": int(s.num_pass1_scored),
+            "ceiling_hits": int(s.ceiling_hits),
+            "ceiling_cut": s.ceiling_cut,
         }
     return payload
 

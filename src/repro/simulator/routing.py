@@ -166,26 +166,28 @@ def reconcile_storage_rates(
     rates: Dict[str, float],
     frac: float = DEGENERATE_RATE_FRAC,
 ) -> Dict[str, float]:
-    """Reconcile an LP storage-rate prediction with fair-share reality.
+    """Reconcile pass 1's storage-rate prediction with fair-share reality.
 
     DDAK weighs storage bins by the optimizer's predicted service
-    rates, but the multicommodity LP's optimum can disagree with the
+    rates: ``FlowPrediction.storage_rate``, the per-bin flow pass 1's
+    max flow (Dinic) leaves in its final residual graph, not a
+    multicommodity-LP quantity.  That split can disagree with the
     runtime's max-min arbitration in two ways, both repaired here
     against :func:`fair_storage_rates` (computed per node kind, so
     SSDs are compared among SSDs and memory banks among memory banks):
 
     * **Degenerate zeros** — many rate splits achieve the same
-      bottleneck time, and the solver may park one of several
+      bottleneck time, and the max flow may park one of several
       *symmetric* bins at rate zero, starving a perfectly good device
       of data.  A zero is only repaired when it cannot be explained by
       position: a bin whose fair rate ties its kind's *best* class has
       no positional disadvantage, so a near-zero prediction there is
       pure degeneracy and is lifted to the fair rate.  Bins in worse
       fairness classes — e.g. behind a cascaded switch whose shared
-      uplink caps the class total — keep their zeros: there the LP is
+      uplink caps the class total — keep their zeros: there the flow is
       deliberately concentrating the class's budget on fewer devices,
       and spreading it back out demonstrably loses in the simulator.
-    * **Overestimates** — the LP can grant a bin its full egress
+    * **Overestimates** — the max flow can grant a bin its full egress
       bandwidth even when GPU-side ingress contention caps what the
       fair-share runtime will actually serve; weighting by the
       optimistic rate piles hot data onto a device the arbitration

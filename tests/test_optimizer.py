@@ -318,8 +318,8 @@ class TestOneDdakPerRun:
 
 
 class TestOneWinnerBuildPerRun:
-    """A searched run simulates on the topology ``optimize`` built for
-    the winner instead of building the same placement again."""
+    """A searched run simulates on the winner's topology as pass 2
+    built it: neither ``optimize`` nor the run builds it again."""
 
     @pytest.fixture()
     def builds(self, monkeypatch):
@@ -352,9 +352,9 @@ class TestOneWinnerBuildPerRun:
 
     def test_run_reuses_the_plan_topology(self, machine, dataset, builds):
         result = self._run(machine, dataset)
-        # the search's one LP build, then optimize()'s winner build
+        # the search's one LP build is the plan's topology
         assert result.plan.search.num_lp_scored == 1
-        assert len(builds) == 2
+        assert len(builds) == 1
         assert builds[-1] is result.plan.topology
 
     def test_other_nvlink_pairs_rebuild(self, machine, dataset, builds):
@@ -363,7 +363,7 @@ class TestOneWinnerBuildPerRun:
         cfg = OptimizerConfig(nvlink_pairs=((0, 1),))
         result = self._run(machine, dataset, optimizer_config=cfg)
         assert result.plan.nvlink_pairs == ((0, 1),)
-        assert len(builds) == 3
+        assert len(builds) == 2
         # the run simulates the spec's fabric (no NVLink), not the plan's
         assert builds[-1] is not result.plan.topology
         planned = fabric_summary(machine, result.plan.topology)

@@ -9,6 +9,7 @@ compares the engine against it.
 """
 
 import dataclasses
+import functools
 import gc
 import weakref
 from functools import partial
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
+from repro.core import search as search_module
 
 from repro.core.flowmodel import FlowTemplate, min_completion_time
 from repro.core.optimizer import (
@@ -82,14 +84,15 @@ CONFIGS = [
 ]
 
 
-def _reference_search(machine, num_gpus, num_ssds, fractions,
-                      lp_top_k=LP_TOP_K, top_k=TOP_K):
+def _reference_scan(machine, num_gpus, num_ssds, fractions,
+                    lp_top_k=LP_TOP_K):
     """The pre-engine serial recipe, reimplemented verbatim.
 
     Fully materialised enumeration, batch dedupe, pass-1 on every unique
     candidate, stable descending sort, pass-2 LP on the top ``lp_top_k``,
-    stable descending sort.  Returns (ranked rows, num_candidates,
-    num_unique).
+    stable descending sort.  Returns (pass-1 predictions in enumeration
+    order, finalists as (placement, prediction) in funnel order, ranked
+    rows, num_candidates, num_unique).
     """
     candidates = enumerate_placements(machine.chassis, num_gpus, num_ssds)
     unique = dedupe_placements(candidates, machine.chassis)
@@ -99,13 +102,29 @@ def _reference_search(machine, num_gpus, num_ssds, fractions,
         topo = machine.build(placement)
         demand = scoring_demand(topo, fractions)
         pass1.append((placement, topo, min_completion_time(topo, demand)))
-    pass1.sort(key=lambda row: -row[2].throughput)  # stable: ties keep order
+    funnel = sorted(pass1, key=lambda row: -row[2].throughput)  # stable
     rows = []
-    for placement, topo, p1 in pass1[:lp_top_k]:
+    for placement, topo, p1 in funnel[:lp_top_k]:
         mcf = exact.score(topo, placement, p1)
         rows.append(ScoredPlacement(placement, mcf.throughput, p1, mcf))
     rows.sort(key=lambda row: -row.throughput)  # stable
-    return rows[:top_k], len(candidates), len(unique)
+    return (
+        [p1 for _, _, p1 in pass1],
+        [(placement, p1) for placement, _, p1 in funnel[:lp_top_k]],
+        rows,
+        len(candidates),
+        len(unique),
+    )
+
+
+def _reference_search(machine, num_gpus, num_ssds, fractions,
+                      lp_top_k=LP_TOP_K, top_k=TOP_K):
+    """:func:`_reference_scan`'s top ``top_k`` ranked rows, with
+    num_candidates and num_unique."""
+    _, _, rows, num_candidates, num_unique = _reference_scan(
+        machine, num_gpus, num_ssds, fractions, lp_top_k
+    )
+    return rows[:top_k], num_candidates, num_unique
 
 
 def _request(machine, num_gpus, num_ssds, **overrides):
@@ -142,6 +161,47 @@ def stage_calls(monkeypatch):
     return calls
 
 
+class _CountingPool:
+    """An in-process stand-in for the scoring pool: runs each chunk when
+    its result is collected and tracks the pass-1 chunks submitted but
+    not yet collected or cancelled."""
+
+    last = None
+
+    def __init__(self, max_workers, initializer, initargs):
+        initializer(*initargs)
+        self.in_flight = self.peak = self.submitted = 0
+        _CountingPool.last = self
+
+    def submit(self, fn, stage, chunk):
+        coarse = stage == "coarse"
+        if coarse:
+            self.in_flight += 1
+            self.submitted += 1
+            self.peak = max(self.peak, self.in_flight)
+        return _CountingFuture(self, coarse, partial(fn, stage, chunk))
+
+    def shutdown(self, wait=True):
+        pass
+
+
+class _CountingFuture:
+    def __init__(self, pool, coarse, call):
+        self.pool, self.coarse, self.call = pool, coarse, call
+
+    def _settle(self):
+        self.pool.in_flight -= self.coarse
+        self.coarse = False
+
+    def result(self):
+        self._settle()
+        return self.call()
+
+    def cancel(self):
+        self._settle()
+        return True
+
+
 class TestEquivalence:
     """Engine == pre-engine serial path, on machines A and B, 2 & 4 GPUs."""
 
@@ -169,20 +229,37 @@ class TestEquivalence:
         assert parallel.num_candidates == serial.num_candidates
         assert parallel.num_unique == serial.num_unique
 
-    def test_pool_runs_pass1_as_one_stage(self, stage_calls):
-        """Pass 1 reaches the pool as one ``"coarse"`` stage cut into
-        ``PASS1_BATCH`` chunks, so every batch is submitted before any
-        is awaited, and the ranking is still the serial one."""
+    def test_pool_runs_pass1_in_waves(self, monkeypatch):
+        """Pass 1 keeps at most ``workers`` batches in flight and drops
+        what is in flight at the stop, so a pool stops at the serial
+        boundary with the serial counters and ranking.  Checked on the
+        real pool, and on an in-process pool that counts the batches
+        submitted and not yet collected."""
         machine = machine_b()
-        serial = run_search(_request(machine, 2, 4))
-        stage_calls.clear()
-        parallel = run_search(_request(machine, 2, 4, workers=2))
-        coarse = [call for call in stage_calls if call[0] == "coarse"]
-        assert parallel.num_unique > PASS1_BATCH
-        assert coarse == [("coarse", parallel.num_unique, PASS1_BATCH)]
-        assert parallel.num_batches == -(-parallel.num_unique // PASS1_BATCH)
-        assert _ranking(parallel.scored) == _ranking(serial.scored)
-        assert parallel.best.throughput == serial.best.throughput
+        request = partial(_request, machine, 2, 4, lp_top_k=48, top_k=48)
+        serial = run_search(request())
+        assert PASS1_BATCH < serial.num_pass1_scored < serial.num_unique
+
+        def counters(result):
+            return (
+                result.num_unique,
+                result.num_pass1_scored,
+                result.ceiling_hits,
+                result.num_batches,
+                result.warm_starts,
+                result.num_lp_scored,
+                _ranking(result.scored),
+            )
+
+        assert counters(run_search(request(workers=2))) == counters(serial)
+        monkeypatch.setattr(search_module, "ProcessPoolExecutor", _CountingPool)
+        monkeypatch.setattr(search_module, "_WORKER_RUNTIME", None)
+        for workers in (2, 3):
+            result = run_search(request(workers=workers))
+            pool = _CountingPool.last
+            assert pool.peak == workers
+            assert pool.submitted <= serial.num_batches + workers - 1
+            assert counters(result) == counters(serial)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pass2_scores_every_finalist_in_one_stage(
@@ -335,6 +412,23 @@ class TestOptimizerIntegration:
         text = plan.summary()
         assert "pass-2 multicommodity LP" in text
         assert "search engine: workers=" in text
+        search = plan.search
+        assert (
+            f"pass 1 scored all {search.num_unique}: "
+            f"{search.ceiling_hits} candidates reached the ceiling "
+            f"({search.ceiling_cut})"
+        ) in text
+        stopped = dataclasses.replace(
+            plan, search=dataclasses.replace(search, num_pass1_scored=32)
+        )
+        assert (
+            f"pass 1 stopped at 32 of {search.num_unique}: "
+            in stopped.summary()
+        )
+        bare = dataclasses.replace(
+            plan, search=dataclasses.replace(search, ceiling_cut=None)
+        )
+        assert "(no storage-egress ceiling)" in bare.summary()
         downgraded = dataclasses.replace(plan, mcf=None, search=None)
         assert "pass-1 max-flow" in downgraded.summary()
 
@@ -496,6 +590,124 @@ class TestDifferentialEquivalence:
         two = run_search(_request(machine, *pool, workers=2))
         assert _ranking(two.scored) == _ranking(one.scored)
         assert two.best.throughput == one.best.throughput
+
+
+# ---------------------------------------------------------------------------
+# The storage-egress ceiling: pass 1 stops early, the outcome stays put
+# ---------------------------------------------------------------------------
+
+#: Every differential fabric, plus machines A and B at 4/4 and 4/8.
+CEILING_ROWS = DIFFERENTIAL_FABRICS + [
+    (f"{name}-{gpus}x{ssds}", make, (gpus, ssds))
+    for name, make in (("machine_a", machine_a), ("machine_b", machine_b))
+    for gpus, ssds in ((4, 4), (4, 8))
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _ceiling_scan(name):
+    """A :data:`CEILING_ROWS` row's machine, pool, ceiling and full
+    reference scan, computed once per session."""
+    _, make_machine, pool = next(row for row in CEILING_ROWS if row[0] == name)
+    machine = make_machine()
+    ceiling = FlexibleMaxFlowScorer(FRACTIONS).network(machine, *pool).ceiling
+    return machine, pool, ceiling, _reference_scan(machine, *pool, FRACTIONS)
+
+
+def _stop_boundary(times, ceiling, lp_top_k):
+    """Candidates pass 1 scores: up to the first batch end by which
+    ``lp_top_k`` times reached the ceiling, else all of them."""
+    hits = 0
+    for start in range(0, len(times), PASS1_BATCH):
+        if ceiling is not None:
+            batch = times[start : start + PASS1_BATCH]
+            hits += sum(t <= ceiling.time for t in batch)
+        if hits >= lp_top_k:
+            return min(start + PASS1_BATCH, len(times))
+    return len(times)
+
+
+def _funnel(pass1, count, lp_top_k):
+    """Indices of the finalists among the first ``count`` candidates."""
+    return sorted(range(count), key=lambda i: -pass1[i].throughput)[:lp_top_k]
+
+
+@pytest.fixture()
+def finalists_seen(monkeypatch):
+    """Each search's finalists as ``(placement, pass-1 prediction)``, in
+    the order the ``"exact"`` stage receives them."""
+    seen = []
+    run_stage = ParallelExecutor.run_stage
+
+    def recording(self, stage, items, chunk_size):
+        items = list(items)
+        if stage == "exact":
+            seen.append([(placement, p1) for _, placement, p1 in items])
+        return run_stage(self, stage, items, chunk_size)
+
+    monkeypatch.setattr(ParallelExecutor, "run_stage", recording)
+    return seen
+
+
+class TestCeilingStop:
+    """Pass 1 stops at the first batch end by which ``lp_top_k``
+    candidates reached the storage-egress ceiling.  No candidate beats
+    the ceiling, so the finalists, the ranking and the winner are the
+    full scan's under ``==``, for every worker count."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", [row[0] for row in CEILING_ROWS])
+    def test_stop_keeps_the_full_scan_outcome(
+        self, finalists_seen, name, workers
+    ):
+        machine, pool, ceiling, scan = _ceiling_scan(name)
+        pass1, finalists, rows, _, num_unique = scan
+        times = [p1.time for p1 in pass1]
+        if ceiling is not None:
+            assert min(times) >= ceiling.time
+        boundary = _stop_boundary(times, ceiling, LP_TOP_K)
+
+        result = run_search(
+            _request(machine, *pool, top_k=LP_TOP_K, workers=workers)
+        )
+        assert result.num_unique == num_unique
+        assert result.num_pass1_scored == boundary
+        assert result.ceiling_hits == (
+            sum(t <= ceiling.time for t in times[:boundary]) if ceiling else 0
+        )
+        assert result.ceiling_cut == (ceiling.cut if ceiling else None)
+        assert [
+            (p.as_tuple(), _prediction_fingerprint(p1))
+            for p, p1 in finalists_seen[-1]
+        ] == [
+            (p.as_tuple(), _prediction_fingerprint(p1)) for p, p1 in finalists
+        ]
+        assert _ranking(result.scored) == _ranking(rows)
+        assert result.best.placement.as_tuple() == rows[0].placement.as_tuple()
+        assert result.best.throughput == rows[0].throughput
+        assert result.num_lp_scored == len(finalists)
+
+    def test_the_stop_fires_on_the_storage_bound_shapes(self):
+        for name in ("machine_b", "machine_a-4x8", "machine_b-4x8"):
+            _, _, ceiling, (pass1, _, _, _, num_unique) = _ceiling_scan(name)
+            assert ceiling.cut.startswith("SSD egress")
+            times = [p1.time for p1 in pass1]
+            assert _stop_boundary(times, ceiling, LP_TOP_K) < num_unique
+
+    def test_one_batch_early_changes_the_finalists(self):
+        """Machine B 4/8 at the default funnel width: a pass 1 cut one
+        batch before the boundary has fewer than ``lp_top_k`` ceiling
+        candidates, so its finalists differ from the full scan's."""
+        lp_top_k = 48
+        _, _, ceiling, (pass1, _, _, _, num_unique) = _ceiling_scan(
+            "machine_b-4x8"
+        )
+        times = [p1.time for p1 in pass1]
+        boundary = _stop_boundary(times, ceiling, lp_top_k)
+        assert PASS1_BATCH < boundary < num_unique
+        full = _funnel(pass1, num_unique, lp_top_k)
+        assert _funnel(pass1, boundary, lp_top_k) == full
+        assert _funnel(pass1, boundary - PASS1_BATCH, lp_top_k) != full
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +914,9 @@ class TestChassisNetworkDifferential:
                 assert _pass1_fingerprint(pred) == _pass1_fingerprint(ref), (
                     placement
                 )
+                # the storage-egress ceiling bounds every candidate
+                if network.ceiling is not None:
+                    assert pred.time >= network.ceiling.time, placement
             assert warm_starts == ref_warm
 
 
@@ -862,3 +1077,24 @@ class TestSearchCounters:
         hist = metrics["histograms"]["search.batch_size"]
         assert hist["count"] == result.num_batches
         assert result.num_batches >= 1
+
+    def test_ceiling_counters_exported(self):
+        """``search.pass1_scored`` counts what pass 1 scored, and a stop
+        reports its hits and where it fell; a full scan reports no
+        stop."""
+        with obs.capture() as tel:
+            stopped = run_search(_request(machine_b(), 2, 4))
+        counters = tel.snapshot()["metrics"]["counters"]
+        assert stopped.num_pass1_scored < stopped.num_unique
+        assert counters["search.pass1_scored"] == stopped.num_pass1_scored
+        assert counters["search.pass1_stopped_at"] == stopped.num_pass1_scored
+        assert counters["search.ceiling_hits"] == stopped.ceiling_hits
+        assert stopped.ceiling_hits >= LP_TOP_K
+
+        with obs.capture() as tel:
+            full = run_search(_request(machine_a(), 2, 4, lp_top_k=48))
+        counters = tel.snapshot()["metrics"]["counters"]
+        assert full.num_pass1_scored == full.num_unique
+        assert counters["search.pass1_scored"] == full.num_unique
+        assert "search.pass1_stopped_at" not in counters
+        assert counters["search.ceiling_hits"] == full.ceiling_hits

@@ -599,6 +599,32 @@ class TestPlanStore:
         assert len(reopened) == 2
         assert reopened.load_report.quarantined == 0
 
+    def test_plan_payloads_load_with_or_without_the_ceiling_keys(
+        self, tmp_path
+    ):
+        """Payloads are opaque to the store: one stored before the
+        ``"search"`` object reported the pass-1 stop still loads."""
+        path = str(tmp_path / "plans.jsonl")
+        old = {"plan": {"search": {"workers": 1, "num_lp_scored": 48}}}
+        new = {
+            "plan": {
+                "search": {
+                    "workers": 1,
+                    "num_lp_scored": 48,
+                    "num_pass1_scored": 288,
+                    "ceiling_hits": 48,
+                    "ceiling_cut": "SSD egress, 8 × 6.0 GB/s",
+                }
+            }
+        }
+        store = PlanStore(path)
+        store.put(self.KEY_A, old)
+        store.put(self.KEY_B, new)
+        reopened = PlanStore(path)
+        assert reopened.get(self.KEY_A) == old
+        assert reopened.get(self.KEY_B) == new
+        assert reopened.load_report.quarantined == 0
+
     def test_truncated_tail_tolerated(self, tmp_path):
         path = str(tmp_path / "plans.jsonl")
         store = PlanStore(path)
@@ -965,6 +991,13 @@ class TestHttpServer:
         assert body["plan"]["predicted_throughput"] == pytest.approx(
             direct.plan.predicted_throughput, rel=0, abs=0
         )
+        search = direct.plan.search
+        served = body["plan"]["search"]
+        assert (
+            served["num_pass1_scored"],
+            served["ceiling_hits"],
+            served["ceiling_cut"],
+        ) == (search.num_pass1_scored, search.ceiling_hits, search.ceiling_cut)
 
     def test_hundred_concurrent_clients_no_errors_fast_hits(
         self, live_server
