@@ -12,11 +12,15 @@ paper's prediction-accuracy experiment (Fig. 13) non-circular.
 
 Resources are arbitrary hashable keys with capacities in bytes/second;
 flows are (resource-key list, demand bytes) pairs.  Flows over the same
-resource set always get the same max-min rate, so the NumPy kernel
-groups flows into *path classes* and water-fills a resources x classes
-incidence matrix, one vectorized iteration per distinct rate level.
-The plain per-flow loop it replaced is kept as the reference in the
-test suite (``tests/oracles.py``).
+resource set always get the same max-min rate, so the kernel groups
+flows into *path classes* and water-fills them with scalar loops over
+each class's resources and each resource's classes, one level per
+distinct rate level.  A progressive fill keeps every level's starting
+state and, when flows retire, resumes from the first level their
+classes were fixed at, re-using the levels below it unchanged.  The
+test suite (``tests/oracles.py``) keeps two references: a plain
+per-flow loop, and the NumPy incidence-matrix kernel this one equals
+bit for bit.
 """
 
 from __future__ import annotations
@@ -122,33 +126,110 @@ def _path_classes(
     return class_of, incidence
 
 
-def _water_fill(
-    incidence: np.ndarray, capacity: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
-    """Max-min fair rate per class with ``counts[c]`` live flows in class c.
+class _WaterFill:
+    """Scalar, sparse max-min water-fill over path classes.
 
-    Each iteration fixes every class through a bottleneck resource — one
+    Each level fixes every class through a bottleneck resource — one
     whose remaining capacity per unfixed flow is the smallest — at that
-    share, so there is one iteration per distinct rate level.  Every
-    class with a live flow must use at least one resource.
+    share, so there is one level per distinct rate level.  A level only
+    visits resources that still have unfixed users; user counts are
+    integer-valued floats, so every sum over them is exact in any order.
+
+    The state at the start of each level is kept, so a progressive fill
+    can :meth:`retire` flows and resume from the first level the retired
+    classes were fixed at: below it their resources' shares were
+    strictly above the level, and removing users only raises a share,
+    so the earlier levels come out the same.
     """
-    rates = np.zeros(incidence.shape[1])
-    unfixed = counts.astype(float)  # live flows per class not yet fixed
-    cap_left = capacity.copy()
-    # a resource left with no unfixed user shares inf (or nan at 0/0),
-    # which the nan-skipping minimum never picks
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while unfixed.any():
-            share = cap_left / (incidence @ unfixed)
-            level = np.fmin.reduce(share)
-            bottleneck = share == level
-            fixed = (bottleneck @ incidence > 0) & (unfixed > 0)
-            rates[fixed] = level
-            cap_left -= incidence @ (unfixed * fixed) * level
-            np.maximum(cap_left, 0.0, out=cap_left)
-            cap_left[bottleneck] = 0.0
-            unfixed[fixed] = 0.0
-    return rates
+
+    def __init__(self, incidence: np.ndarray, capacity: np.ndarray) -> None:
+        num_res, num_cls = incidence.shape
+        self.res_of: List[List[int]] = [[] for _ in range(num_cls)]
+        self.cls_on: List[List[int]] = [[] for _ in range(num_res)]
+        for r, c in zip(*(a.tolist() for a in np.nonzero(incidence))):
+            self.res_of[c].append(r)
+            self.cls_on[r].append(c)
+        self.capacity = capacity.tolist()
+        #: per class: its rate, and the level it was fixed at
+        self.rates = [0.0] * num_cls
+        self.fixed_at = [0] * num_cls
+        #: per level: ``(cap_left, users, unfixed, live)`` at its start
+        #: (``live``: the resources with unfixed users) and the classes
+        #: it fixed
+        self.levels: List[Tuple[List[float], List[float], List[float], List[int]]] = []
+        self.fixed: List[List[int]] = []
+
+    def fill(self, counts: Sequence[int]) -> List[float]:
+        """Rates per class with ``counts[c]`` live flows in class c."""
+        unfixed = [float(k) for k in counts]
+        users = [0.0] * len(self.cls_on)
+        for c, k in enumerate(unfixed):
+            for r in self.res_of[c]:
+                users[r] += k
+        live = [r for r, u in enumerate(users) if u > 0]
+        self.rates = [0.0] * len(unfixed)
+        self._run(0, list(self.capacity), users, unfixed, live)
+        return self.rates
+
+    def retire(self, retired: Dict[int, int]) -> List[float]:
+        """Rates after ``retired[c]`` more flows of class c finished."""
+        k = min(self.fixed_at[c] for c in retired)
+        # the retired classes are unfixed at the start of levels 0..k
+        for _, users, unfixed, _ in self.levels[: k + 1]:
+            for c, d in retired.items():
+                unfixed[c] -= d
+                for r in self.res_of[c]:
+                    users[r] -= d
+        for fixed in self.fixed[k:]:
+            for c in fixed:
+                self.rates[c] = 0.0
+        cap_left, users, unfixed, live = self.levels[k]
+        self._run(k, cap_left, users, unfixed, [r for r in live if users[r] > 0])
+        return self.rates
+
+    def _run(
+        self,
+        k: int,
+        cap_left: List[float],
+        users: List[float],
+        unfixed: List[float],
+        live: List[int],
+    ) -> None:
+        """Fill levels ``k, k+1, ...`` from the state at the start of ``k``."""
+        del self.levels[k:], self.fixed[k:]
+        res_of, cls_on = self.res_of, self.cls_on
+        rates, fixed_at = self.rates, self.fixed_at
+        while live:
+            before = users[:]
+            self.levels.append((cap_left[:], before, unfixed[:], live))
+            shares = [cap_left[r] / users[r] for r in live]
+            level = min(shares)
+            fixed: List[int] = []
+            for r, share in zip(live, shares):
+                if share == level:  # a bottleneck: all its users get fixed
+                    for c in cls_on[r]:
+                        u = unfixed[c]
+                        if u > 0:
+                            unfixed[c] = 0.0
+                            rates[c] = level
+                            fixed_at[c] = k
+                            fixed.append(c)
+                            for q in res_of[c]:
+                                users[q] -= u
+            self.fixed.append(fixed)
+            still = []
+            for r in live:
+                u = before[r] - users[r]
+                if u:
+                    # np.maximum(cap - u * level, 0), NaN propagating
+                    left = cap_left[r] - u * level
+                    cap_left[r] = 0.0 if left < 0.0 else left
+                if users[r] > 0:
+                    still.append(r)
+            # a bottleneck has no users left, so its capacity (zeroed in
+            # the reference) is never read again
+            live = still
+            k += 1
 
 
 def max_min_rates(
@@ -173,7 +254,8 @@ def max_min_rates(
     counts = np.bincount(cls[routed], minlength=incidence.shape[1])
     rates = np.zeros(n)
     rates[idx[~routed]] = np.inf
-    rates[idx[routed]] = _water_fill(incidence, capacity, counts)[cls[routed]]
+    class_rates = np.array(_WaterFill(incidence, capacity).fill(counts.tolist()))
+    rates[idx[routed]] = class_rates[cls[routed]]
     return rates.tolist()
 
 
@@ -227,30 +309,40 @@ def progressive_fill(
         class_of, incidence = _path_classes(flows, index, active)
         capacity = np.array([capacities[key] for key in index], dtype=float)
         active = active[class_of[active] >= 0]
+        cls = class_of[active]
+        left = remaining[active]  # per active flow, in step with ``active``
+        counts = np.bincount(cls, minlength=incidence.shape[1])
+        fill = _WaterFill(incidence, capacity)
+        class_rates = np.array(fill.fill(counts.tolist()))
     rounds = 0
     while active.size:
         rounds += 1
         if rounds > n + 1:
             raise RuntimeError("progressive filling failed to converge")
-        cls = class_of[active]
-        counts = np.bincount(cls, minlength=incidence.shape[1])
-        class_rates = _water_fill(incidence, capacity, counts)
         rates = class_rates[cls]
-        starved = np.flatnonzero(rates <= 0)
-        if starved.size:
-            raise RuntimeError(
-                f"flow {active[starved[0]]} starved (zero rate) — capacity exhausted"
-            )
-        dt = float(np.min(remaining[active] / rates))
+        starved = rates <= 0
+        if starved.any():
+            flow = active[starved.argmax()]
+            raise RuntimeError(f"flow {flow} starved (zero rate) — capacity exhausted")
+        dt = float((left / rates).min())
         # advance to the first completion
         rate_on = incidence @ (counts * class_rates)
         np.maximum(peak_rates, rate_on, out=peak_rates)
         resource_bytes += rate_on * dt
         now += dt
-        remaining[active] -= rates * dt
-        done = remaining[active] <= 1e-6
+        left -= rates * dt
+        done = left <= 1e-6
+        if not done.any():
+            continue
         finish[active[done]] = now
-        active = active[~done]
+        retired: Dict[int, int] = {}
+        for c in cls[done].tolist():
+            retired[c] = retired.get(c, 0) + 1
+            counts[c] -= 1
+        keep = ~done
+        active, cls, left = active[keep], cls[keep], left[keep]
+        if active.size:
+            class_rates = np.array(fill.retire(retired))
 
     keys = list(index)
     used = np.flatnonzero(peak_rates > 0)

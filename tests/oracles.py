@@ -4,8 +4,11 @@ They are deliberately plain: direct transcriptions of the algorithm, one
 Python loop per step, kept here so a differential test can pin the
 vectorized production code to them.
 
-* max-min water-filling — :func:`max_min_rates` / :func:`progressive_fill`
-  (reference for :mod:`repro.simulator.bandwidth`);
+* max-min water-filling — :func:`max_min_rates` / :func:`progressive_fill`,
+  a per-flow loop, and :func:`numpy_max_min_rates` /
+  :func:`numpy_progressive_fill`, the NumPy incidence-matrix kernel
+  (:func:`numpy_water_fill`) that the scalar one in
+  :mod:`repro.simulator.bandwidth` equals bit for bit;
 * max flow — :class:`FlowNetwork` with Edmonds–Karp and Dinic, min cut,
   and the paper's time-bisection procedure (:func:`bisect_min_time`);
   :func:`build_time_network` + :func:`bisect_min_completion_time` are
@@ -57,7 +60,13 @@ from repro.hardware.specs import (
     XEON_GOLD_6426Y,
     CpuSpec,
 )
-from repro.simulator.bandwidth import FairShareResult, Flow, ResourceKey
+from repro.simulator.bandwidth import (
+    FairShareResult,
+    Flow,
+    ResourceKey,
+    _check_capacities,
+    _path_classes,
+)
 from repro.utils.validation import check_positive
 
 
@@ -185,6 +194,112 @@ def progressive_fill(
         peak_rates=peak_rates,
     )
     result._tags = [(finish[i], flows[i].tag) for i in range(n)]
+    return result
+
+
+def numpy_water_fill(
+    incidence: np.ndarray, capacity: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Max-min fair rate per class with ``counts[c]`` live flows in class c.
+
+    Each iteration fixes every class through a bottleneck resource — one
+    whose remaining capacity per unfixed flow is the smallest — at that
+    share, so there is one iteration per distinct rate level.  Every
+    class with a live flow must use at least one resource.
+    """
+    rates = np.zeros(incidence.shape[1])
+    unfixed = counts.astype(float)  # live flows per class not yet fixed
+    cap_left = capacity.copy()
+    # a resource left with no unfixed user shares inf (or nan at 0/0),
+    # which the nan-skipping minimum never picks
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while unfixed.any():
+            share = cap_left / (incidence @ unfixed)
+            level = np.fmin.reduce(share)
+            bottleneck = share == level
+            fixed = (bottleneck @ incidence > 0) & (unfixed > 0)
+            rates[fixed] = level
+            cap_left -= incidence @ (unfixed * fixed) * level
+            np.maximum(cap_left, 0.0, out=cap_left)
+            cap_left[bottleneck] = 0.0
+            unfixed[fixed] = 0.0
+    return rates
+
+
+def numpy_max_min_rates(
+    flows: Sequence[Flow],
+    capacities: Dict[ResourceKey, float],
+    active: Optional[Sequence[int]] = None,
+) -> List[float]:
+    """:func:`repro.simulator.bandwidth.max_min_rates` on :func:`numpy_water_fill`."""
+    _check_capacities(capacities)
+    n = len(flows)
+    idx = np.arange(n) if active is None else np.asarray(active, dtype=np.intp)
+    index = {key: r for r, key in enumerate(capacities)}
+    class_of, incidence = _path_classes(flows, index, idx)
+    capacity = np.array([capacities[key] for key in index], dtype=float)
+    cls = class_of[idx]
+    routed = cls >= 0
+    counts = np.bincount(cls[routed], minlength=incidence.shape[1])
+    rates = np.zeros(n)
+    rates[idx[~routed]] = np.inf
+    rates[idx[routed]] = numpy_water_fill(incidence, capacity, counts)[cls[routed]]
+    return rates.tolist()
+
+
+def numpy_progressive_fill(
+    flows: Sequence[Flow],
+    capacities: Dict[ResourceKey, float],
+) -> FairShareResult:
+    """:func:`repro.simulator.bandwidth.progressive_fill` re-filling every
+    round from scratch with :func:`numpy_water_fill`."""
+    n = len(flows)
+    finish = np.zeros(n)
+    remaining = np.array([f.demand for f in flows], dtype=float)
+    index = {key: r for r, key in enumerate(capacities)}
+    resource_bytes = np.zeros(len(index))
+    peak_rates = np.zeros(len(index))
+    active = np.flatnonzero(remaining > 0)
+    now = 0.0
+    if active.size:
+        _check_capacities(capacities)
+        class_of, incidence = _path_classes(flows, index, active)
+        capacity = np.array([capacities[key] for key in index], dtype=float)
+        active = active[class_of[active] >= 0]
+    rounds = 0
+    while active.size:
+        rounds += 1
+        if rounds > n + 1:
+            raise RuntimeError("progressive filling failed to converge")
+        cls = class_of[active]
+        counts = np.bincount(cls, minlength=incidence.shape[1])
+        class_rates = numpy_water_fill(incidence, capacity, counts)
+        rates = class_rates[cls]
+        starved = np.flatnonzero(rates <= 0)
+        if starved.size:
+            raise RuntimeError(
+                f"flow {active[starved[0]]} starved (zero rate) — capacity exhausted"
+            )
+        dt = float(np.min(remaining[active] / rates))
+        # advance to the first completion
+        rate_on = incidence @ (counts * class_rates)
+        np.maximum(peak_rates, rate_on, out=peak_rates)
+        resource_bytes += rate_on * dt
+        now += dt
+        remaining[active] -= rates * dt
+        done = remaining[active] <= 1e-6
+        finish[active[done]] = now
+        active = active[~done]
+
+    keys = list(index)
+    used = np.flatnonzero(peak_rates > 0)
+    result = FairShareResult(
+        makespan=now,
+        finish_times=finish.tolist(),
+        resource_bytes={keys[r]: float(resource_bytes[r]) for r in used},
+        peak_rates={keys[r]: float(peak_rates[r]) for r in used},
+    )
+    result._tags = [(t, f.tag) for t, f in zip(result.finish_times, flows)]
     return result
 
 

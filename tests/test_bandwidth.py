@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simulator.bandwidth import Flow, max_min_rates, progressive_fill
+from repro.simulator.bandwidth import (
+    FairShareResult,
+    Flow,
+    _path_classes,
+    _WaterFill,
+    max_min_rates,
+    progressive_fill,
+)
 from tests import oracles
 
 
@@ -174,7 +181,7 @@ def _assert_same_fill(got, want):
 
 
 @st.composite
-def fair_share_instances(draw, max_flows=100, max_resources=20):
+def fair_share_instances(draw, max_flows=100, max_resources=20, extended=False):
     """Random flows over random resources, as ``(flows, capacities)``.
 
     Paths may repeat a resource or be empty, and demands may be zero.
@@ -183,12 +190,22 @@ def fair_share_instances(draw, max_flows=100, max_resources=20):
     remaining bytes fall to 1e-6, an absolute residue that drops below
     one ulp near 1e15 bytes, where either implementation can run out of
     rounds on its own.
+
+    ``extended`` gives one resource an ``inf`` capacity in about one
+    instance in four, adds paths that repeat their first resource, and
+    draws demands from a few round values too, so that several flows
+    and classes retire in the same round.
     """
     n_res = draw(st.integers(1, max_resources))
     keys = [f"r{j}" if j % 2 else ("link", j) for j in range(n_res)]
     capacities = {k: draw(st.floats(1.0, 100.0)) for k in keys}
     paths = st.lists(st.sampled_from(keys), max_size=4).map(tuple)
     demands = st.one_of(st.just(0.0), st.floats(1e-3, 1e9))
+    if extended:
+        if draw(st.integers(0, 3)) == 0:
+            capacities[draw(st.sampled_from(keys))] = float("inf")
+        paths = st.one_of(paths, paths.map(lambda p: p + p[:1]))
+        demands = st.one_of(demands, st.sampled_from([1.0, 2.0, 3.0, 1e6]))
     specs = draw(
         st.lists(st.tuples(paths, demands), min_size=1, max_size=max_flows)
     )
@@ -283,6 +300,143 @@ class TestKernelMatchesOracle:
             _assert_same_fill(
                 progressive_fill(flows, caps), oracles.progressive_fill(flows, caps)
             )
+
+
+# --- bit-exact checks against the NumPy kernel (tests/oracles.py) ---
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` gives: every result field, or the error raised."""
+    try:
+        out = fn(*args)
+    except (KeyError, ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, FairShareResult):
+        return (
+            out.makespan,
+            out.finish_times,
+            list(out.resource_bytes.items()),
+            list(out.peak_rates.items()),
+            out.finish_by_tag(),
+        )
+    return out
+
+
+def _assert_identical(flows, caps, active=None):
+    assert _outcome(max_min_rates, flows, caps, active) == _outcome(
+        oracles.numpy_max_min_rates, flows, caps, active
+    )
+    assert _outcome(progressive_fill, flows, caps) == _outcome(
+        oracles.numpy_progressive_fill, flows, caps
+    )
+
+
+@pytest.fixture(scope="module")
+def fault_epoch_fills():
+    """Every fill of a machine-A layout-c epoch in which ssd0 fails at
+    step 14 and the run replans: 27 fills, the later ones over degraded
+    capacities with the failed drive's recovery path."""
+    from repro.faults import FaultSchedule
+    from repro.graphs.datasets import IGB_HOM
+    from repro.hardware.machines import classic_layouts, machine_a
+    from repro.runtime.spec import RunSpec
+    from repro.runtime.system import MomentSystem
+    from repro.simulator import pipeline
+
+    captured = []
+
+    def recording_fill(flows, capacities):
+        captured.append((list(flows), dict(capacities)))
+        return progressive_fill(flows, capacities)
+
+    machine = machine_a()
+    spec = RunSpec(
+        dataset=IGB_HOM.build(scale=IGB_HOM.default_scale * 4, seed=0),
+        placement=classic_layouts(machine)["c"],
+        num_gpus=4,
+        num_ssds=8,
+        sample_batches=40,
+        faults=FaultSchedule.parse("ssd_failure@14:ssd0"),
+        replan=True,
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "progressive_fill", recording_fill)
+        MomentSystem(machine, seed=0).run(spec)
+    return captured
+
+
+class TestKernelEqualsNumpyKernel:
+    """The scalar kernel equals the NumPy one under ``==``, errors included."""
+
+    @given(fair_share_instances(extended=True), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_instances(self, instance, data):
+        flows, caps = instance
+        active = data.draw(
+            st.one_of(
+                st.none(),
+                st.sets(st.integers(0, len(flows) - 1)).map(sorted),
+            )
+        )
+        _assert_identical(flows, caps, active)
+
+    @given(fair_share_instances(extended=True), st.randoms())
+    @settings(max_examples=150, deadline=None)
+    def test_resumed_levels(self, instance, rnd):
+        """Retiring flows class by class, each resumed fill equals a
+        fresh NumPy fill; ``inf`` capacities reach the kernel here."""
+        flows, caps = instance
+        index = {key: r for r, key in enumerate(caps)}
+        routed = [i for i, f in enumerate(flows) if f.path]
+        class_of, incidence = _path_classes(flows, index, routed)
+        capacity = np.array(list(caps.values()))
+        counts = np.bincount(class_of[routed], minlength=incidence.shape[1])
+        fill = _WaterFill(incidence, capacity)
+        got = fill.fill(counts.tolist())
+        while True:
+            want = oracles.numpy_water_fill(incidence, capacity, counts)
+            assert got == want.tolist()
+            live = np.flatnonzero(counts).tolist()
+            if not live:
+                break
+            retired = {}
+            for c in rnd.sample(live, rnd.randint(1, len(live))):
+                retired[c] = rnd.randint(1, int(counts[c]))
+                counts[c] -= retired[c]
+            got = fill.retire(retired)
+
+    def test_fault_epoch_fills(self, fault_epoch_fills):
+        from repro.faults import recovery_key
+
+        assert len(fault_epoch_fills) == 27
+        assert any(recovery_key("ssd0") in caps for _, caps in fault_epoch_fills)
+        for flows, caps in fault_epoch_fills:
+            _assert_identical(flows, caps)
+
+    @pytest.mark.parametrize(
+        "flows, caps, error",
+        [
+            pytest.param([Flow(("x",), 1.0)], {"l": 1.0}, "unknown resource"),
+            pytest.param([Flow(("l",), 1.0)], {"l": 0.0}, "positive finite"),
+            pytest.param([Flow(("l",), 1.0)], {"l": -1.0}, "positive finite"),
+            pytest.param([Flow(("l",), 1.0)], {"l": float("inf")}, "positive finite"),
+            # 5e-324 / 3 rounds to a zero share
+            pytest.param([Flow(("l",), 1.0)] * 3, {"l": 5e-324}, "starved"),
+            # near 1e17 bytes the 1e-6-byte retirement residue is below
+            # one ulp, so these two flows outlast the n + 1 round cap
+            pytest.param(
+                [
+                    Flow(("a",), 1.0000000000000586e17),
+                    Flow(("b",), 4.0000000000000186e17),
+                ],
+                {"a": 2.7, "b": 7.0},
+                "failed to converge",
+            ),
+        ],
+    )
+    def test_same_errors(self, flows, caps, error):
+        _assert_identical(flows, caps)
+        assert error in _outcome(progressive_fill, flows, caps)[1]
 
 
 def _lex_max_min(flows, capacities):
