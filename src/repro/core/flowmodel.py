@@ -10,9 +10,9 @@ answers:
   edge carries ``capacity * T`` bytes, with per-storage-node optimal
   flows (the ``Bin_traffic`` input of DDAK, Section 3.3) and the
   saturated links;
-* :func:`solve_batch` — the same for a batch of candidates' networks,
-  each warm-started from the first one's binding cut (the pass-1 kernel
-  behind ``FlexibleMaxFlowScorer``);
+* :func:`solve_template` — the same search on a prebuilt
+  :class:`FlowTemplate` (pass 1 solves each candidate's
+  :meth:`ChassisNetwork.template` with it);
 * :func:`plain_max_flow` — the unconstrained max flow of the base
   formulation.
 
@@ -38,17 +38,11 @@ topology.  Every edge budget is split into ``base + rate * t``
   probe the min cut's root ``(total - base(C)) / rate(C)`` is the next
   candidate time.  Iterating terminates at the **exact** breakpoint
   where the demand first fits (typically 3–5 max-flow solves), and the
-  final min cut doubles as an optimality certificate: its source-side
-  node set is returned as :attr:`FlowPrediction.cut_partition`.
+  final min cut doubles as an optimality certificate: its crossing
+  physical edges are the reported bottlenecks.
 
-Warm starts: any node partition with the source inside and the sink
-outside is a valid cut in *any* network over the same node labels, so a
-parent's binding partition (a scored neighbor placement, or the healthy
-fabric before a :class:`~repro.core.topology.TopologyMask` degraded it)
-gives a sound lower-bound line — the search starts at that line's root
-instead of zero and usually converges in one or two solves.  The final
-answer is the root of the binding cut either way, so warm and cold
-solves agree exactly (see the warm-start regression tests).
+Every solve starts at t = 0 and depends only on its own network, so a
+candidate's score, rates and bottlenecks are those of its solo solve.
 """
 
 from __future__ import annotations
@@ -59,7 +53,6 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -91,9 +84,9 @@ _MIN_DEMAND = 1e-6
 #: where the max flow matches the binding cut's value to float
 #: accumulation error (~1e-14 relative).  A loose slack would let a
 #: probe *below* the true breakpoint pass, making the answer depend on
-#: the probe path (warm vs cold).  A probe that passes with a deficit
-#: is also checked against its residual min cut, so a near-tied cut
-#: whose root lies within the slack still gets probed.
+#: the probe path.  A probe that passes with a deficit is also checked
+#: against its residual min cut, so a near-tied cut whose root lies
+#: within the slack still gets probed.
 _FEAS_TOL = 1e-12
 #: Ceiling on the completion time — a root beyond this means the demand
 #: is disconnected.
@@ -167,10 +160,6 @@ class FlowPrediction:
     storage_rate: Dict[str, float]
     #: Human-readable saturated links at the optimum (bottlenecks).
     bottlenecks: List[str] = field(default_factory=list)
-    #: Source-side node labels of the binding min cut (the certificate
-    #: that ``time`` is optimal); reusable as a warm-start hint when
-    #: re-scoring a similar placement or a degraded fabric.
-    cut_partition: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -559,8 +548,8 @@ class FlowTemplate(FlowGraph):
         """``(base_bytes, rate)`` of the cut induced by a node mask.
 
         Edge terms are accumulated in edge-id order, so the same cut
-        always sums to bit-identical coefficients — warm and cold
-        searches ending on the same binding cut return the same float.
+        always sums to bit-identical coefficients — any search ending on
+        the same binding cut returns the same float.
         """
         base, rate = self._base_list, self._rate_list
         b = r = 0.0
@@ -568,29 +557,6 @@ class FlowTemplate(FlowGraph):
             b += base[e]
             r += rate[e]
         return b, r
-
-    def warm_start(
-        self, partition: Optional[Iterable[str]]
-    ) -> Tuple[float, Optional[bytearray]]:
-        """A warm-start hint's cut root — a sound lower bound on the
-        completion time — and its node mask, or ``(0.0, None)`` when
-        the hint does not transfer.  Labels from a different fabric are
-        simply ignored; dropped nodes vanish from the mask."""
-        if not partition:
-            return 0.0, None
-        index = dict(zip(self.labels, range(len(self.labels))))
-        reach = bytearray(len(self.labels))
-        for label in partition:
-            nid = index.get(label)
-            if nid is not None:
-                reach[nid] = 1
-        if not reach[self.source] or reach[self.sink]:
-            return 0.0, None
-        b, r = self.cut_line(reach)
-        if not np.isfinite(b) or r <= _EPS or b >= self.total:
-            return 0.0, None
-        t0 = (self.total - b) / r
-        return (t0, reach) if t0 > 0.0 else (0.0, None)
 
     # -- result assembly ------------------------------------------------
     def prediction(
@@ -607,7 +573,6 @@ class FlowTemplate(FlowGraph):
             if flow > 0:
                 storage_rate[node] = flow / t_star
         bottlenecks: List[str] = []
-        partition: Tuple[str, ...] = ()
         if cut_mask is not None:
             labels, to = self.labels, self._to
             for e in self._crossing(cut_mask):
@@ -622,10 +587,6 @@ class FlowTemplate(FlowGraph):
                 bottlenecks.append(
                     f"{u_s}->{v_s} ({self._rate_list[e] / 1e9:.1f} GB/s)"
                 )
-            side = np.frombuffer(cut_mask, dtype=np.uint8)
-            partition = tuple(
-                sorted(labels[i] for i in np.flatnonzero(side).tolist())
-            )
         per_gpu_rate = {
             g: d / t_star for g, d in self.demands_by_sink.items()
         }
@@ -635,7 +596,6 @@ class FlowTemplate(FlowGraph):
             per_gpu_rate=per_gpu_rate,
             storage_rate=storage_rate,
             bottlenecks=bottlenecks,
-            cut_partition=partition,
         )
 
 
@@ -1029,14 +989,17 @@ def _next_probe(
     return t_next, reach
 
 
-def _solve_template(
-    tpl: FlowTemplate, t0: float, hint_mask: Optional[bytearray]
-) -> FlowPrediction:
-    """Cut-parametric search from probe ``t0`` (with ``hint_mask`` as
-    the provisional binding cut when ``t0`` came from a warm hint)."""
+def solve_template(tpl: Optional[FlowTemplate]) -> FlowPrediction:
+    """One minimum-completion-time solve (``None`` = zero demand).
+
+    Cut-parametric search from t = 0: probe, and after an infeasible
+    probe move to the residual min cut's root, until the demand fits.
+    """
+    if tpl is None:
+        return FlowPrediction(0.0, 0.0, {}, {})
     threshold = tpl.total * (1.0 - _FEAS_TOL)
-    t = t0
-    cut_mask: Optional[bytearray] = hint_mask
+    t = 0.0
+    cut_mask: Optional[bytearray] = None
     for _ in range(_MAX_ITERS):
         caps = tpl.residual_caps(t)
         got = tpl.max_flow(caps)
@@ -1046,7 +1009,7 @@ def _solve_template(
         if got < tpl.total:
             # feasible only within _FEAS_TOL: a cut nearly tied with the
             # probed one may still have its root just past t, and which
-            # of the two a search meets first depends on its start
+            # of the two the search meets first is down to float error
             reach = tpl.reachable(caps)
             b, r = tpl.cut_line(reach)
             if r > _EPS and (tpl.total - b) / r > t:
@@ -1059,65 +1022,19 @@ def _solve_template(
     )
 
 
-def _solve(
-    tpl: Optional[FlowTemplate],
-    warm_partition: Optional[Iterable[str]],
-) -> Tuple[FlowPrediction, bool]:
-    """One minimum-completion-time solve (``None`` = zero demand), and
-    whether it started from a warm (non-zero) root."""
-    if tpl is None:
-        return FlowPrediction(0.0, 0.0, {}, {}), False
-    t0, hint = tpl.warm_start(warm_partition)
-    return _solve_template(tpl, t0, hint), t0 > 0.0
-
-
 def min_completion_time(
-    topo: Topology,
-    demand: TrafficDemand,
-    warm_partition: Optional[Iterable[str]] = None,
+    topo: Topology, demand: TrafficDemand
 ) -> FlowPrediction:
     """Minimum time to route all demands; the paper's placement score.
 
     Returns the exact minimum completion time (no bisection slack), the
     per-storage-node flows at the optimum (DDAK traffic targets) and
-    the saturated links (bottleneck report).  A ``warm_partition`` from
-    a previously scored neighbor/healthy fabric only changes how fast
-    the search converges, not its answer.
+    the saturated links (bottleneck report).
     """
     tpl = None
     if demand.total > _MIN_DEMAND:
         tpl = FlowTemplate.from_topology(topo, demand)
-    return _solve(tpl, warm_partition)[0]
-
-
-def solve_batch(
-    templates: Iterable[Optional[FlowTemplate]],
-    warm_partition: Optional[Iterable[str]] = None,
-) -> Tuple[List[FlowPrediction], int]:
-    """Solve a batch of templates (``None`` = zero demand), warm-start
-    chained.
-
-    The first template is solved seeded by ``warm_partition``; its
-    binding cut then becomes the warm hint for every other one —
-    enumeration-adjacent placements share most of their fabric, so the
-    hint's root usually lands in the binding segment and the rest
-    converge in one or two solves.  Each template is solved exactly as
-    :func:`min_completion_time` solves it, so each result equals its
-    solo solve.
-
-    Returns ``(predictions, warm_starts)`` where ``warm_starts`` counts
-    solves that actually started from a warm (non-zero) root.
-    """
-    predictions: List[FlowPrediction] = []
-    warm_starts = 0
-    hint, chained = warm_partition, False
-    for tpl in templates:
-        prediction, warm = _solve(tpl, hint)
-        predictions.append(prediction)
-        warm_starts += warm
-        if not chained and tpl is not None:
-            hint, chained = prediction.cut_partition or warm_partition, True
-    return predictions, warm_starts
+    return solve_template(tpl)
 
 
 def plain_max_flow(topo: Topology) -> float:

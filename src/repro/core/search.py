@@ -19,11 +19,10 @@ and experiments) all speak the same :class:`SearchRequest` /
    :class:`~repro.core.flowmodel.ChassisNetwork` per search: each
    candidate is a capacity vector over it, so pass 1 builds no
    topology.  Candidates are scored in fixed batches of
-   :data:`PASS1_BATCH`, in enumeration order, and each batch's first
-   solution warm-starts the rest (``search.warm_starts``).  Its
-   throughput is an upper bound on the exact score (the class demand is
-   a relaxation of any concrete bin split), which makes it the top-k
-   funnel key.  No candidate's time beats the network's
+   :data:`PASS1_BATCH`, in enumeration order, each solved on its own
+   from t = 0.  Its throughput is an upper bound on the exact score
+   (the class demand is a relaxation of any concrete bin split), which
+   makes it the top-k funnel key.  No candidate's time beats the network's
    :class:`~repro.core.flowmodel.EgressCeiling`, so pass 1 stops at the
    first batch end by which ``lp_top_k`` candidates have reached it: a
    later candidate could at best tie them and would then lose on
@@ -48,7 +47,7 @@ only the winner's (:attr:`SearchResult.topology`).  Every stage
 reports through :mod:`repro.obs`: ``search.candidates``,
 ``search.unique``, ``search.pass1_scored`` (candidates pass 1 scored),
 ``search.ceiling_hits``, ``search.pass1_stopped_at`` (only when pass 1
-stopped early), ``search.lp_scored`` and ``search.warm_starts``.
+stopped early) and ``search.lp_scored``.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ from repro.core.flowmodel import (
     EgressCeiling,
     FlowPrediction,
     TrafficDemand,
-    solve_batch,
+    solve_template,
 )
 from repro.core.mcmf import McfPrediction, multicommodity_min_time, new_lp_solver
 from repro.core.placement import Chassis, Placement, count_placements
@@ -94,10 +93,10 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only, avoids import cycle
     from repro.hardware.machines import MachineSpec
 
 
-#: Candidates per pass-1 scoring batch.  Warm-start chaining operates
-#: within a batch, so serial and parallel runs must cut the candidate
-#: stream into the same batches — a determinism requirement, not a
-#: tuning knob.
+#: Candidates per pass-1 scoring batch.  Pass 1 stops only at a batch
+#: end, so every worker count must cut the candidate stream into the
+#: same batches to stop at the same candidate — a determinism
+#: requirement, not a tuning knob.
 PASS1_BATCH = 32
 
 
@@ -136,10 +135,11 @@ def default_batch_size() -> int:
 
 
 def default_warm_starts() -> bool:
-    """Pass-1 warm starts are always on: a warm cut only seeds the
-    cut-parametric time search with a valid lower bound, so warm and
-    cold solves converge to the *same* exact breakpoint."""
-    return True
+    """Always ``False``: every pass-1 solve starts at t = 0 and no cut
+    is carried from one solve to another.  Kept as a constant only
+    because recorded run environments
+    (``perfbench/common.py::env_record``) report it."""
+    return False
 
 
 # ----------------------------------------------------------------------
@@ -311,17 +311,10 @@ class FlexibleMaxFlowScorer:
         self,
         placements: Sequence[Placement],
         network_for: Callable[[Placement], ChassisNetwork],
-        warm_partition: Optional[Tuple[str, ...]] = None,
-    ) -> Tuple[List[FlowPrediction], int]:
-        """Score a batch of placements, warm-start chained, each as a
-        capacity vector over ``network_for(placement)``.
-
-        Returns ``(predictions, warm_starts)``; see
-        :func:`repro.core.flowmodel.solve_batch`.
-        """
-        return solve_batch(
-            (network_for(p).template(p) for p in placements), warm_partition
-        )
+    ) -> List[FlowPrediction]:
+        """Score a batch of placements, each on its own as a capacity
+        vector over ``network_for(placement)``."""
+        return [solve_template(network_for(p).template(p)) for p in placements]
 
 
 @dataclass(frozen=True)
@@ -363,8 +356,6 @@ class ChunkOutcome(NamedTuple):
 
     #: ``(index, prediction)`` per item, in item order.
     results: List[Tuple[int, object]]
-    #: Pass-1 solves that started from a warm (non-zero) cut root.
-    warm_starts: int = 0
     #: An ``"exact"`` chunk's best row as ``(index, topology)``: the one
     #: topology of the chunk that can be the winner's.
     best_topology: Optional[Tuple[int, Topology]] = None
@@ -375,15 +366,11 @@ class _ScoreRuntime:
 
     A ``"coarse"`` chunk is one pass-1 batch, scored over the search's
     :class:`~repro.core.flowmodel.ChassisNetwork` for the candidates'
-    pool (built on first use, once per runtime): its first candidate is
-    solved alone (seeded by ``warm_cut``) and its binding cut
-    warm-starts the rest.  Chaining never crosses a chunk boundary, and
-    every worker count cuts the same chunks, so every worker count
-    solves identical batches.  An ``"exact"`` chunk builds each
-    candidate's topology and LP-scores it against its pass-1
-    prediction, on one HiGHS instance per runtime (made on the first
-    exact chunk, in the process that runs it), and keeps only the
-    topology of its best row.
+    pool (built on first use, once per runtime), each candidate solved
+    on its own.  An ``"exact"`` chunk builds each candidate's topology
+    and LP-scores it against its pass-1 prediction, on one HiGHS
+    instance per runtime (made on the first exact chunk, in the process
+    that runs it), and keeps only the topology of its best row.
     """
 
     def __init__(
@@ -393,14 +380,12 @@ class _ScoreRuntime:
         coarse: FlexibleMaxFlowScorer,
         exact: MulticommodityScorer,
         mask: Optional[TopologyMask] = None,
-        warm_cut: Optional[Tuple[str, ...]] = None,
     ) -> None:
         self.machine = machine
         self.nvlink_pairs = nvlink_pairs
         self.coarse = coarse
         self.exact = exact
         self.mask = mask
-        self.warm_cut = warm_cut
         self._networks: Dict[Tuple[int, int], ChassisNetwork] = {}
         self._lp_scorer: Optional[MulticommodityScorer] = None
 
@@ -431,17 +416,14 @@ class _ScoreRuntime:
     ) -> ChunkOutcome:
         """Score one chunk of ``(index, placement, pass-1 prediction)``."""
         if stage == "coarse":
-            predictions, warm_starts = self.coarse.score_batch(
-                [placement for _, placement, _ in items],
-                self.network,
-                self.warm_cut,
+            predictions = self.coarse.score_batch(
+                [placement for _, placement, _ in items], self.network
             )
             return ChunkOutcome(
                 [
                     (idx, prediction)
                     for (idx, _, _), prediction in zip(items, predictions)
-                ],
-                warm_starts,
+                ]
             )
         if self._lp_scorer is None:
             self._lp_scorer = replace(self.exact, solver=new_lp_solver())
@@ -486,10 +468,9 @@ class ParallelExecutor:
         exact: MulticommodityScorer,
         workers: int = 1,
         mask: Optional[TopologyMask] = None,
-        warm_cut: Optional[Tuple[str, ...]] = None,
     ) -> None:
         self.workers = max(1, int(workers))
-        self._init_args = (machine, nvlink_pairs, coarse, exact, mask, warm_cut)
+        self._init_args = (machine, nvlink_pairs, coarse, exact, mask)
         self._local = _ScoreRuntime(*self._init_args)
         self._pool: Optional[ProcessPoolExecutor] = None
 
@@ -588,13 +569,6 @@ class SearchRequest:
     #: Score every candidate on the degraded (surviving) topology —
     #: used by fault replanning.  ``None`` searches the healthy fabric.
     mask: Optional[TopologyMask] = None
-    #: Warm-start hint: the binding-cut node labels
-    #: (``FlowPrediction.cut_partition``) of a previous, related solve —
-    #: e.g. the healthy-fabric prediction when re-searching under a
-    #: ``mask``, or the current placement when scoring a single-slot
-    #: swap.  Seeds the first candidate of every pass-1 batch; warm and
-    #: cold solves reach the same exact answer.
-    warm_cut: Optional[Tuple[str, ...]] = None
 
     def resolved_workers(self) -> int:
         """The effective worker count for this request."""
@@ -629,8 +603,6 @@ class SearchResult:
     workers: int = 1
     #: Wall-clock duration of the engine run (``search.run`` span).
     seconds: float = 0.0
-    #: Pass-1 solves that started from a warm (non-zero) cut root.
-    warm_starts: int = 0
     #: Pass-1 scoring batches scored (serial and parallel alike).
     num_batches: int = 0
     #: The winner's topology as pass 2 scored it (under the request's
@@ -646,7 +618,6 @@ class _Pass1(NamedTuple):
     entries: List[Tuple[int, Placement, FlowPrediction]]
     ceiling: Optional[EgressCeiling]
     hits: int
-    warm_starts: int
     batch_sizes: List[int]
 
 
@@ -706,19 +677,18 @@ class SearchEngine:
             for start in range(0, n, PASS1_BATCH)
         )
         entries: List[Tuple[int, Placement, FlowPrediction]] = []
-        hits = warm_starts = 0
+        hits = 0
         batch_sizes: List[int] = []
         with closing(self.executor.stream_stage("coarse", chunks)) as stream:
             for outcome in stream:
                 batch_sizes.append(len(outcome.results))
-                warm_starts += outcome.warm_starts
                 for idx, prediction in outcome.results:
                     entries.append((idx, placements[idx], prediction))
                     if ceiling is not None and prediction.time <= ceiling.time:
                         hits += 1
                 if hits >= self.lp_top_k:
                     break
-        return _Pass1(entries, ceiling, hits, warm_starts, batch_sizes)
+        return _Pass1(entries, ceiling, hits, batch_sizes)
 
     # -- stage 2: top-k funnel + exact scoring ----------------------------
     def _select_finalists(self, entries):
@@ -797,7 +767,6 @@ class SearchEngine:
                 ceiling_cut=pass1.ceiling.cut if pass1.ceiling else None,
                 num_lp_scored=len(ranked),
                 workers=self.executor.workers,
-                warm_starts=pass1.warm_starts,
                 num_batches=len(pass1.batch_sizes),
                 topology=topology,
             )
@@ -813,7 +782,6 @@ class SearchEngine:
         if result.num_pass1_scored < result.num_unique:
             obs.add("search.pass1_stopped_at", result.num_pass1_scored)
         obs.add("search.lp_scored", result.num_lp_scored)
-        obs.add("search.warm_starts", result.warm_starts)
         for size in pass1.batch_sizes:
             obs.observe("search.batch_size", size)
         return result
@@ -848,7 +816,6 @@ def run_search(request: SearchRequest) -> SearchResult:
         ),
         workers=request.resolved_workers(),
         mask=request.mask,
-        warm_cut=request.warm_cut,
     )
     engine = SearchEngine(
         placements,

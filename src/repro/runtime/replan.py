@@ -35,9 +35,8 @@ import numpy as np
 
 from repro import obs
 from repro.core.ddak import make_bins
-from repro.core.flowmodel import min_completion_time
 from repro.core.optimizer import CapacityPlan
-from repro.core.search import SearchRequest, run_search, scoring_demand
+from repro.core.search import SearchRequest, run_search
 from repro.core.topology import TopologyMask
 from repro.runtime.adaptive import AdaptivePlacementManager
 from repro.utils.validation import check_fraction, check_positive
@@ -153,13 +152,6 @@ class ReplanPolicy:
         self._healthy_sum = 0.0
         self._healthy_n = 0
         self._fault_clock: Optional[float] = None
-        #: Warm-start hint for the masked re-search: the binding-cut
-        #: labels of the most recent related solve (healthy fabric at
-        #: first, then each replan's own degraded prediction).  Faults
-        #: perturb a few capacities, so the previous cut's root usually
-        #: lands inside the new binding segment and the re-score
-        #: converges in one or two probes.
-        self._warm_cut: Optional[Tuple[str, ...]] = None
 
     # ------------------------------------------------------------------
     def on_step(self, step: int, step_time: float, stages: Dict) -> float:
@@ -212,18 +204,6 @@ class ReplanPolicy:
             "replan.run", step=step, faults=len(view.active)
         ) as sp:
             masked_topo = mask.apply(self.sim.topo)
-            if self._warm_cut is None:
-                # first replan: score the healthy fabric once and keep
-                # its binding cut as the warm seed for the masked search
-                healthy = min_completion_time(
-                    self.sim.topo,
-                    scoring_demand(
-                        self.sim.topo,
-                        self.fractions,
-                        gpu_cache_policy=self.gpu_cache_policy,
-                    ),
-                )
-                self._warm_cut = healthy.cut_partition or None
             request = SearchRequest(
                 machine=self.sim.machine,
                 num_gpus=self.placement.num_gpus,
@@ -236,13 +216,8 @@ class ReplanPolicy:
                 workers=cfg.search_workers,
                 candidates=(self.placement,),
                 mask=mask,
-                warm_cut=self._warm_cut,
             )
             search = run_search(request)
-            # chain: this replan's degraded cut seeds the next one
-            self._warm_cut = (
-                search.best.prediction.cut_partition or self._warm_cut
-            )
             bins = make_bins(
                 masked_topo,
                 gpu_cache_bytes=self.cap_plan.gpu_cache_bytes,
@@ -270,6 +245,5 @@ class ReplanPolicy:
             sp.set(
                 moved_bytes=migration.moved_bytes,
                 migration_seconds=migration.seconds,
-                warm_starts=search.warm_starts,
             )
         return migration.seconds

@@ -282,8 +282,9 @@ class TestReplan:
         """The masked re-search scores the current, unmasked placement
         (4 GPUs / 8 SSDs) on the surviving fabric: its request states
         that placement's pool, and its prediction is the solve on the
-        masked topology."""
-        from repro.core.flowmodel import min_completion_time
+        masked topology.  The replan makes no other max-flow solve: no
+        topology is turned into a flow template during the run."""
+        from repro.core.flowmodel import FlowTemplate, min_completion_time
         from repro.core.search import scoring_demand
         from repro.runtime import replan as replan_module
 
@@ -294,21 +295,30 @@ class TestReplan:
             calls.append((request, run_search(request)))
             return calls[-1][1]
 
+        templates = []
+        from_topology = FlowTemplate.from_topology
+
+        def counting(topo, demand):
+            templates.append(topo)
+            return from_topology(topo, demand)
+
         monkeypatch.setattr(replan_module, "run_search", recording)
+        monkeypatch.setattr(
+            FlowTemplate, "from_topology", staticmethod(counting)
+        )
         sched = FaultSchedule.parse("ssd_failure@2:ssd0")
         result = MomentSystem(machine).run(
             base_spec.replace(faults=sched, replan=True)
         )
         assert len(result.replan.events) == 1
+        assert templates == []
         (request, search), = calls
         assert (request.num_gpus, request.num_ssds) == (4, 8)
         (candidate,) = request.candidates
         assert candidate.as_tuple() == placement_c.as_tuple()
         masked = request.mask.apply(machine.build(candidate))
         expected = min_completion_time(
-            masked,
-            scoring_demand(masked, request.fractions),
-            warm_partition=request.warm_cut,
+            masked, scoring_demand(masked, request.fractions)
         )
         assert search.best.prediction == expected
 

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core.flowmodel import (
+    _FEAS_TOL,
     CPU_CLASS,
     SSD_CLASS,
+    FlowTemplate,
     TrafficDemand,
     min_completion_time,
     plain_max_flow,
@@ -135,6 +137,36 @@ class TestClassDemands:
         d.add(CPU_CLASS, "gpu0", 20 * GB)
         pred = min_completion_time(topo, d)
         assert pred.time == pytest.approx(1.0, rel=1e-2)
+
+
+class TestNearTiedCut:
+    def test_feasible_within_tolerance_probes_the_higher_root(self):
+        """Two SSD splits (r1 + r2) feed one link of (r1 + r2)(1 - 1e-13).
+        The cold search's first cut is the splits; at their root the
+        link carries the demand to within ``_FEAS_TOL``, so that probe
+        passes the feasibility slack.  The solve must still move on to
+        the link cut's higher root, which is the exact t*."""
+        r1, r2 = 2 * GB, 3 * GB
+        link = (r1 + r2) * (1.0 - 1e-13)
+        t = Topology("near-tie")
+        t.add("rc", NodeKind.ROOT_COMPLEX)
+        t.add("gpu0", NodeKind.GPU)
+        t.add("ssd0", NodeKind.SSD, egress_bw=r1)
+        t.add("ssd1", NodeKind.SSD, egress_bw=r2)
+        t.add_link("ssd0", "rc", 16 * GB)
+        t.add_link("ssd1", "rc", 16 * GB)
+        t.add_link("rc", "gpu0", link)
+        d = TrafficDemand()
+        d.add(SSD_CLASS, "gpu0", 60 * GB)
+
+        lower = 60 * GB / (r1 + r2)
+        tpl = FlowTemplate.from_topology(t, d)
+        got = tpl.max_flow(tpl.residual_caps(lower))
+        assert tpl.total * (1.0 - _FEAS_TOL) <= got < tpl.total
+
+        pred = min_completion_time(t, d)
+        assert pred.time == 60 * GB / link > lower
+        assert pred.bottlenecks == ["rc->gpu0 (5.0 GB/s)"]
 
 
 class TestOnMachines:

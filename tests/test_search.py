@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro import obs
 from repro.core import search as search_module
 
-from repro.core.flowmodel import FlowTemplate, min_completion_time
+from repro.core.flowmodel import min_completion_time
 from repro.core.optimizer import (
     CapacityPlan,
     MomentOptimizer,
@@ -246,7 +246,6 @@ class TestEquivalence:
                 result.num_pass1_scored,
                 result.ceiling_hits,
                 result.num_batches,
-                result.warm_starts,
                 result.num_lp_scored,
                 _ranking(result.scored),
             )
@@ -385,11 +384,11 @@ class TestKnobDefaults:
         assert default_workers() >= 1
 
     def test_pass1_defaults_are_constants(self):
-        """Batch size and warm starts are fixed, not knobs: identical
-        batches for every worker count is a determinism requirement,
-        and warm and cold solves agree exactly."""
+        """Batch size is fixed, not a knob: pass 1 stops only at a batch
+        end, so identical batches for every worker count is a
+        determinism requirement.  No solve is warm-started."""
         assert default_batch_size() == PASS1_BATCH == 32
-        assert default_warm_starts() is True
+        assert default_warm_starts() is False
 
 
 @pytest.fixture(scope="module")
@@ -521,7 +520,7 @@ def _legacy_reference(machine, num_gpus, num_ssds, fractions,
 
 class TestDifferentialEquivalence:
     """run_search (direct canonical enumeration + batched cut-parametric
-    kernel + warm-start chaining) against the legacy scalar pipeline."""
+    kernel) against the legacy scalar pipeline."""
 
     @pytest.mark.parametrize(
         "name,make_machine,pool",
@@ -581,10 +580,10 @@ class TestDifferentialEquivalence:
         ids=["machine_a", "machine_b", "gen:7"],
     )
     def test_workers_do_not_change_selection(self, make_machine, pool):
-        """Warm-start chaining is batch-local and batch boundaries are
-        worker-independent, and each pool worker LP-scores on its own
-        HiGHS instance, so any worker count picks the same plan — bit
-        for bit."""
+        """Every pass-1 solve depends only on its own candidate, batch
+        boundaries (where pass 1 may stop) are worker-independent, and
+        each pool worker LP-scores on its own HiGHS instance, so any
+        worker count picks the same plan — bit for bit."""
         machine = make_machine()
         one = run_search(_request(machine, *pool))
         two = run_search(_request(machine, *pool, workers=2))
@@ -676,11 +675,8 @@ class TestCeilingStop:
             sum(t <= ceiling.time for t in times[:boundary]) if ceiling else 0
         )
         assert result.ceiling_cut == (ceiling.cut if ceiling else None)
-        assert [
-            (p.as_tuple(), _prediction_fingerprint(p1))
-            for p, p1 in finalists_seen[-1]
-        ] == [
-            (p.as_tuple(), _prediction_fingerprint(p1)) for p, p1 in finalists
+        assert [(p.as_tuple(), p1) for p, p1 in finalists_seen[-1]] == [
+            (p.as_tuple(), p1) for p, p1 in finalists
         ]
         assert _ranking(result.scored) == _ranking(rows)
         assert result.best.placement.as_tuple() == rows[0].placement.as_tuple()
@@ -815,8 +811,8 @@ class TestBatchScalarEquivalence:
         self, machine_idx, f_gpu, f_cpu, start, take
     ):
         """The batch kernel returns, element for element, exactly what
-        the scalar kernel returns for each placement's topology alone —
-        with the batch's warm-start chaining on."""
+        the scalar kernel returns for each placement's topology alone,
+        bottlenecks included."""
         machine = (machine_a, machine_b)[machine_idx]()
         total = f_gpu + f_cpu
         if total > 0.9:
@@ -826,14 +822,11 @@ class TestBatchScalarEquivalence:
         window = placements[start:start + take] or placements[:take]
         scorer = FlexibleMaxFlowScorer(fractions=fractions)
         network = scorer.network(machine, 2, 4)
-        batch, _warm = scorer.score_batch(window, lambda p: network)
+        batch = scorer.score_batch(window, lambda p: network)
         for placement, batched in zip(window, batch):
             topo = machine.build(placement, validate=False)
             solo = min_completion_time(topo, scoring_demand(topo, fractions))
-            assert batched.time == solo.time
-            assert batched.throughput == solo.throughput
-            assert batched.storage_rate == solo.storage_rate
-            assert batched.per_gpu_rate == solo.per_gpu_rate
+            assert batched == solo, placement
 
 
 # ---------------------------------------------------------------------------
@@ -865,21 +858,10 @@ def _chassis_rows():
 CHASSIS_ROWS = _chassis_rows()
 
 
-def _pass1_fingerprint(pred):
-    return (
-        pred.time,
-        pred.throughput,
-        tuple(pred.per_gpu_rate.items()),
-        tuple(pred.storage_rate.items()),
-        pred.bottlenecks,
-        pred.cut_partition,
-    )
-
-
 class TestChassisNetworkDifferential:
     """Pass 1 scores each placement as a capacity vector over one chassis
-    network per search; every prediction and warm-start count must equal
-    the per-candidate topology solve, chained in the same batches."""
+    network per search; every prediction must equal the candidate's own
+    topology solve, as a whole."""
 
     @pytest.mark.parametrize(
         "make_machine,pool,nvlink_pairs,mask,policy",
@@ -895,152 +877,45 @@ class TestChassisNetworkDifferential:
         placements = list(iter_canonical_placements(machine.chassis, *pool))
         for start in range(0, len(placements), PASS1_BATCH):
             batch = placements[start:start + PASS1_BATCH]
-            got, warm_starts = scorer.score_batch(batch, lambda p: network)
-            hint, ref_warm = None, 0
-            for i, (placement, pred) in enumerate(zip(batch, got)):
+            got = scorer.score_batch(batch, lambda p: network)
+            for placement, pred in zip(batch, got):
                 topo = machine.build(placement, nvlink_pairs=nvlink_pairs)
                 if mask:
                     topo = mask.apply(topo)
                 demand = scoring_demand(
                     topo, FRACTIONS, gpu_cache_policy=policy
                 )
-                ref = min_completion_time(topo, demand, warm_partition=hint)
-                ref_warm += (
-                    FlowTemplate.from_topology(topo, demand).warm_start(hint)[0]
-                    > 0.0
-                )
-                if i == 0:
-                    hint = ref.cut_partition or None
-                assert _pass1_fingerprint(pred) == _pass1_fingerprint(ref), (
-                    placement
-                )
+                ref = min_completion_time(topo, demand)
+                assert pred == ref, placement
+                # dict == ignores key order; callers that iterate see it
+                assert list(pred.storage_rate) == list(ref.storage_rate)
+                assert list(pred.per_gpu_rate) == list(ref.per_gpu_rate)
                 # the storage-egress ceiling bounds every candidate
                 if network.ceiling is not None:
                     assert pred.time >= network.ceiling.time, placement
-            assert warm_starts == ref_warm
 
 
 # ---------------------------------------------------------------------------
-# Warm-start regression: warm re-score of a neighbor == cold solve
+# Warm-start regression: with warm starts gone, the engine and the replan
+# request shape still give exactly the cold per-candidate answer
 # ---------------------------------------------------------------------------
-
-
-def _single_slot_swap_pair(machine, num_gpus, num_ssds):
-    """Two canonical placements differing by moving one SSD between
-    groups (GPU seating identical)."""
-    placements = list(
-        iter_canonical_placements(machine.chassis, num_gpus, num_ssds)
-    )
-    for i, a in enumerate(placements):
-        ta = a.as_tuple()
-        for b in placements[i + 1:]:
-            tb = b.as_tuple()
-            gpu_same = all(x[1] == y[1] for x, y in zip(ta, tb))
-            ssd_moves = sum(abs(x[2] - y[2]) for x, y in zip(ta, tb))
-            if gpu_same and ssd_moves == 2:
-                return a, b
-    raise AssertionError("no single-slot-swap pair in the canonical set")
-
-
-def _prediction_fingerprint(pred):
-    return (
-        pred.time,
-        pred.throughput,
-        tuple(sorted(pred.storage_rate.items())),
-        tuple(sorted(pred.per_gpu_rate.items())),
-    )
 
 
 class TestWarmStartRegression:
-    def test_swap_neighbor_warm_equals_cold(self):
-        machine = machine_a()
-        a, b = _single_slot_swap_pair(machine, 2, 4)
-        topo_a = machine.build(a)
-        topo_b = machine.build(b)
-        seed = min_completion_time(
-            topo_a, scoring_demand(topo_a, FRACTIONS)
-        )
-        assert seed.cut_partition  # the hint we warm-start from
-        demand_b = scoring_demand(topo_b, FRACTIONS)
-        warm = min_completion_time(
-            topo_b, demand_b, warm_partition=seed.cut_partition
-        )
-        cold = min_completion_time(topo_b, demand_b)
-        assert _prediction_fingerprint(warm) == _prediction_fingerprint(cold)
-
-    def test_swap_neighbor_warm_equals_cold_under_mask(self):
-        """The replan shape: the warm hint comes from the *healthy*
-        fabric while the solve runs on a degraded (masked) one."""
-        machine = machine_a()
-        a, b = _single_slot_swap_pair(machine, 2, 4)
-        healthy = machine.build(a)
-        seed = min_completion_time(
-            healthy, scoring_demand(healthy, FRACTIONS)
-        )
-        mask = TopologyMask(
-            drop_nodes=(),
-            egress_factors=(("ssd0", 0.4),),
-            link_factors=(("rc0", "plx0", 0.5),),
-        )
-        masked = mask.apply(machine.build(b))
-        demand = scoring_demand(masked, FRACTIONS)
-        warm = min_completion_time(
-            masked, demand, warm_partition=seed.cut_partition
-        )
-        cold = min_completion_time(masked, demand)
-        assert _prediction_fingerprint(warm) == _prediction_fingerprint(cold)
-
-    def test_warm_hint_survives_dropped_nodes(self):
-        """A hint naming nodes the mask removed must degrade to a cold
-        start, not crash or corrupt the solve."""
-        machine = machine_a()
-        a, _b = _single_slot_swap_pair(machine, 2, 4)
-        healthy = machine.build(a)
-        seed = min_completion_time(
-            healthy, scoring_demand(healthy, FRACTIONS)
-        )
-        mask = TopologyMask(
-            drop_nodes=("ssd0",), egress_factors=(), link_factors=()
-        )
-        masked = mask.apply(healthy)
-        demand = scoring_demand(masked, FRACTIONS)
-        warm = min_completion_time(
-            masked, demand, warm_partition=seed.cut_partition
-        )
-        cold = min_completion_time(masked, demand)
-        assert _prediction_fingerprint(warm) == _prediction_fingerprint(cold)
-
-    def test_near_tied_cut_warm_equals_cold(self):
-        """A sub-microbyte CPU demand makes two cuts' roots differ by two
-        ulps; a warm start on the lower one must still end on the
-        higher, binding one, as the cold solve does."""
-        machine = machine_b()
-        eps = float(np.finfo(float).eps)
-        fractions = (0.0, eps, 1.0 - eps)
-        placements = list(iter_canonical_placements(machine.chassis, 2, 4))
-        head = machine.build(placements[0], validate=False)
-        seed = min_completion_time(head, scoring_demand(head, fractions))
-        topo = machine.build(placements[4], validate=False)
-        demand = scoring_demand(topo, fractions)
-        warm = min_completion_time(
-            topo, demand, warm_partition=seed.cut_partition
-        )
-        cold = min_completion_time(topo, demand)
-        assert _prediction_fingerprint(warm) == _prediction_fingerprint(cold)
-
     def test_engine_warm_off_bit_identical(self):
-        """The warm-chained engine ranks exactly like the cold
-        per-candidate reference recipe."""
+        """The engine, which warm-starts no solve, ranks exactly like
+        the cold per-candidate reference recipe."""
         machine = machine_a()
         ref_rows, _, _ = _reference_search(machine, 2, 4, FRACTIONS)
-        warm = run_search(_request(machine, 2, 4))
-        assert warm.warm_starts > 0
-        assert _ranking(warm.scored) == _ranking(ref_rows)
-        assert warm.best.throughput == ref_rows[0].throughput
+        result = run_search(_request(machine, 2, 4))
+        assert not hasattr(result, "warm_starts")
+        assert _ranking(result.scored) == _ranking(ref_rows)
+        assert result.best.throughput == ref_rows[0].throughput
 
     def test_masked_rescore_with_warm_cut(self):
-        """The ReplanPolicy request shape: one pinned candidate, a fault
-        mask, and the previous solve's cut as the warm seed."""
+        """The ReplanPolicy request shape — one pinned candidate and a
+        fault mask — predicts the cold solve on the masked topology, and
+        the request takes no seed cut (predictions carry none)."""
         machine = machine_a()
         base = run_search(_request(machine, 2, 4))
         placement = base.best.placement
@@ -1049,20 +924,20 @@ class TestWarmStartRegression:
             egress_factors=(("ssd0", 0.5),),
             link_factors=(),
         )
-        cold = run_search(
+        result = run_search(
             _request(machine, 2, 4, candidates=(placement,), mask=mask)
         )
-        warm = run_search(
+        assert result.best.placement.as_tuple() == placement.as_tuple()
+        masked = mask.apply(machine.build(placement))
+        cold = min_completion_time(masked, scoring_demand(masked, FRACTIONS))
+        assert result.best.prediction == cold
+        assert result.best.throughput < base.best.throughput
+        assert not hasattr(base.best.prediction, "cut_partition")
+        with pytest.raises(TypeError):
             _request(
                 machine, 2, 4, candidates=(placement,), mask=mask,
-                warm_cut=base.best.prediction.cut_partition,
+                warm_cut=(),
             )
-        )
-        assert warm.warm_starts >= 1
-        assert warm.best.throughput == cold.best.throughput
-        assert (
-            warm.best.placement.as_tuple() == cold.best.placement.as_tuple()
-        )
 
 
 class TestSearchCounters:
@@ -1072,8 +947,6 @@ class TestSearchCounters:
         metrics = tel.snapshot()["metrics"]
         counters = metrics["counters"]
         assert counters["search.unique"] == result.num_unique
-        assert counters["search.warm_starts"] == result.warm_starts
-        assert result.warm_starts > 0
         hist = metrics["histograms"]["search.batch_size"]
         assert hist["count"] == result.num_batches
         assert result.num_batches >= 1
