@@ -12,7 +12,8 @@ answers:
   saturated links;
 * :func:`solve_template` — the same search on a prebuilt
   :class:`FlowTemplate` (pass 1 solves each candidate's
-  :meth:`ChassisNetwork.template` with it);
+  :meth:`ChassisNetwork.template` with it, or, on a degraded fabric,
+  the masked topology's :meth:`FlowTemplate.from_topology`);
 * :func:`plain_max_flow` — the unconstrained max flow of the base
   formulation.
 
@@ -28,8 +29,10 @@ group of the chassis up to the device pool, and each candidate
 placement becomes a capacity vector over it — a :class:`FlowTemplate`
 holding only the edges of occupied slots, in the order
 :meth:`FlowTemplate.from_topology` would add them for that placement's
-topology.  Every edge budget is split into ``base + rate * t``
-(constant bytes + bytes/s scaled by the probed time), so
+topology.  That network is always the healthy fabric's: a fault
+degrades a built topology, never this network.  Every edge budget is
+split into ``base + rate * t`` (constant bytes + bytes/s scaled by the
+probed time), so
 
 * each probe only refreshes a capacity vector with NumPy;
 * the time search is **cut-parametric**, not bisection:
@@ -62,7 +65,7 @@ from typing import (
 import numpy as np
 
 from repro.core.placement import GPU, SSD, Placement
-from repro.core.topology import LinkKind, NodeKind, Topology, TopologyMask
+from repro.core.topology import LinkKind, NodeKind, Topology
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only, avoids import cycle
     from repro.hardware.machines import MachineSpec
@@ -194,7 +197,7 @@ def _egress_ceiling(
     """The :class:`EgressCeiling` of a demand, or ``None`` when it is
     zero or names no class.  ``per_bin`` is the demand by sorted bin
     name; ``members`` maps each class, in split-edge order (CPU
-    memories' splits precede every slot's), to its surviving members'
+    memories' splits precede every slot's), to its members'
     largest egress, in edge order."""
     if total <= _MIN_DEMAND:
         return None
@@ -611,19 +614,20 @@ class ChassisNetwork:
     :class:`~repro.core.topology.Topology` is built per candidate.
     Device labels (``gpu0…``, ``ssd0…``) are recovered from slot rank,
     the way :func:`~repro.core.placement.build_topology` numbers
-    devices, and ``mask`` degrades the result as
-    :meth:`TopologyMask.apply` would.
+    devices.  The network always describes the healthy fabric; a
+    degraded fabric is scored on its own (masked) topology through
+    :meth:`FlowTemplate.from_topology`.
 
     A template's edges come out in the order
     :meth:`FlowTemplate.from_topology` adds them for
-    ``mask.apply(machine.build(placement, nvlink_pairs))``, and Dinic's
-    augmenting paths depend only on that order, so both solve to
-    bit-identical predictions.  Edges named by device *rank* rather
-    than slot — NVLink pairs, SSD-class members, peer-cache bins and
-    sink edges — follow the slot edges and get their endpoints per
-    placement.  ``demand`` maps the surviving GPU labels (sorted, as
-    ``Topology.gpus`` returns them) to the :class:`TrafficDemand`
-    every placement is scored on.
+    ``machine.build(placement, nvlink_pairs)``, and Dinic's augmenting
+    paths depend only on that order, so both solve to bit-identical
+    predictions.  Edges named by device *rank* rather than slot —
+    NVLink pairs, SSD-class members, peer-cache bins and sink edges —
+    follow the slot edges and get their endpoints per placement.
+    ``demand`` maps the GPU labels (sorted, as ``Topology.gpus``
+    returns them) to the :class:`TrafficDemand` every placement is
+    scored on.
     """
 
     def __init__(
@@ -633,33 +637,15 @@ class ChassisNetwork:
         num_ssds: int,
         demand: Callable[[List[str]], TrafficDemand],
         nvlink_pairs: Optional[Sequence[Tuple[int, int]]] = None,
-        mask: Optional[TopologyMask] = None,
     ) -> None:
         from repro.hardware.specs import GPU_HBM_BW, NVLINK_BW, QPI_P2P_BW
 
         chassis = machine.chassis
-        mask = mask or TopologyMask()
-        dropped = set(mask.drop_nodes)
-        egress_factor = dict(mask.egress_factors)
-        link_factor = {(src, dst): f for src, dst, f in mask.link_factors}
         gpu_parts = dict(machine.gpu_overrides)
         ssd_parts = dict(machine.ssd_overrides)
         self.num_gpus, self.num_ssds = num_gpus, num_ssds
         net = _EdgeList()
         add_edge = net.add_edge
-
-        def scaled(name: str, egress: float) -> float:
-            factor = egress_factor.get(name)
-            return egress if factor is None else egress * factor
-
-        def link(src: str, dst: str, cap: float, qpi: bool = False) -> int:
-            # a link between two fixed nodes is degraded once per search
-            factor = link_factor.get((src.split("/")[0], dst.split("/")[0]))
-            if factor is not None:
-                cap = cap * factor
-            if qpi:
-                cap = min(cap, QPI_P2P_BW)
-            return add_edge(src, dst, 0.0, cap)
 
         # -- slot edges, in build_topology's order --------------------
         # storage splits come first, then links; slot nodes get their
@@ -676,7 +662,7 @@ class ChassisNetwork:
             ]
             slots.append((group, gpu_slots, ssd_slots))
         for mem in chassis.memories:
-            net.add_split(mem.name, scaled(mem.name, mem.bandwidth))
+            net.add_split(mem.name, mem.bandwidth)
         splits = []
         for group, gpu_slots, ssd_slots in slots:
             read_bw = ssd_parts.get(group.name, machine.ssd).read_bw
@@ -688,18 +674,20 @@ class ChassisNetwork:
             )
         self._num_splits = len(net.base)
         for trunk in chassis.trunks:
-            qpi = trunk.kind is LinkKind.QPI
-            link(trunk.a, trunk.b, trunk.capacity, qpi)
-            link(trunk.b, trunk.a, trunk.capacity, qpi)
+            cap = trunk.capacity
+            if trunk.kind is LinkKind.QPI:
+                cap = min(cap, QPI_P2P_BW)
+            add_edge(trunk.a, trunk.b, 0.0, cap)
+            add_edge(trunk.b, trunk.a, 0.0, cap)
         for mem in chassis.memories:
-            link(f"{mem.name}/out", mem.attach, mem.bandwidth)
-            link(mem.attach, f"{mem.name}/in", mem.bandwidth)
+            add_edge(f"{mem.name}/out", mem.attach, 0.0, mem.bandwidth)
+            add_edge(mem.attach, f"{mem.name}/in", 0.0, mem.bandwidth)
         # per group: (name, GPU slots, SSD slots); a GPU slot is
-        # (gpu, mem/in, mem/out, mem split, uplink edge, attach), an SSD
-        # slot (in, out, split)
+        # (gpu, mem/in, mem/out, mem split, uplink edge), an SSD slot
+        # (in, out)
         self._groups = []
         node = net.node_id
-        for (group, gpu_slots, ssd_slots), (gpu_splits, ssd_splits) in zip(
+        for (group, gpu_slots, ssd_slots), (gpu_splits, _) in zip(
             slots, splits
         ):
             attach = group.attach
@@ -718,31 +706,21 @@ class ChassisNetwork:
                         node(f"{gpu}:mem/out"),
                         mem_split,
                         uplink,
-                        node(attach),
                     )
                 )
             part = ssd_parts.get(group.name, machine.ssd)
             bw = min(group.link_bw, part.link_bw)
             ssds = []
-            for ssd, ssd_split in zip(ssd_slots, ssd_splits):
+            for ssd in ssd_slots:
                 add_edge(f"{ssd}/out", attach, 0.0, bw)
                 add_edge(attach, f"{ssd}/in", 0.0, bw)
-                ssds.append((node(f"{ssd}/in"), node(f"{ssd}/out"), ssd_split))
+                ssds.append((node(f"{ssd}/in"), node(f"{ssd}/out")))
             self._groups.append((group.name, gpus, ssds))
-        self._edge_of = {
-            (u, v): e for e, (u, v) in enumerate(zip(net.tails, net.heads))
-        }
 
-        # -- the labels that survive the mask, and the demand on them --
-        gpu_names = sorted(
-            f"gpu{r}" for r in range(num_gpus) if f"gpu{r}" not in dropped
-        )
-        ssd_names = sorted(
-            f"ssd{r}" for r in range(num_ssds) if f"ssd{r}" not in dropped
-        )
-        mem_names = sorted(
-            m.name for m in chassis.memories if m.name not in dropped
-        )
+        # -- the demand on the pool's device labels --------------------
+        gpu_names = sorted(f"gpu{r}" for r in range(num_gpus))
+        ssd_names = sorted(f"ssd{r}" for r in range(num_ssds))
+        mem_names = sorted(m.name for m in chassis.memories)
         scoring = demand(gpu_names)
         self.total = scoring.total
         self.demands_by_sink = scoring.per_gpu()
@@ -766,16 +744,8 @@ class ChassisNetwork:
             per_bin,
             self.total,
             {
-                CPU_CLASS: [
-                    scaled(mem.name, mem.bandwidth)
-                    for mem in chassis.memories
-                    if mem.name not in dropped
-                ],
-                SSD_CLASS: [
-                    scaled(f"ssd{r}", ssd_bw)
-                    for r in range(num_ssds)
-                    if f"ssd{r}" not in dropped
-                ],
+                CPU_CLASS: [mem.bandwidth for mem in chassis.memories],
+                SSD_CLASS: [ssd_bw] * num_ssds,
             },
         )
 
@@ -804,11 +774,6 @@ class ChassisNetwork:
                 labels[slot[0]] = labels[slot[1]] = labels[slot[2]] = None
             for slot in ssd_slots:
                 labels[slot[0]] = labels[slot[1]] = None
-        for name in dropped:
-            for table in (into, out_of):
-                nid = table.pop(name, None)
-                if nid is not None and nid < n:
-                    labels[nid] = None
 
         # -- rank-addressed edges, in from_topology's order -----------
         rank_edges: List[Tuple[int, int, float, float]] = []
@@ -821,12 +786,8 @@ class ChassisNetwork:
                 if (x, y) in seen:
                     raise ValueError(f"duplicate link gpu{x}->gpu{y}")
                 seen.add((x, y))
-                src, dst = f"gpu{x}", f"gpu{y}"
-                if src in out_of and dst in into:
-                    factor = link_factor.get((src, dst))
-                    cap = NVLINK_BW if factor is None else NVLINK_BW * factor
-                    rank_edges.append((out_of[src], into[dst], 0.0, cap))
-                    self._nvlink_egress[x].append(cap)
+                rank_edges.append((n + x, n + y, 0.0, NVLINK_BW))
+                self._nvlink_egress[x].append(NVLINK_BW)
         for bin_name, nbytes in per_bin:
             if bin_name in (SSD_CLASS, CPU_CLASS):
                 class_node = node(f"{bin_name}/class")
@@ -856,45 +817,13 @@ class ChassisNetwork:
         self._rank_head = np.array([e[1] for e in rank_edges], dtype=np.intp)
         self._rank_base = np.array([e[2] for e in rank_edges], dtype=float)
         self._rank_rate = np.array([e[3] for e in rank_edges], dtype=float)
-        # per-rank labels, None where the mask dropped the device, and
-        # the node-table codes of the device nodes that survive
-        self._gpu_labels = []
-        lit = []
-        for r in range(g):
-            gpu, mem = f"gpu{r}", f"gpu{r}:mem"
-            gpu_ok, mem_ok = gpu not in dropped, mem not in dropped
-            self._gpu_labels.append(
-                (
-                    gpu if gpu_ok else None,
-                    f"{mem}/in" if mem_ok else None,
-                    f"{mem}/out" if mem_ok else None,
-                )
-            )
-            lit += [n + r] * gpu_ok + [n + g + r, n + 2 * g + r] * mem_ok
-        self._ssd_labels = []
-        for r in range(s):
-            ssd = f"ssd{r}"
-            ssd_ok = ssd not in dropped
-            self._ssd_labels.append(
-                (f"{ssd}/in", f"{ssd}/out") if ssd_ok else (None, None)
-            )
-            lit += [n + 3 * g + r, n + 3 * g + s + r] * ssd_ok
-        self._lit = np.array(lit, dtype=np.intp)
+        self._gpu_labels = [
+            (f"gpu{r}", f"gpu{r}:mem/in", f"gpu{r}:mem/out") for r in range(g)
+        ]
+        self._ssd_labels = [(f"ssd{r}/in", f"ssd{r}/out") for r in range(s)]
         self._node = np.arange(n + 3 * g + 2 * s, dtype=np.intp)
         self._num_nodes = n
-        self._hbm = [scaled(f"gpu{r}:mem", GPU_HBM_BW) for r in range(g)]
-        # degradations that name a device land on a different slot per
-        # placement
-        self._ssd_egress = [
-            (r, egress_factor[f"ssd{r}"])
-            for r in range(s)
-            if f"ssd{r}" in egress_factor
-        ]
-        self._device_links = [
-            (out_of[src], into[dst], factor)
-            for (src, dst), factor in link_factor.items()
-            if src in out_of and dst in into and max(out_of[src], into[dst]) >= n
-        ]
+        self._hbm = GPU_HBM_BW
 
     def template(self, placement: Placement) -> Optional[FlowTemplate]:
         """``placement``'s network as edge arrays, or ``None`` when the
@@ -925,31 +854,15 @@ class ChassisNetwork:
             slot[role] for role in range(3) for slot in gpu_slots
         ] + [slot[role] for role in range(2) for slot in ssd_slots]
         alive = self._alive.copy()
-        alive[node[self._lit]] = True
-        rate = self._rate.copy()
-        for u, v, factor in self._device_links:
-            e = self._edge_of.get((int(node[u]), int(node[v])))
-            if e is not None:
-                rate[e] = self._rate[e] * factor
-        for r, factor in self._ssd_egress:
-            e = ssd_slots[r][2]
-            rate[e] = self._rate[e] * factor
+        alive[node[self._num_nodes :]] = True
         # GPU-cache egress: HBM capped at the owner's fabric egress, in
         # storage_egress's summation order
-        for r, (gpu, mem_in, _, mem_split, uplink, attach) in enumerate(
-            gpu_slots
-        ):
-            if labels[mem_in] is None:
-                continue
-            egress = self._hbm[r]
-            if labels[gpu] is not None:
-                fabric = 0.0
-                if labels[attach] is not None:
-                    fabric += rate[uplink]
-                for cap in self._nvlink_egress[r]:
-                    fabric += cap
-                egress = min(egress, fabric)
-            rate[mem_split] = egress
+        rate = self._rate.copy()
+        for r, (_, _, _, mem_split, uplink) in enumerate(gpu_slots):
+            fabric = rate[uplink]
+            for cap in self._nvlink_egress[r]:
+                fabric += cap
+            rate[mem_split] = min(self._hbm, fabric)
         live = np.flatnonzero(alive[self._tail] & alive[self._head])
         tails = np.concatenate((self._tail[live], node[self._rank_tail]))
         heads = np.concatenate((self._head[live], node[self._rank_head]))
@@ -990,12 +903,13 @@ def _next_probe(
 
 
 def solve_template(tpl: Optional[FlowTemplate]) -> FlowPrediction:
-    """One minimum-completion-time solve (``None`` = zero demand).
+    """One minimum-completion-time solve (``None`` or a zero total =
+    zero demand).
 
     Cut-parametric search from t = 0: probe, and after an infeasible
     probe move to the residual min cut's root, until the demand fits.
     """
-    if tpl is None:
+    if tpl is None or tpl.total <= _MIN_DEMAND:
         return FlowPrediction(0.0, 0.0, {}, {})
     threshold = tpl.total * (1.0 - _FEAS_TOL)
     t = 0.0
@@ -1031,10 +945,7 @@ def min_completion_time(
     per-storage-node flows at the optimum (DDAK traffic targets) and
     the saturated links (bottleneck report).
     """
-    tpl = None
-    if demand.total > _MIN_DEMAND:
-        tpl = FlowTemplate.from_topology(topo, demand)
-    return solve_template(tpl)
+    return solve_template(FlowTemplate.from_topology(topo, demand))
 
 
 def plain_max_flow(topo: Topology) -> float:

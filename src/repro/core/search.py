@@ -18,15 +18,19 @@ and experiments) all speak the same :class:`SearchRequest` /
    the cut-parametric kernel (:mod:`repro.core.flowmodel`) over one
    :class:`~repro.core.flowmodel.ChassisNetwork` per search: each
    candidate is a capacity vector over it, so pass 1 builds no
-   topology.  Candidates are scored in fixed batches of
-   :data:`PASS1_BATCH`, in enumeration order, each solved on its own
-   from t = 0.  Its throughput is an upper bound on the exact score
+   topology.  A request with a ``mask`` (fault replanning) scores each
+   candidate on ``mask.apply(machine.build(p))`` instead, through
+   :meth:`~repro.core.flowmodel.FlowTemplate.from_topology`: the
+   chassis network only describes the healthy fabric.  Candidates are
+   scored in fixed batches of :data:`PASS1_BATCH`, in enumeration
+   order, each solved on its own from t = 0.  Its throughput is an upper bound on the exact score
    (the class demand is a relaxation of any concrete bin split), which
    makes it the top-k funnel key.  No candidate's time beats the network's
    :class:`~repro.core.flowmodel.EgressCeiling`, so pass 1 stops at the
    first batch end by which ``lp_top_k`` candidates have reached it: a
    later candidate could at best tie them and would then lose on
-   enumeration index, so the finalists are the full scan's.
+   enumeration index, so the finalists are the full scan's.  A masked
+   search has no ceiling and scans its candidates whole.
 3. **Exact scoring (pass 2)** — :class:`MulticommodityScorer`, the
    multicommodity concurrent-flow LP on the concretised demand.  The
    ``lp_top_k`` best pass-1 candidates reach this stage and every one
@@ -81,6 +85,7 @@ from repro.core.flowmodel import (
     ChassisNetwork,
     EgressCeiling,
     FlowPrediction,
+    FlowTemplate,
     TrafficDemand,
     solve_template,
 )
@@ -107,13 +112,22 @@ _DEFAULT_WORKERS: Optional[int] = None
 
 
 def default_workers() -> int:
-    """Default scoring parallelism: ``REPRO_SEARCH_WORKERS`` or 1."""
+    """Default scoring parallelism: ``REPRO_SEARCH_WORKERS`` or 1.
+
+    Raises ``ValueError`` when the variable is not an integer >= 1.
+    """
     if _DEFAULT_WORKERS is not None:
         return _DEFAULT_WORKERS
+    raw = os.environ.get("REPRO_SEARCH_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("REPRO_SEARCH_WORKERS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(
+            f"REPRO_SEARCH_WORKERS must be an integer >= 1, got {raw!r}"
+        )
+    return workers
 
 
 def set_default_workers(workers: Optional[int]) -> None:
@@ -294,27 +308,25 @@ class FlexibleMaxFlowScorer:
         num_gpus: int,
         num_ssds: int,
         nvlink_pairs: Optional[Tuple[Tuple[int, int], ...]] = None,
-        mask: Optional[TopologyMask] = None,
     ) -> ChassisNetwork:
-        """The chassis network every ``num_gpus``/``num_ssds``
-        placement on ``machine`` is scored over."""
+        """The healthy-fabric chassis network every
+        ``num_gpus``/``num_ssds`` placement on ``machine`` is scored
+        over."""
         demand = partial(
             _flexible_demand,
             fractions=self.fractions,
             gpu_cache_policy=self.gpu_cache_policy,
         )
-        return ChassisNetwork(
-            machine, num_gpus, num_ssds, demand, nvlink_pairs, mask
-        )
+        return ChassisNetwork(machine, num_gpus, num_ssds, demand, nvlink_pairs)
 
     def score_batch(
         self,
         placements: Sequence[Placement],
-        network_for: Callable[[Placement], ChassisNetwork],
+        template_for: Callable[[Placement], Optional[FlowTemplate]],
     ) -> List[FlowPrediction]:
-        """Score a batch of placements, each on its own as a capacity
-        vector over ``network_for(placement)``."""
-        return [solve_template(network_for(p).template(p)) for p in placements]
+        """Score a batch of placements, each solved on its own network
+        ``template_for(placement)``."""
+        return [solve_template(template_for(p)) for p in placements]
 
 
 @dataclass(frozen=True)
@@ -364,11 +376,12 @@ class ChunkOutcome(NamedTuple):
 class _ScoreRuntime:
     """Runs one stage on a chunk of candidates.
 
-    A ``"coarse"`` chunk is one pass-1 batch, scored over the search's
+    A ``"coarse"`` chunk is one pass-1 batch, each candidate solved on
+    its own: over the search's
     :class:`~repro.core.flowmodel.ChassisNetwork` for the candidates'
-    pool (built on first use, once per runtime), each candidate solved
-    on its own.  An ``"exact"`` chunk builds each candidate's topology
-    and LP-scores it against its pass-1 prediction, on one HiGHS
+    pool (built on first use, once per runtime), or, under a ``mask``,
+    on the masked topology that pass 2 builds too.  An ``"exact"``
+    chunk builds each candidate's topology and LP-scores it against its pass-1 prediction, on one HiGHS
     instance per runtime (made on the first exact chunk, in the process
     that runs it), and keeps only the topology of its best row.
     """
@@ -395,9 +408,21 @@ class _ScoreRuntime:
         network = self._networks.get(key)
         if network is None:
             network = self._networks[key] = self.coarse.network(
-                self.machine, *key, self.nvlink_pairs, self.mask
+                self.machine, *key, self.nvlink_pairs
             )
         return network
+
+    def template(self, placement: Placement) -> Optional[FlowTemplate]:
+        """``placement``'s pass-1 network."""
+        if not self.mask:
+            return self.network(placement).template(placement)
+        topo = self.topology(placement)
+        demand = scoring_demand(
+            topo,
+            self.coarse.fractions,
+            gpu_cache_policy=self.coarse.gpu_cache_policy,
+        )
+        return FlowTemplate.from_topology(topo, demand)
 
     def topology(self, placement: Placement) -> Topology:
         # finalists come from the validated enumeration, so the chassis
@@ -417,7 +442,7 @@ class _ScoreRuntime:
         """Score one chunk of ``(index, placement, pass-1 prediction)``."""
         if stage == "coarse":
             predictions = self.coarse.score_batch(
-                [placement for _, placement, _ in items], self.network
+                [placement for _, placement, _ in items], self.template
             )
             return ChunkOutcome(
                 [
@@ -491,7 +516,10 @@ class ParallelExecutor:
 
     # -- execution -------------------------------------------------------
     def ceiling(self, placement: Placement) -> Optional[EgressCeiling]:
-        """The storage-egress bound of ``placement``'s pool network."""
+        """The storage-egress bound of ``placement``'s pool network;
+        ``None`` under a mask, whose candidates are scanned whole."""
+        if self._local.mask:
+            return None
         return self._local.network(placement).ceiling
 
     def stream_stage(
@@ -568,6 +596,8 @@ class SearchRequest:
     candidates: Optional[Tuple[Placement, ...]] = None
     #: Score every candidate on the degraded (surviving) topology —
     #: used by fault replanning.  ``None`` searches the healthy fabric.
+    #: A masked search has no storage-egress ceiling: pass 1 scans its
+    #: candidates whole.
     mask: Optional[TopologyMask] = None
 
     def resolved_workers(self) -> int:
@@ -652,7 +682,7 @@ class SearchEngine:
     def _ceiling(self, placements: List[Placement]) -> Optional[EgressCeiling]:
         """The bound every candidate's pass-1 time is at least: the
         storage-egress ceiling of their one pool (``None`` for a mixed
-        or empty candidate list)."""
+        or empty candidate list, or a masked search)."""
         pools = {(p.num_gpus, p.num_ssds) for p in placements}
         if len(pools) != 1:
             return None

@@ -371,10 +371,13 @@ class TopologyMask:
     and capacity scale factors for the survivors.
 
     Used by the replanning path (:mod:`repro.runtime.replan`): the
-    placement search re-runs against ``mask.apply(healthy_topo)`` so a
-    new data placement is computed for the *surviving* fabric without
-    mutating the healthy machine model.  All fields are tuples so a
-    mask pickles cleanly into search worker processes.
+    placement search scores each candidate on
+    ``mask.apply(machine.build(placement))`` so a new data placement is
+    computed for the *surviving* fabric without mutating the healthy
+    machine model.  :meth:`apply` is the one place a fault degrades a
+    planning network; the search's chassis network always describes
+    the healthy fabric.  All fields are tuples so a mask pickles
+    cleanly into search worker processes.
 
     Unknown node names are skipped leniently — strict validation
     against a concrete topology belongs to

@@ -59,8 +59,6 @@ class ReplanConfig:
     max_replans: int = 4
     #: DDAK pooling factor for the re-placement.
     pool_size: int = 100
-    #: Scoring workers for the masked search (None = engine default).
-    search_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
         check_positive("migration_bw", self.migration_bw)
@@ -199,11 +197,11 @@ class ReplanPolicy:
     # ------------------------------------------------------------------
     def _replan(self, step: int, view, mask: TopologyMask) -> float:
         """Search the masked fabric, re-DDAK, swap the placement in."""
-        cfg = self.config
         with obs.span(
             "replan.run", step=step, faults=len(view.active)
         ) as sp:
-            masked_topo = mask.apply(self.sim.topo)
+            # one candidate cannot be split across workers: a pool
+            # would only add its start-up time
             request = SearchRequest(
                 machine=self.sim.machine,
                 num_gpus=self.placement.num_gpus,
@@ -213,13 +211,14 @@ class ReplanPolicy:
                 nvlink_pairs=(
                     tuple(self.nvlink_pairs) if self.nvlink_pairs else None
                 ),
-                workers=cfg.search_workers,
+                workers=1,
                 candidates=(self.placement,),
                 mask=mask,
             )
             search = run_search(request)
+            # the surviving fabric, as the search scored it
             bins = make_bins(
-                masked_topo,
+                search.topology,
                 gpu_cache_bytes=self.cap_plan.gpu_cache_bytes,
                 cpu_cache_bytes=self.cap_plan.cpu_cache_bytes,
                 ssd_capacity_bytes=self.cap_plan.ssd_capacity_bytes,

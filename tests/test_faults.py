@@ -281,13 +281,18 @@ class TestReplan:
     ):
         """The masked re-search scores the current, unmasked placement
         (4 GPUs / 8 SSDs) on the surviving fabric: its request states
-        that placement's pool, and its prediction is the solve on the
-        masked topology.  The replan makes no other max-flow solve: no
-        topology is turned into a flow template during the run."""
+        that placement's pool and one worker (a single candidate is
+        never worth a pool, whatever ``REPRO_SEARCH_WORKERS`` says), and
+        its prediction is the solve on the masked topology.  That
+        topology is turned into a flow template exactly once, for the
+        candidate's pass-1 score, and the replan makes no other solve;
+        DDAK's bins are built on the topology the search scored."""
         from repro.core.flowmodel import FlowTemplate, min_completion_time
         from repro.core.search import scoring_demand
+        from repro.hardware.fabric import topology_fingerprint
         from repro.runtime import replan as replan_module
 
+        monkeypatch.setenv("REPRO_SEARCH_WORKERS", "2")
         calls = []
         run_search = replan_module.run_search
 
@@ -302,7 +307,22 @@ class TestReplan:
             templates.append(topo)
             return from_topology(topo, demand)
 
+        seen = {}
+        replan = replan_module.ReplanPolicy._replan
+
+        def spying(policy, step, view, mask):
+            seen["healthy"] = policy.sim.topo
+            return replan(policy, step, view, mask)
+
+        make_bins = replan_module.make_bins
+
+        def binning(topo, **kwargs):
+            seen["bins"] = topo
+            return make_bins(topo, **kwargs)
+
         monkeypatch.setattr(replan_module, "run_search", recording)
+        monkeypatch.setattr(replan_module, "make_bins", binning)
+        monkeypatch.setattr(replan_module.ReplanPolicy, "_replan", spying)
         monkeypatch.setattr(
             FlowTemplate, "from_topology", staticmethod(counting)
         )
@@ -311,17 +331,31 @@ class TestReplan:
             base_spec.replace(faults=sched, replan=True)
         )
         assert len(result.replan.events) == 1
-        assert templates == []
         (request, search), = calls
+        assert request.workers == 1 and search.workers == 1
         assert (request.num_gpus, request.num_ssds) == (4, 8)
         (candidate,) = request.candidates
         assert candidate.as_tuple() == placement_c.as_tuple()
         masked = request.mask.apply(machine.build(candidate))
+        (template_topo,) = templates
+        assert topology_fingerprint(template_topo) == topology_fingerprint(
+            masked
+        )
+        assert seen["bins"] is search.topology
+        assert topology_fingerprint(search.topology) == topology_fingerprint(
+            request.mask.apply(seen["healthy"])
+        )
         expected = min_completion_time(
             masked, scoring_demand(masked, request.fractions)
         )
         assert search.best.prediction == expected
 
+    def test_replan_config_has_no_search_workers(self):
+        """The replan's search always runs inline: no worker setting."""
+        from repro.runtime.replan import ReplanConfig
+
+        with pytest.raises(TypeError):
+            ReplanConfig(search_workers=2)
 
     def test_replan_requires_faults(self, ig, placement_c):
         with pytest.raises(ValueError):

@@ -21,7 +21,11 @@ from hypothesis import given, settings, strategies as st
 from repro import obs
 from repro.core import search as search_module
 
-from repro.core.flowmodel import min_completion_time
+from repro.core.flowmodel import (
+    ChassisNetwork,
+    TrafficDemand,
+    min_completion_time,
+)
 from repro.core.optimizer import (
     CapacityPlan,
     MomentOptimizer,
@@ -382,6 +386,17 @@ class TestKnobDefaults:
         finally:
             set_default_workers(None)
         assert default_workers() >= 1
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
+    def test_malformed_env_workers_rejected(self, raw, monkeypatch):
+        """A malformed ``REPRO_SEARCH_WORKERS`` is an error naming the
+        variable and the value, not a silent 1."""
+        monkeypatch.setenv("REPRO_SEARCH_WORKERS", raw)
+        set_default_workers(None)
+        with pytest.raises(ValueError, match=f"REPRO_SEARCH_WORKERS.*'{raw}'"):
+            default_workers()
+        monkeypatch.setenv("REPRO_SEARCH_WORKERS", "2")
+        assert default_workers() == 2
 
     def test_pass1_defaults_are_constants(self):
         """Batch size is fixed, not a knob: pass 1 stops only at a batch
@@ -822,7 +837,7 @@ class TestBatchScalarEquivalence:
         window = placements[start:start + take] or placements[:take]
         scorer = FlexibleMaxFlowScorer(fractions=fractions)
         network = scorer.network(machine, 2, 4)
-        batch = scorer.score_batch(window, lambda p: network)
+        batch = scorer.score_batch(window, network.template)
         for placement, batched in zip(window, batch):
             topo = machine.build(placement, validate=False)
             solo = min_completion_time(topo, scoring_demand(topo, fractions))
@@ -835,23 +850,15 @@ class TestBatchScalarEquivalence:
 
 
 def _chassis_rows():
-    """(id, machine factory, pool, nvlink pairs, mask, cache policy)."""
+    """(id, machine factory, pool, nvlink pairs, cache policy)."""
     rows = [
-        (name, make, pool, None, None, "replicated")
+        (name, make, pool, None, "replicated")
         for name, make, pool in DIFFERENTIAL_FABRICS
     ]
-    rows.append(("machine_a-2x12", machine_a, (2, 12), None, None, "replicated"))
-    masks = [
-        ("drop-ssd0", TopologyMask(drop_nodes=("ssd0",))),
-        ("drop-gpu1", TopologyMask(drop_nodes=("gpu1",))),
-        ("egress-ssd1", TopologyMask(egress_factors=(("ssd1", 0.5),))),
-        ("link-gpu0-plx0", TopologyMask(link_factors=(("gpu0", "plx0", 0.5),))),
-    ]
-    for name, mask in masks:
-        rows.append((name, machine_a, (2, 4), None, mask, "replicated"))
+    rows.append(("machine_a-2x12", machine_a, (2, 12), None, "replicated"))
     for pairs in (((0, 1), (2, 3)), ((2, 3), (0, 1))):
-        rows.append((f"nvlink{pairs}", machine_a, (4, 4), pairs, None, "replicated"))
-    rows.append(("partitioned", machine_b, (2, 4), None, None, "partitioned"))
+        rows.append((f"nvlink{pairs}", machine_a, (4, 4), pairs, "replicated"))
+    rows.append(("partitioned", machine_b, (2, 4), None, "partitioned"))
     return rows
 
 
@@ -864,24 +871,22 @@ class TestChassisNetworkDifferential:
     topology solve, as a whole."""
 
     @pytest.mark.parametrize(
-        "make_machine,pool,nvlink_pairs,mask,policy",
+        "make_machine,pool,nvlink_pairs,policy",
         [row[1:] for row in CHASSIS_ROWS],
         ids=[row[0] for row in CHASSIS_ROWS],
     )
     def test_equals_topology_solves(
-        self, make_machine, pool, nvlink_pairs, mask, policy
+        self, make_machine, pool, nvlink_pairs, policy
     ):
         machine = make_machine()
         scorer = FlexibleMaxFlowScorer(FRACTIONS, policy)
-        network = scorer.network(machine, *pool, nvlink_pairs, mask)
+        network = scorer.network(machine, *pool, nvlink_pairs)
         placements = list(iter_canonical_placements(machine.chassis, *pool))
         for start in range(0, len(placements), PASS1_BATCH):
             batch = placements[start:start + PASS1_BATCH]
-            got = scorer.score_batch(batch, lambda p: network)
+            got = scorer.score_batch(batch, network.template)
             for placement, pred in zip(batch, got):
                 topo = machine.build(placement, nvlink_pairs=nvlink_pairs)
-                if mask:
-                    topo = mask.apply(topo)
                 demand = scoring_demand(
                     topo, FRACTIONS, gpu_cache_policy=policy
                 )
@@ -893,6 +898,86 @@ class TestChassisNetworkDifferential:
                 # the storage-egress ceiling bounds every candidate
                 if network.ceiling is not None:
                     assert pred.time >= network.ceiling.time, placement
+
+    @pytest.mark.parametrize("owner", ["network", "scorer"])
+    def test_takes_no_mask(self, owner):
+        """The chassis network is always the healthy fabric's: a fault
+        is applied to a built topology, never to this network."""
+        machine = machine_a()
+        scorer = FlexibleMaxFlowScorer(FRACTIONS)
+        mask = TopologyMask(drop_nodes=("ssd0",))
+        with pytest.raises(TypeError):
+            if owner == "network":
+                ChassisNetwork(
+                    machine, 2, 4, lambda gpus: TrafficDemand(), mask=mask
+                )
+            else:
+                scorer.network(machine, 2, 4, mask=mask)
+
+
+# ---------------------------------------------------------------------------
+# Masked searches: pass 1 solves each candidate's masked topology
+# ---------------------------------------------------------------------------
+
+#: (id, pool, nvlink pairs, mask) on machine A.
+MASKED_ROWS = [
+    ("drop-ssd0", (2, 4), None, TopologyMask(drop_nodes=("ssd0",))),
+    ("drop-gpu1", (2, 4), None, TopologyMask(drop_nodes=("gpu1",))),
+    (
+        "egress-ssd1",
+        (2, 4),
+        None,
+        TopologyMask(egress_factors=(("ssd1", 0.5),)),
+    ),
+    (
+        "link-gpu0-plx0",
+        (2, 4),
+        None,
+        TopologyMask(link_factors=(("gpu0", "plx0", 0.5),)),
+    ),
+    (
+        "nvlink-gpu0-gpu1",
+        (4, 4),
+        ((0, 1), (2, 3)),
+        TopologyMask(link_factors=(("gpu0", "gpu1", 0.5),)),
+    ),
+]
+
+
+class TestMaskedSearchDifferential:
+    """A masked search scores every candidate on
+    ``mask.apply(machine.build(p))``: each ranked row's pass-1
+    prediction is that topology's own solve, key order included, and
+    with no storage-egress ceiling the candidates are scanned whole."""
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["workers1", "workers2"])
+    @pytest.mark.parametrize(
+        "pool,nvlink_pairs,mask",
+        [row[1:] for row in MASKED_ROWS],
+        ids=[row[0] for row in MASKED_ROWS],
+    )
+    def test_pass1_equals_masked_topology_solves(
+        self, pool, nvlink_pairs, mask, workers
+    ):
+        machine = machine_a()
+        result = run_search(
+            SearchRequest(
+                machine, *pool, FRACTIONS,
+                nvlink_pairs=nvlink_pairs, top_k=1000, workers=workers,
+                mask=mask,
+            )
+        )
+        assert result.ceiling_cut is None and result.ceiling_hits == 0
+        assert result.num_pass1_scored == result.num_unique
+        assert len(result.scored) == result.num_lp_scored
+        for row in result.scored:
+            topo = mask.apply(
+                machine.build(row.placement, nvlink_pairs=nvlink_pairs)
+            )
+            ref = min_completion_time(topo, scoring_demand(topo, FRACTIONS))
+            assert row.prediction == ref, row.placement
+            assert list(row.prediction.storage_rate) == list(ref.storage_rate)
+            assert list(row.prediction.per_gpu_rate) == list(ref.per_gpu_rate)
 
 
 # ---------------------------------------------------------------------------
