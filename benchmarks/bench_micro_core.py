@@ -12,7 +12,7 @@ import pytest
 from repro.core.ddak import ddak_place, hash_place, make_bins
 from repro.core.flowmodel import SSD_CLASS, TrafficDemand, min_completion_time
 from repro.core.mcmf import multicommodity_min_time
-from repro.core.optimizer import concrete_demand
+from repro.core.search import concrete_demand
 from repro.graphs.generators import power_law_graph
 from repro.hardware.machines import classic_layouts, machine_a
 from repro.sampling.neighbor import sample_batch

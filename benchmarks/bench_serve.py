@@ -1,9 +1,11 @@
 """Plan-service benchmarks (repro.serve).
 
 Spins up an in-process ``PlanService`` + ``ThreadingHTTPServer`` and
-drives it with the closed-loop load generator, recording serving
-throughput and tail latency.  Under ``REPRO_JSONL`` each run emits the
-load report's scalars as ``bench:data:*`` warehouse metrics —
+drives it with the closed-loop load generator (``tools.loadgen``; run
+with ``python -m pytest`` from the repository root so ``tools`` is
+importable), recording serving throughput and tail latency.  Under
+``REPRO_JSONL`` each run emits the load report's scalars as
+``bench:data:*`` warehouse metrics —
 ``bench:data:throughput_rps`` and ``bench:data:latency_p95_s`` are the
 pair the CI ``serve-smoke`` gate tracks (direction inference: higher-
 and lower-is-better respectively).
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.serve.http import make_server, server_url
-from repro.serve.loadgen import LoadConfig, run_load
 from repro.serve.service import PlanService, ServeConfig
+from tools.loadgen import LoadConfig, run_load
 
 from conftest import run_once
 

@@ -2,9 +2,11 @@
 
 Every per-figure benchmark regenerates its paper element through
 :mod:`repro.experiments` and prints the resulting rows, so
-``pytest benchmarks/ --benchmark-only`` reproduces the whole evaluation
-section.  Set ``REPRO_FULL=1`` to run at full dataset scale (minutes);
-the default is the quick profile (CI-sized, same shapes).
+``python -m pytest benchmarks/ --benchmark-only`` (from the repository
+root, which puts ``tools`` on the path for ``bench_serve.py``)
+reproduces the whole evaluation section.  Set ``REPRO_FULL=1`` to run
+at full dataset scale (minutes); the default is the quick profile
+(CI-sized, same shapes).
 
 Set ``REPRO_JSONL=path`` to capture telemetry for every ``run_once``
 benchmark and append one structured run record per benchmark to that
@@ -12,7 +14,7 @@ file — tagged with host machine spec, dataset/experiment, seed,
 repetition index, and git SHA (schema in EXPERIMENTS.md).  Set
 ``REPRO_REPS=N`` (with ``REPRO_JSONL``) to execute each benchmark N
 times and emit one tagged record per repetition — the input the
-warehouse's CI-and-noise-band machinery (``python -m repro.warehouse``)
+warehouse's CI-and-noise-band machinery (``python -m tools.warehouse``)
 needs; repetition 0 runs under ``benchmark.pedantic`` as before, the
 rest are plain re-executions.  Runners that accept a ``seed`` kwarg get
 per-repetition derived seeds (:func:`repro.utils.rng.derive_seed`);

@@ -36,7 +36,6 @@ from repro.faults import FaultSchedule
 from repro.runtime.spec import RunSpec
 from repro.runtime.system import MomentSystem, SystemResult
 from repro.api import run
-from repro.warehouse import RunTable
 
 __version__ = "2.0.0"
 
@@ -63,7 +62,6 @@ __all__ = [
     "SystemResult",
     "RunSpec",
     "FaultSchedule",
-    "RunTable",
     "run",
     "__version__",
 ]

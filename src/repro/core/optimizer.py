@@ -37,9 +37,7 @@ from repro.core.search import (
     ScoredPlacement,
     SearchRequest,
     SearchResult,
-    concrete_demand,
     run_search,
-    scoring_demand,
 )
 from repro.core.topology import Topology
 from repro.graphs.datasets import ScaledDataset
@@ -53,10 +51,7 @@ __all__ = [
     "MomentOptimizer",
     "MomentPlan",
     "OptimizerConfig",
-    "ScoredPlacement",
     "capacity_plan",
-    "concrete_demand",
-    "scoring_demand",
     "tier_fractions",
 ]
 
@@ -143,10 +138,6 @@ def tier_fractions(
     f_gpu = float(h[:gpu_slots].sum() / total)
     f_cpu = float(h[gpu_slots : gpu_slots + cpu_slots].sum() / total)
     return (f_gpu, f_cpu, 1.0 - f_gpu - f_cpu)
-
-
-# ``scoring_demand``, ``concrete_demand`` and ``ScoredPlacement`` moved
-# to :mod:`repro.core.search` (re-exported above for compatibility).
 
 
 @dataclass

@@ -74,6 +74,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -111,6 +112,19 @@ PASS1_BATCH = 32
 _DEFAULT_WORKERS: Optional[int] = None
 
 
+def _check_workers(workers: Union[int, str], name: str = "workers") -> int:
+    """``workers`` as an int; ``ValueError`` naming ``name`` and the
+    value unless it is an integer >= 1.  Every way to set the scoring
+    parallelism goes through this check."""
+    try:
+        count = int(workers)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {workers!r}")
+    return count
+
+
 def default_workers() -> int:
     """Default scoring parallelism: ``REPRO_SEARCH_WORKERS`` or 1.
 
@@ -118,22 +132,18 @@ def default_workers() -> int:
     """
     if _DEFAULT_WORKERS is not None:
         return _DEFAULT_WORKERS
-    raw = os.environ.get("REPRO_SEARCH_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(
-            f"REPRO_SEARCH_WORKERS must be an integer >= 1, got {raw!r}"
-        )
-    return workers
+    return _check_workers(
+        os.environ.get("REPRO_SEARCH_WORKERS", "1"), "REPRO_SEARCH_WORKERS"
+    )
 
 
 def set_default_workers(workers: Optional[int]) -> None:
-    """Override the process-wide worker default (None = env/1)."""
+    """Override the process-wide worker default (None = env/1).
+
+    Raises ``ValueError`` for a count below 1.
+    """
     global _DEFAULT_WORKERS
-    _DEFAULT_WORKERS = None if workers is None else max(1, int(workers))
+    _DEFAULT_WORKERS = None if workers is None else _check_workers(workers)
 
 
 def default_prune_bounds() -> bool:
@@ -494,7 +504,7 @@ class ParallelExecutor:
         workers: int = 1,
         mask: Optional[TopologyMask] = None,
     ) -> None:
-        self.workers = max(1, int(workers))
+        self.workers = _check_workers(workers)
         self._init_args = (machine, nvlink_pairs, coarse, exact, mask)
         self._local = _ScoreRuntime(*self._init_args)
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -604,7 +614,7 @@ class SearchRequest:
         """The effective worker count for this request."""
         if self.workers is None:
             return default_workers()
-        return max(1, int(self.workers))
+        return _check_workers(self.workers)
 
 
 @dataclass

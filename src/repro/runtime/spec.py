@@ -58,10 +58,6 @@ class RunSpec:
     #: Workload seed override; ``None`` keeps the system's own seed
     #: (the historical behaviour, bit-identical).
     seed: Optional[int] = None
-    #: Repetition index of this run (0 = the canonical run).  Carried
-    #: into :class:`~repro.runtime.system.SystemResult` and the
-    #: ``repro.run/v1`` record so the warehouse can key rows on it.
-    repetition: int = 0
     #: Hardware identity by name, resolved through
     #: :func:`repro.hardware.registry.get_machine` (``"machine_a"``,
     #: ``"gen:7"``, a spec-file path).  ``None`` (the historical
@@ -75,8 +71,6 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fanouts", tuple(self.fanouts))
-        if self.repetition < 0:
-            raise ValueError("repetition must be >= 0")
         if self.seed is not None and not isinstance(self.seed, int):
             raise TypeError(
                 f"seed must be an int or None, got {type(self.seed)}"
@@ -157,27 +151,6 @@ class RunSpec:
     def replace(self, **changes) -> "RunSpec":
         """A copy with the given fields replaced."""
         return dataclasses.replace(self, **changes)
-
-    def with_repetition(
-        self, repetition: int, base_seed: Optional[int] = None
-    ) -> "RunSpec":
-        """This spec as repetition ``repetition`` of a repeated run.
-
-        Repetition 0 keeps the base seed (the canonical, bit-identical
-        run); later repetitions get independent derived seeds (see
-        :func:`repro.utils.rng.derive_seed`).  ``base_seed`` defaults
-        to this spec's own seed (or 0 when unset).
-        """
-        from repro.utils.rng import derive_seed
-
-        base = base_seed if base_seed is not None else self.seed
-        if repetition == 0 and base is None:
-            # canonical run with no explicit seed: leave the system's
-            # own seed in charge (bit-identical to the one-shot path)
-            return self.replace(repetition=0, seed=None)
-        return self.replace(
-            repetition=repetition, seed=derive_seed(base, repetition)
-        )
 
 
 def require_run_spec(where: str, spec, extra: Dict[str, object]) -> None:

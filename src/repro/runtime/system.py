@@ -80,8 +80,6 @@ class SystemResult:
     #: Workload seed the run actually used (None when the system was
     #: seeded with a live Generator — not recordable).
     seed: Optional[int] = None
-    #: Repetition index from the spec (0 = canonical run).
-    repetition: int = 0
     #: Fabric shape summary (name, chassis fingerprint, node/link/tier
     #: counts, generator seed) from
     #: :func:`repro.hardware.fabric.fabric_summary`; None for OOM runs
@@ -122,10 +120,10 @@ class SystemResult:
         """JSON-serializable record of this run (schema
         :data:`RUN_RECORD_SCHEMA`).
 
-        Carries the scalar outcome: identity fields, seed/repetition
-        provenance, the epoch's timings/throughput/trajectory, the
-        replan report, and — when the run executed under telemetry —
-        the scoped spans + metric deltas (already JSON-ready, see
+        Carries the scalar outcome: identity fields, the seed, the
+        epoch's timings/throughput/trajectory, the replan report, and
+        — when the run executed under telemetry — the scoped spans +
+        metric deltas (already JSON-ready, see
         :class:`repro.obs.RunScope`).  Rich in-memory objects (plan,
         data placement, per-link traffic, demand matrix) are
         intentionally *not* serialized — re-run for those.  The CLI
@@ -187,7 +185,6 @@ class SystemResult:
             "model": self.model,
             "num_gpus": int(self.num_gpus),
             "seed": self.seed,
-            "repetition": int(self.repetition),
             "ok": self.ok,
             "oom": self.oom,
             "fabric": self.fabric,
@@ -210,7 +207,9 @@ class SystemResult:
         ``search`` are ``None``; ``replan`` is the plain record dict
         (not a :class:`~repro.runtime.replan.ReplanReport`) and
         ``telemetry`` the plain spans+metrics payload (round-tripped
-        verbatim; None for pre-telemetry records).
+        verbatim; None for pre-telemetry records).  Keys it does not
+        read, such as the ``repetition`` index older records carry,
+        are ignored.
         """
         schema = record.get("schema")
         if schema != RUN_RECORD_SCHEMA:
@@ -249,7 +248,6 @@ class SystemResult:
             replan=record.get("replan"),
             telemetry=record.get("telemetry"),
             seed=record.get("seed"),
-            repetition=int(record.get("repetition", 0)),
             fabric=record.get("fabric"),
         )
 
@@ -431,7 +429,6 @@ class GnnSystem:
             gpus=spec.num_gpus,
         ) as sp:
             # spec.seed overrides the system's seed for this run only
-            # (repetition driver: same system, derived per-rep seeds)
             prev_seed = self.seed
             if spec.seed is not None:
                 self.seed = spec.seed
@@ -470,7 +467,6 @@ class GnnSystem:
             model=model,
             num_gpus=num_gpus,
             seed=self.seed if isinstance(self.seed, int) else None,
-            repetition=spec.repetition,
         )
         try:
             cache_bytes = self.hbm_cache_budget(

@@ -20,12 +20,11 @@ Layering (DESIGN.md §5f):
   optional solver-process pool, single-flight dedup,
   backpressure/timeout semantics;
 * :mod:`repro.serve.http` — stdlib ``ThreadingHTTPServer`` front-end
-  (sync ``/v1/plan`` and the async ``/v1/jobs`` API);
-* :mod:`repro.serve.loadgen` — seeded open/closed-loop traffic driver.
+  (sync ``/v1/plan`` and the async ``/v1/jobs`` API).
 
 Start a server with ``python -m repro.serve --port 8421 --workers 2
 --solver-processes 4 --cache-path plans.jsonl``; drive it with
-``python -m repro.serve.loadgen --url http://...`` (see docs/API.md
+``python -m tools.loadgen --url http://...`` (see docs/API.md
 for the wire schema and curl-able examples).
 """
 

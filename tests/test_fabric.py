@@ -332,7 +332,7 @@ class TestWarehouseFabricKeys:
         return MomentSystem(machine).run(spec).to_dict()
 
     def test_run_record_rows_keyed_by_fabric(self):
-        from repro.warehouse.ingest import rows_from_run_record
+        from tools.warehouse.ingest import rows_from_run_record
 
         record = self._record()
         keys, metrics = rows_from_run_record(record)
@@ -342,12 +342,12 @@ class TestWarehouseFabricKeys:
         assert metrics["fabric.tiers"] == record["fabric"]["tiers"]
 
     def test_fabric_key_column_declared(self):
-        from repro.warehouse.table import KEY_COLUMNS
+        from tools.warehouse.table import KEY_COLUMNS
 
         assert "fabric" in KEY_COLUMNS
 
     def test_old_table_without_fabric_column_loads(self):
-        from repro.warehouse.table import RunTable
+        from tools.warehouse.table import RunTable
 
         table = RunTable()
         table.add_row({"run_id": "r0", "benchmark": "b"}, {"m:x": 1.0})

@@ -9,7 +9,10 @@ old ``__pycache__`` survives, then breaks everywhere else.
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -76,6 +79,36 @@ def test_package_never_imports_tests():
         if "tests" in set(_imported_modules(py))
     )
     assert not offenders, f"package modules importing tests: {offenders}"
+
+
+def test_package_ships_no_measurement_tooling():
+    """The results warehouse and the load generator live in ``tools/``,
+    beside the system they measure: no module under src/repro is (or
+    imports) either, ``import repro`` loads neither, and ``repro``
+    exports no run-table."""
+    assert not (SRC / "warehouse").exists()
+    assert not (SRC / "serve" / "loadgen.py").exists()
+    offenders = sorted(
+        str(py.relative_to(SRC.parent))
+        for py in SRC.rglob("*.py")
+        if "tools" in set(_imported_modules(py))
+    )
+    assert not offenders, f"package modules importing tools: {offenders}"
+    probe = (
+        "import sys, repro; print(sorted(m for m in sys.modules if "
+        "m.startswith('repro.warehouse') or m == 'repro.serve.loadgen'))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    ).stdout.strip()
+    assert loaded == "[]", f"import repro loaded tooling: {loaded}"
+    import repro
+
+    assert "RunTable" not in repro.__all__
 
 
 #: Every ``REPRO_*`` environment variable the package reads.  A new one

@@ -21,8 +21,7 @@ import repro.core.mcmf as mcmf
 import repro.core.search as search
 from repro.core.flowmodel import TrafficDemand
 from repro.core.mcmf import multicommodity_min_time, new_lp_solver
-from repro.core.optimizer import concrete_demand
-from repro.core.search import run_search
+from repro.core.search import concrete_demand, run_search
 from repro.core.topology import LinkKind, TopologyMask
 from repro.hardware.machines import classic_layouts, machine_a, machine_b
 from tests.oracles import reference_multicommodity_min_time

@@ -11,12 +11,10 @@ from repro.core.optimizer import (
     MomentOptimizer,
     OptimizerConfig,
     capacity_plan,
-    concrete_demand,
-    scoring_demand,
     tier_fractions,
 )
 from repro.core.placement import GPU, Placement, SSD
-from repro.core.search import run_search
+from repro.core.search import concrete_demand, run_search, scoring_demand
 from repro.graphs.datasets import IGB_HOM, tiny_dataset
 from repro.hardware.machines import classic_layouts, machine_a, machine_b
 from repro.utils.units import GB

@@ -178,35 +178,21 @@ class TestRunRecord:
 
 class TestSeedsAndRepetitions:
     def test_spec_validation(self, ig):
-        with pytest.raises(ValueError, match="repetition"):
-            RunSpec(dataset=ig, repetition=-1)
+        with pytest.raises(TypeError, match="repetition"):
+            RunSpec(dataset=ig, repetition=0)  # no such field
         with pytest.raises(TypeError, match="seed"):
             RunSpec(dataset=ig, seed="zero")
 
-    def test_with_repetition_derives_seeds(self, spec):
-        from repro.utils.rng import derive_seed
-
-        s0 = spec.replace(seed=7)
-        r0 = s0.with_repetition(0)
-        r2 = s0.with_repetition(2)
-        assert (r0.seed, r0.repetition) == (7, 0)
-        assert (r2.seed, r2.repetition) == (derive_seed(7, 2), 2)
-        assert r2.seed != 7
-        # rep 0 of an unseeded spec stays unseeded (canonical run)
-        assert spec.with_repetition(0).seed is None
-        assert spec.with_repetition(1).seed == derive_seed(None, 1)
-
     def test_spec_seed_overrides_system_and_restores(self, machine, spec):
         system = MomentSystem(machine, seed=1)
-        result = system.run(spec.replace(seed=42, repetition=3))
+        result = system.run(spec.replace(seed=42))
         assert system.seed == 1  # restored after the run
-        assert result.seed == 42 and result.repetition == 3
+        assert result.seed == 42
         d = result.to_dict()
-        assert d["seed"] == 42 and d["repetition"] == 3
+        assert d["seed"] == 42 and "repetition" not in d
 
     def test_result_defaults_to_system_seed(self, machine, spec, result):
         assert result.seed == MomentSystem(machine).seed
-        assert result.repetition == 0
 
 
 class TestTelemetryRoundTrip:
@@ -222,12 +208,13 @@ class TestTelemetryRoundTrip:
         span_names = {s["name"] for s in back.telemetry["spans"]}
         assert "system.run" in span_names
         assert back.seed == result.seed
-        assert back.repetition == result.repetition
 
     def test_from_dict_tolerates_pre_telemetry_records(self, result):
         d = result.to_dict()
-        for legacy_missing in ("telemetry", "seed", "repetition"):
+        for legacy_missing in ("telemetry", "seed"):
             d.pop(legacy_missing, None)
+        d["repetition"] = 2  # older records carry a repetition index
         back = SystemResult.from_dict(d)
         assert back.telemetry is None
-        assert back.seed is None and back.repetition == 0
+        assert back.seed is None
+        assert not hasattr(back, "repetition")

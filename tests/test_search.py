@@ -398,6 +398,25 @@ class TestKnobDefaults:
         monkeypatch.setenv("REPRO_SEARCH_WORKERS", "2")
         assert default_workers() == 2
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        """Every other way to set the scoring parallelism rejects a
+        count below 1 the same way, instead of running it as 1."""
+        message = f"workers must be an integer >= 1, got {workers}"
+        with pytest.raises(ValueError, match=message):
+            run_search(_request(machine_a(), 2, 4, workers=workers))
+        with pytest.raises(ValueError, match=message):
+            set_default_workers(workers)
+        assert default_workers() >= 1  # the default was left alone
+        with pytest.raises(ValueError, match=message):
+            ParallelExecutor(
+                machine_a(),
+                None,
+                FlexibleMaxFlowScorer(FRACTIONS),
+                MulticommodityScorer(fractions=FRACTIONS),
+                workers=workers,
+            )
+
     def test_pass1_defaults_are_constants(self):
         """Batch size is fixed, not a knob: pass 1 stops only at a batch
         end, so identical batches for every worker count is a

@@ -27,8 +27,8 @@ from repro.serve import (
     parse_request,
     server_url,
 )
-from repro.serve.loadgen import LoadConfig, report_record, run_load
 from repro.serve.planner import resolve_machine
+from tools.loadgen import LoadConfig, report_record, run_load
 
 
 # ----------------------------------------------------------------------
@@ -1120,7 +1120,7 @@ class TestLoadgen:
         sink = tmp_path / "load.jsonl"
         obs.append_jsonl(sink, record)
 
-        from repro.warehouse import ingest_jsonl
+        from tools.warehouse import ingest_jsonl
 
         table, ingest = ingest_jsonl([str(sink)])
         assert ingest.num_rows == 1
