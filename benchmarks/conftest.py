@@ -19,12 +19,6 @@ needs; repetition 0 runs under ``benchmark.pedantic`` as before, the
 rest are plain re-executions.  Runners that accept a ``seed`` kwarg get
 per-repetition derived seeds (:func:`repro.utils.rng.derive_seed`);
 seed-stable runners measure wall-time noise, which is the point.
-
-The placement-search worker count passes straight through the engine's
-env default: ``REPRO_SEARCH_WORKERS=N`` scores candidates on N
-processes (see :mod:`repro.core.search`); it is recorded in each
-benchmark's metadata so JSONL records from different engine settings
-stay distinguishable.
 """
 
 import inspect
@@ -34,7 +28,6 @@ import platform
 import pytest
 
 from repro import obs
-from repro.core import search
 from repro.utils.rng import derive_seed
 
 
@@ -65,7 +58,6 @@ def bench_metadata(**extra) -> dict:
             "system": platform.system(),
         },
         scale_profile="full" if os.environ.get("REPRO_FULL") == "1" else "quick",
-        search_workers=search.default_workers(),
         **extra,
     )
 

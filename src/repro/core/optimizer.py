@@ -213,10 +213,7 @@ class MomentPlan:
         ]
         if self.search is not None:
             s = self.search
-            lines.append(
-                f"  search engine: workers={s.workers}, "
-                f"{s.num_lp_scored} LP-scored"
-            )
+            lines.append(f"  search engine: {s.num_lp_scored} LP-scored")
             if s.num_pass1_scored < s.num_unique:
                 scan = f"stopped at {s.num_pass1_scored} of {s.num_unique}"
             else:
@@ -251,9 +248,6 @@ class OptimizerConfig:
     lp_top_k: int = 48
     nvlink_pairs: Optional[Tuple[Tuple[int, int], ...]] = None
     seed: SeedLike = 0
-    #: Placement-scoring processes; None = the engine default
-    #: (``REPRO_SEARCH_WORKERS`` env / ``--search-workers`` CLI, else 1).
-    search_workers: Optional[int] = None
 
 
 class MomentOptimizer:
@@ -332,9 +326,8 @@ class MomentOptimizer:
             fractions=fractions,
             gpu_cache_policy=cfg.gpu_cache_policy,
             nvlink_pairs=cfg.nvlink_pairs,
-            lp_top_k=max(1, cfg.lp_top_k),
-            top_k=max(1, cfg.report_top_k),
-            workers=cfg.search_workers,
+            lp_top_k=cfg.lp_top_k,
+            top_k=cfg.report_top_k,
             candidates=tuple(candidates) if candidates is not None else None,
         )
 

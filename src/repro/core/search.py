@@ -36,14 +36,15 @@ and experiments) all speak the same :class:`SearchRequest` /
    ``lp_top_k`` best pass-1 candidates reach this stage and every one
    of them is LP-scored; the highest exact score wins.
 
-Scoring runs on a :class:`ParallelExecutor`: ``workers=1`` executes
-inline, one chunk at a time; ``workers>1`` keeps at most ``workers``
-chunks in flight on a ``concurrent.futures`` process pool and drops
-what is in flight when pass 1 stops.  Chunks are cut identically
-either way, outcomes come back in chunk order and the final ranking
-breaks throughput ties on funnel order (pass-1 score descending,
-enumeration index ascending — the pre-engine stable sort), so serial
-and parallel runs stop at the same batch and pick the same winner.
+Every search runs inline, in the calling process: pass 1 scores one
+batch per :meth:`FlexibleMaxFlowScorer.score_batch` call and pass 2
+one finalist per :meth:`MulticommodityScorer.score` call, in funnel
+order.  The final ranking breaks throughput ties on funnel order
+(pass-1 score descending, enumeration index ascending — the
+pre-engine stable sort), so every run stops at the same batch and
+picks the same winner.  Multi-core planning is the planning server's
+``--solver-processes`` pool, which spreads requests, one search each,
+over cores.
 
 Pass 1 keeps only each candidate's prediction; pass 2 builds the
 topology of each of its ``lp_top_k`` finalists for its LP and keeps
@@ -57,10 +58,6 @@ stopped early) and ``search.lp_scored``.
 from __future__ import annotations
 
 import heapq
-import os
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import (
@@ -68,13 +65,11 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     NamedTuple,
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -99,51 +94,24 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only, avoids import cycle
     from repro.hardware.machines import MachineSpec
 
 
-#: Candidates per pass-1 scoring batch.  Pass 1 stops only at a batch
-#: end, so every worker count must cut the candidate stream into the
-#: same batches to stop at the same candidate — a determinism
-#: requirement, not a tuning knob.
+#: Candidates per pass-1 scoring batch.  Pass 1 checks its stop only
+#: at a batch end, so the stop point is the same on every run.
 PASS1_BATCH = 32
 
 
-# ----------------------------------------------------------------------
-# Process-wide knob defaults (env-overridable, CLI-settable)
-# ----------------------------------------------------------------------
-_DEFAULT_WORKERS: Optional[int] = None
-
-
-def _check_workers(workers: Union[int, str], name: str = "workers") -> int:
-    """``workers`` as an int; ``ValueError`` naming ``name`` and the
-    value unless it is an integer >= 1.  Every way to set the scoring
-    parallelism goes through this check."""
-    try:
-        count = int(workers)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {workers!r}")
-    return count
+def _check_count(value: int, name: str) -> int:
+    """``value``; ``ValueError`` naming ``name`` and the value when it
+    is below 1."""
+    if value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
 
 
 def default_workers() -> int:
-    """Default scoring parallelism: ``REPRO_SEARCH_WORKERS`` or 1.
-
-    Raises ``ValueError`` when the variable is not an integer >= 1.
-    """
-    if _DEFAULT_WORKERS is not None:
-        return _DEFAULT_WORKERS
-    return _check_workers(
-        os.environ.get("REPRO_SEARCH_WORKERS", "1"), "REPRO_SEARCH_WORKERS"
-    )
-
-
-def set_default_workers(workers: Optional[int]) -> None:
-    """Override the process-wide worker default (None = env/1).
-
-    Raises ``ValueError`` for a count below 1.
-    """
-    global _DEFAULT_WORKERS
-    _DEFAULT_WORKERS = None if workers is None else _check_workers(workers)
+    """Always 1: every search runs inline, in the calling process.
+    Kept as a constant only because recorded run environments
+    (``perfbench/common.py::env_record``) report it."""
+    return 1
 
 
 def default_prune_bounds() -> bool:
@@ -349,8 +317,8 @@ class MulticommodityScorer:
 
     ``solver`` is a HiGHS instance (:func:`repro.core.mcmf.new_lp_solver`)
     reused for every LP this scorer solves; ``None`` solves each LP on a
-    fresh one.  It is not a setting: :class:`_ScoreRuntime` binds one
-    per runtime, so a solver never crosses threads or processes.
+    fresh one.  It is not a setting: :class:`_Scoring` binds one per
+    search, so a solver never crosses threads or processes.
     """
 
     fractions: Tuple[float, float, float]
@@ -370,30 +338,17 @@ class MulticommodityScorer:
 
 
 # ----------------------------------------------------------------------
-# Scoring runtime: topology build + stage dispatch (shared by the
-# inline path and every pool worker)
+# Scoring: the search's scorers, networks and LP solver
 # ----------------------------------------------------------------------
-class ChunkOutcome(NamedTuple):
-    """What one scored chunk hands back, inline or across the pool."""
+class _Scoring:
+    """Scores one search's candidates: pass-1 batches and pass-2 LPs.
 
-    #: ``(index, prediction)`` per item, in item order.
-    results: List[Tuple[int, object]]
-    #: An ``"exact"`` chunk's best row as ``(index, topology)``: the one
-    #: topology of the chunk that can be the winner's.
-    best_topology: Optional[Tuple[int, Topology]] = None
-
-
-class _ScoreRuntime:
-    """Runs one stage on a chunk of candidates.
-
-    A ``"coarse"`` chunk is one pass-1 batch, each candidate solved on
-    its own: over the search's
+    Pass 1 solves each candidate on its own: over the search's
     :class:`~repro.core.flowmodel.ChassisNetwork` for the candidates'
-    pool (built on first use, once per runtime), or, under a ``mask``,
-    on the masked topology that pass 2 builds too.  An ``"exact"``
-    chunk builds each candidate's topology and LP-scores it against its pass-1 prediction, on one HiGHS
-    instance per runtime (made on the first exact chunk, in the process
-    that runs it), and keeps only the topology of its best row.
+    pool (built on first use), or, under a ``mask``, on the masked
+    topology that pass 2 builds too.  Pass 2 builds each finalist's
+    topology and LP-scores it against its pass-1 prediction on one HiGHS
+    instance, made on the first LP.
     """
 
     def __init__(
@@ -422,6 +377,13 @@ class _ScoreRuntime:
             )
         return network
 
+    def ceiling(self, placement: Placement) -> Optional[EgressCeiling]:
+        """The storage-egress bound of ``placement``'s pool network;
+        ``None`` under a mask, whose candidates are scanned whole."""
+        if self.mask:
+            return None
+        return self.network(placement).ceiling
+
     def template(self, placement: Placement) -> Optional[FlowTemplate]:
         """``placement``'s pass-1 network."""
         if not self.mask:
@@ -446,139 +408,18 @@ class _ScoreRuntime:
             topo = self.mask.apply(topo)
         return topo
 
-    def run_chunk(
-        self, stage: str, items: Sequence[Tuple[int, Placement, object]]
-    ) -> ChunkOutcome:
-        """Score one chunk of ``(index, placement, pass-1 prediction)``."""
-        if stage == "coarse":
-            predictions = self.coarse.score_batch(
-                [placement for _, placement, _ in items], self.template
-            )
-            return ChunkOutcome(
-                [
-                    (idx, prediction)
-                    for (idx, _, _), prediction in zip(items, predictions)
-                ]
-            )
+    def score_pass1(self, batch: Sequence[Placement]) -> List[FlowPrediction]:
+        """Pass-1 predictions for one batch, in batch order."""
+        return self.coarse.score_batch(batch, self.template)
+
+    def score_pass2(
+        self, placement: Placement, prior: FlowPrediction
+    ) -> Tuple[McfPrediction, Topology]:
+        """``placement``'s LP prediction and the topology it scored."""
         if self._lp_scorer is None:
             self._lp_scorer = replace(self.exact, solver=new_lp_solver())
-        results = []
-        best_topology, best_throughput = None, 0.0
-        for idx, placement, p1 in items:
-            topo = self.topology(placement)
-            mcf = self._lp_scorer.score(topo, placement, p1)
-            results.append((idx, mcf))
-            # items arrive in index order: the first of a tie stays best
-            if best_topology is None or mcf.throughput > best_throughput:
-                best_topology, best_throughput = (idx, topo), mcf.throughput
-        return ChunkOutcome(results, best_topology=best_topology)
-
-
-_WORKER_RUNTIME: Optional[_ScoreRuntime] = None
-
-
-def _pool_init(*runtime_args) -> None:
-    global _WORKER_RUNTIME
-    _WORKER_RUNTIME = _ScoreRuntime(*runtime_args)
-
-
-def _pool_chunk(stage, items):
-    return _WORKER_RUNTIME.run_chunk(stage, items)
-
-
-class ParallelExecutor:
-    """Chunked stage execution, inline or over a process pool.
-
-    ``workers=1`` runs every chunk in-process through the exact same
-    :class:`_ScoreRuntime` code path the pool workers use, so the serial
-    engine is bit-identical to the parallel one; outcomes always come
-    back in chunk order.
-    """
-
-    def __init__(
-        self,
-        machine: "MachineSpec",
-        nvlink_pairs: Optional[Tuple[Tuple[int, int], ...]],
-        coarse: FlexibleMaxFlowScorer,
-        exact: MulticommodityScorer,
-        workers: int = 1,
-        mask: Optional[TopologyMask] = None,
-    ) -> None:
-        self.workers = _check_workers(workers)
-        self._init_args = (machine, nvlink_pairs, coarse, exact, mask)
-        self._local = _ScoreRuntime(*self._init_args)
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    # -- lifecycle -------------------------------------------------------
-    def __enter__(self) -> "ParallelExecutor":
-        if self.workers > 1:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_pool_init,
-                initargs=self._init_args,
-            )
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    # -- execution -------------------------------------------------------
-    def ceiling(self, placement: Placement) -> Optional[EgressCeiling]:
-        """The storage-egress bound of ``placement``'s pool network;
-        ``None`` under a mask, whose candidates are scanned whole."""
-        if self._local.mask:
-            return None
-        return self._local.network(placement).ceiling
-
-    def stream_stage(
-        self,
-        stage: str,
-        chunks: Iterable[Sequence[Tuple[int, Placement, object]]],
-    ) -> Iterator[ChunkOutcome]:
-        """Score ``chunks`` with the named stage, yielding each chunk's
-        outcome in chunk order.
-
-        Inline, a chunk is scored only when the consumer asks for it.
-        On the pool at most ``workers`` chunks are in flight: the next
-        is submitted as the oldest is handed over.  A consumer that
-        stops early discards what is still in flight.
-        """
-        if self._pool is None:
-            for chunk in chunks:
-                yield self._local.run_chunk(stage, chunk)
-            return
-        in_flight: deque = deque()
-        try:
-            for chunk in chunks:
-                in_flight.append(self._pool.submit(_pool_chunk, stage, chunk))
-                if len(in_flight) == self.workers:
-                    yield in_flight.popleft().result()
-            while in_flight:
-                yield in_flight.popleft().result()
-        finally:
-            for future in in_flight:
-                future.cancel()
-
-    def run_stage(
-        self,
-        stage: str,
-        items: Sequence[Tuple[int, Placement, object]],
-        chunk_size: int,
-    ) -> List[ChunkOutcome]:
-        """Score all of ``items`` with the named stage, cut into
-        ``chunk_size`` chunks the same way inline and on the pool."""
-        items = list(items)
-        return list(
-            self.stream_stage(
-                stage,
-                (
-                    items[i : i + chunk_size]
-                    for i in range(0, len(items), chunk_size)
-                ),
-            )
-        )
+        topo = self.topology(placement)
+        return self._lp_scorer.score(topo, placement, prior), topo
 
 
 # ----------------------------------------------------------------------
@@ -599,8 +440,6 @@ class SearchRequest:
     lp_top_k: int = 48
     #: Candidates kept in the ranked result.
     top_k: int = 10
-    #: Scoring processes; None = :func:`default_workers` (env/CLI).
-    workers: Optional[int] = None
     #: Restrict the search to these placements (skips enumeration and
     #: symmetry dedupe, e.g. data-placement-only runs à la §4.5).
     candidates: Optional[Tuple[Placement, ...]] = None
@@ -609,12 +448,6 @@ class SearchRequest:
     #: A masked search has no storage-egress ceiling: pass 1 scans its
     #: candidates whole.
     mask: Optional[TopologyMask] = None
-
-    def resolved_workers(self) -> int:
-        """The effective worker count for this request."""
-        if self.workers is None:
-            return default_workers()
-        return _check_workers(self.workers)
 
 
 @dataclass
@@ -639,11 +472,9 @@ class SearchResult:
     ceiling_cut: Optional[str] = None
     #: Finalists the LP scored: ``min(lp_top_k, num_unique)``.
     num_lp_scored: int = 0
-    #: Effective parallelism the search ran with.
-    workers: int = 1
     #: Wall-clock duration of the engine run (``search.run`` span).
     seconds: float = 0.0
-    #: Pass-1 scoring batches scored (serial and parallel alike).
+    #: Pass-1 scoring batches scored.
     num_batches: int = 0
     #: The winner's topology as pass 2 scored it (under the request's
     #: ``mask``, if any).
@@ -668,25 +499,24 @@ class SearchEngine:
     """Candidates → pass-1 batches → top-k funnel → pass-2 LPs.
 
     Determinism contract: for fixed candidates and scorers, the winner
-    and the ranked top-k are identical for every ``workers`` count;
-    throughput ties break on funnel order (pass-1 score descending,
-    enumeration index ascending), matching the pre-engine serial path
-    bit-for-bit.
+    and the ranked top-k are the same on every run; throughput ties
+    break on funnel order (pass-1 score descending, enumeration index
+    ascending), matching the pre-engine serial path bit-for-bit.
     """
 
     def __init__(
         self,
         placements: Iterable[Placement],
         num_candidates: int,
-        executor: ParallelExecutor,
+        scoring: _Scoring,
         lp_top_k: int = 48,
         top_k: int = 10,
     ) -> None:
         self.placements = placements
         self.num_candidates = num_candidates
-        self.executor = executor
-        self.lp_top_k = max(1, lp_top_k)
-        self.top_k = max(1, top_k)
+        self.scoring = scoring
+        self.lp_top_k = _check_count(lp_top_k, "lp_top_k")
+        self.top_k = _check_count(top_k, "top_k")
 
     # -- stage 1: coarse-score candidates up to the ceiling ---------------
     def _ceiling(self, placements: List[Placement]) -> Optional[EgressCeiling]:
@@ -696,7 +526,7 @@ class SearchEngine:
         pools = {(p.num_gpus, p.num_ssds) for p in placements}
         if len(pools) != 1:
             return None
-        return self.executor.ceiling(placements[0])
+        return self.scoring.ceiling(placements[0])
 
     def _score_pass1(self, placements: List[Placement]) -> _Pass1:
         """Pass-1 score candidates in :data:`PASS1_BATCH` batches, in
@@ -708,26 +538,19 @@ class SearchEngine:
         enumeration index: the finalists are the full scan's.
         """
         ceiling = self._ceiling(placements)
-        n = len(placements)
-        chunks = (
-            [
-                (idx, placements[idx], None)
-                for idx in range(start, min(start + PASS1_BATCH, n))
-            ]
-            for start in range(0, n, PASS1_BATCH)
-        )
         entries: List[Tuple[int, Placement, FlowPrediction]] = []
         hits = 0
         batch_sizes: List[int] = []
-        with closing(self.executor.stream_stage("coarse", chunks)) as stream:
-            for outcome in stream:
-                batch_sizes.append(len(outcome.results))
-                for idx, prediction in outcome.results:
-                    entries.append((idx, placements[idx], prediction))
-                    if ceiling is not None and prediction.time <= ceiling.time:
-                        hits += 1
-                if hits >= self.lp_top_k:
-                    break
+        for start in range(0, len(placements), PASS1_BATCH):
+            batch = placements[start : start + PASS1_BATCH]
+            batch_sizes.append(len(batch))
+            predictions = self.scoring.score_pass1(batch)
+            for idx, prediction in enumerate(predictions, start):
+                entries.append((idx, placements[idx], prediction))
+                if ceiling is not None and prediction.time <= ceiling.time:
+                    hits += 1
+            if hits >= self.lp_top_k:
+                break
         return _Pass1(entries, ceiling, hits, batch_sizes)
 
     # -- stage 2: top-k funnel + exact scoring ----------------------------
@@ -742,61 +565,48 @@ class SearchEngine:
         )
 
     def _score_exact(self, finalists):
-        """LP-score every finalist in one ``"exact"`` stage, split into
-        one chunk per worker, and rank by exact throughput.  Returns the
-        ranked rows and the winner's topology.
+        """LP-score every finalist in funnel order and rank by exact
+        throughput.  Returns the ranked rows and the winner's topology.
 
         Finalists arrive in funnel order (pass-1 score descending,
         enumeration index ascending); sorting on that position breaks
-        throughput ties exactly as the serial reference path does, and
-        the winner is the best row of its own chunk.
+        throughput ties exactly as the serial reference path does.
+        Only the topology of the first row with the maximum throughput
+        is kept.
         """
-        outcomes = self.executor.run_stage(
-            "exact",
-            [
-                (pos, placement, p1)
-                for pos, (_, placement, p1) in enumerate(finalists)
-            ],
-            chunk_size=-(-len(finalists) // self.executor.workers),
-        )
         scored = []
-        topologies = {}
-        for outcome in outcomes:
-            for pos, mcf in outcome.results:
-                _, placement, p1 = finalists[pos]
-                scored.append(
-                    (pos, ScoredPlacement(placement, mcf.throughput, p1, mcf))
-                )
-            pos, topo = outcome.best_topology
-            topologies[pos] = topo
+        best_topology, best_throughput = None, 0.0
+        for pos, (_, placement, p1) in enumerate(finalists):
+            mcf, topo = self.scoring.score_pass2(placement, p1)
+            scored.append(
+                (pos, ScoredPlacement(placement, mcf.throughput, p1, mcf))
+            )
+            # the first of a tie stays best
+            if best_topology is None or mcf.throughput > best_throughput:
+                best_topology, best_throughput = topo, mcf.throughput
         ranked = sorted(scored, key=lambda pair: (-pair[1].throughput, pair[0]))
-        return [row for _, row in ranked], topologies[ranked[0][0]]
+        return [row for _, row in ranked], best_topology
 
     # -- entry point ------------------------------------------------------
     def run(self) -> SearchResult:
         """Execute the full pipeline and return the ranked result."""
-        with obs.span(
-            "search.run",
-            workers=self.executor.workers,
-            lp_top_k=self.lp_top_k,
-        ) as root:
+        with obs.span("search.run", lp_top_k=self.lp_top_k) as root:
             placements = list(self.placements)
-            with self.executor:
-                with obs.span("search.pass1") as sp:
-                    pass1 = self._score_pass1(placements)
-                    sp.set(
-                        candidates=self.num_candidates,
-                        unique=len(placements),
-                        scored=len(pass1.entries),
-                        ceiling_hits=pass1.hits,
-                    )
-                if not pass1.entries:
-                    raise ValueError("no placements to score")
-                with obs.span("search.pass2") as sp:
-                    ranked, topology = self._score_exact(
-                        self._select_finalists(pass1.entries)
-                    )
-                    sp.set(lp_scored=len(ranked))
+            with obs.span("search.pass1") as sp:
+                pass1 = self._score_pass1(placements)
+                sp.set(
+                    candidates=self.num_candidates,
+                    unique=len(placements),
+                    scored=len(pass1.entries),
+                    ceiling_hits=pass1.hits,
+                )
+            if not pass1.entries:
+                raise ValueError("no placements to score")
+            with obs.span("search.pass2") as sp:
+                ranked, topology = self._score_exact(
+                    self._select_finalists(pass1.entries)
+                )
+                sp.set(lp_scored=len(ranked))
             result = SearchResult(
                 best=ranked[0],
                 scored=ranked[: self.top_k],
@@ -806,7 +616,6 @@ class SearchEngine:
                 ceiling_hits=pass1.hits,
                 ceiling_cut=pass1.ceiling.cut if pass1.ceiling else None,
                 num_lp_scored=len(ranked),
-                workers=self.executor.workers,
                 num_batches=len(pass1.batch_sizes),
                 topology=topology,
             )
@@ -843,7 +652,7 @@ def run_search(request: SearchRequest) -> SearchResult:
         num_candidates = count_placements(
             machine.chassis, request.num_gpus, request.num_ssds
         )
-    executor = ParallelExecutor(
+    scoring = _Scoring(
         machine,
         request.nvlink_pairs,
         FlexibleMaxFlowScorer(
@@ -854,13 +663,12 @@ def run_search(request: SearchRequest) -> SearchResult:
             fractions=request.fractions,
             gpu_cache_policy=request.gpu_cache_policy,
         ),
-        workers=request.resolved_workers(),
         mask=request.mask,
     )
     engine = SearchEngine(
         placements,
         num_candidates,
-        executor,
+        scoring,
         lp_top_k=request.lp_top_k,
         top_k=request.top_k,
     )

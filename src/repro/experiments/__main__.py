@@ -6,7 +6,6 @@ Usage::
     python -m repro.experiments fig10      # run one (full settings)
     python -m repro.experiments all --quick
     python -m repro.experiments fig10 --trace --json-out runs.jsonl
-    python -m repro.experiments fig10 --search-workers 4
     python -m repro.experiments faults --faults "fail@2:ssd0;slow@5:ssd3:0.5"
 
 ``--trace`` prints the telemetry report (span tree, tier breakdown,
@@ -17,8 +16,6 @@ overwrite`` truncates once at startup), and a run that raises
 mid-epoch still flushes its partial record with an ``error`` field
 before the exception propagates.  Either flag enables telemetry for
 the run.
-``--search-workers`` sets the placement-search engine's process-wide
-scoring parallelism (see :mod:`repro.core.search`).
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ import argparse
 import sys
 
 from repro import obs
-from repro.core import search
 from repro.experiments.registry import list_experiments, run_experiment
 
 
@@ -84,19 +80,8 @@ def main(argv=None) -> int:
         "registry ('machine_b', 'gen:<seed>', a repro.fabric/v1 JSON "
         "or chassis text file)",
     )
-    parser.add_argument(
-        "--search-workers",
-        type=int,
-        metavar="N",
-        default=None,
-        help="placement-search scoring processes (default: "
-        "$REPRO_SEARCH_WORKERS or 1; serial and parallel runs pick "
-        "identical winners)",
-    )
     args = parser.parse_args(argv)
 
-    if args.search_workers is not None:
-        search.set_default_workers(args.search_workers)
     faults = None
     if args.faults is not None:
         from repro.faults import FaultSchedule

@@ -21,8 +21,8 @@ actually observes on multi-GPU storage servers:
   evicts ``fraction`` of one GPU's embedding cache; the evicted share
   of local hits turns into CPU-memory reads.
 
-All models are frozen dataclasses so schedules hash/compare cleanly and
-survive pickling into search workers.
+All models are frozen dataclasses so schedules hash, compare and pickle
+cleanly.
 """
 
 from __future__ import annotations

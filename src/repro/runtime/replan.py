@@ -200,8 +200,6 @@ class ReplanPolicy:
         with obs.span(
             "replan.run", step=step, faults=len(view.active)
         ) as sp:
-            # one candidate cannot be split across workers: a pool
-            # would only add its start-up time
             request = SearchRequest(
                 machine=self.sim.machine,
                 num_gpus=self.placement.num_gpus,
@@ -211,7 +209,6 @@ class ReplanPolicy:
                 nvlink_pairs=(
                     tuple(self.nvlink_pairs) if self.nvlink_pairs else None
                 ),
-                workers=1,
                 candidates=(self.placement,),
                 mask=mask,
             )

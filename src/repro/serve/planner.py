@@ -6,9 +6,8 @@ request's dataset and machine, runs the Moment optimizer through
 ``MomentSystem.choose_placement`` (``simulate=False``, plan only), and
 returns the JSON-ready payload the cache stores and the HTTP layer
 ships.  The solve rides the existing :mod:`repro.core.search` engine,
-so ``REPRO_SEARCH_WORKERS`` / ``--search-workers`` fan both scoring
-passes onto the engine's :class:`~repro.core.search.ParallelExecutor`
-process pool exactly as offline runs do.
+which runs inline in whichever thread or ``--solver-processes`` child
+calls it: the server spreads requests over cores, never one search.
 
 Machines and built datasets are memoized process-wide (both are
 immutable once built): machine resolution keys on the registry name or
@@ -129,7 +128,6 @@ def _plan_payload(plan) -> Optional[Dict]:
     if plan.search is not None:
         s = plan.search
         payload["search"] = {
-            "workers": int(s.workers),
             "num_lp_scored": int(s.num_lp_scored),
             "num_pass1_scored": int(s.num_pass1_scored),
             "ceiling_hits": int(s.ceiling_hits),

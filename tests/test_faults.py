@@ -281,9 +281,8 @@ class TestReplan:
     ):
         """The masked re-search scores the current, unmasked placement
         (4 GPUs / 8 SSDs) on the surviving fabric: its request states
-        that placement's pool and one worker (a single candidate is
-        never worth a pool, whatever ``REPRO_SEARCH_WORKERS`` says), and
-        its prediction is the solve on the masked topology.  That
+        that placement's pool, and its prediction is the solve on the
+        masked topology.  That
         topology is turned into a flow template exactly once, for the
         candidate's pass-1 score, and the replan makes no other solve;
         DDAK's bins are built on the topology the search scored."""
@@ -292,7 +291,6 @@ class TestReplan:
         from repro.hardware.fabric import topology_fingerprint
         from repro.runtime import replan as replan_module
 
-        monkeypatch.setenv("REPRO_SEARCH_WORKERS", "2")
         calls = []
         run_search = replan_module.run_search
 
@@ -332,7 +330,6 @@ class TestReplan:
         )
         assert len(result.replan.events) == 1
         (request, search), = calls
-        assert request.workers == 1 and search.workers == 1
         assert (request.num_gpus, request.num_ssds) == (4, 8)
         (candidate,) = request.candidates
         assert candidate.as_tuple() == placement_c.as_tuple()

@@ -114,7 +114,6 @@ def test_package_ships_no_measurement_tooling():
 #: Every ``REPRO_*`` environment variable the package reads.  A new one
 #: is a new global knob: add it here only together with its docs.
 ENV_KNOBS = {
-    "REPRO_SEARCH_WORKERS",
     "REPRO_FABRIC_SEEDS",
     "REPRO_OBS_HIST_MAX",
 }
@@ -172,14 +171,12 @@ def test_perfbench_layers_count_the_search():
     A scorer or
     topology-build signature change that the tracer no longer sees
     would zero its benchmark row instead of failing."""
-    from repro.core.optimizer import MomentOptimizer, OptimizerConfig
+    from repro.core.optimizer import MomentOptimizer
     from repro.graphs.datasets import IGB_HOM
     from repro.hardware.machines import machine_a
 
     dataset = IGB_HOM.build(scale=IGB_HOM.default_scale * 40, seed=0)
-    optimizer = MomentOptimizer(
-        machine_a(), 2, 4, OptimizerConfig(search_workers=1)
-    )
+    optimizer = MomentOptimizer(machine_a(), 2, 4)
     tracer = _perfbench_tracing().Tracer()
     tracer.install()
     try:

@@ -323,8 +323,6 @@ class TestOneWinnerBuildPerRun:
     def builds(self, monkeypatch):
         from repro.hardware.machines import MachineSpec
 
-        # score inline so the search's builds happen in this process
-        monkeypatch.setenv("REPRO_SEARCH_WORKERS", "1")
         built = []
         build = MachineSpec.build
 

@@ -1,7 +1,7 @@
 """Tests for the staged placement-search engine (repro.core.search).
 
-The load-bearing guarantee is *equivalence*: the batched, parallel,
-funnelled engine must reproduce the pre-engine serial path — enumerate
+The load-bearing guarantee is *equivalence*: the batched, funnelled
+engine must reproduce the pre-engine serial path — enumerate
 everything, dedupe, pass-1 score everything, stable-sort, LP the top
 ``lp_top_k``, stable-sort — bit for bit.  ``_reference_search`` below
 implements that original recipe directly and every equivalence test
@@ -19,8 +19,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
-from repro.core import search as search_module
-
 from repro.core.flowmodel import (
     ChassisNetwork,
     TrafficDemand,
@@ -43,7 +41,6 @@ from repro.core.search import (
     PASS1_BATCH,
     FlexibleMaxFlowScorer,
     MulticommodityScorer,
-    ParallelExecutor,
     ScoredPlacement,
     SearchRequest,
     default_batch_size,
@@ -52,7 +49,6 @@ from repro.core.search import (
     default_workers,
     run_search,
     scoring_demand,
-    set_default_workers,
 )
 from repro.core.symmetry import (
     iter_canonical_placements,
@@ -139,7 +135,6 @@ def _request(machine, num_gpus, num_ssds, **overrides):
         fractions=FRACTIONS,
         lp_top_k=LP_TOP_K,
         top_k=TOP_K,
-        workers=1,
     )
     base.update(overrides)
     return SearchRequest(**base)
@@ -150,60 +145,24 @@ def _ranking(scored):
 
 
 @pytest.fixture()
-def stage_calls(monkeypatch):
-    """Every ``ParallelExecutor.run_stage`` call, as ``(stage, items,
-    chunk_size)``."""
+def lp_calls(monkeypatch):
+    """Every pass-2 LP as ``(placement, pass-1 prediction)``, in the
+    order :meth:`MulticommodityScorer.score` is called."""
     calls = []
-    run_stage = ParallelExecutor.run_stage
+    score = MulticommodityScorer.score
 
-    def recording(self, stage, items, chunk_size):
-        items = list(items)
-        calls.append((stage, len(items), chunk_size))
-        return run_stage(self, stage, items, chunk_size)
+    def recording(self, topo, placement, prior=None):
+        calls.append((placement, prior))
+        return score(self, topo, placement, prior)
 
-    monkeypatch.setattr(ParallelExecutor, "run_stage", recording)
+    monkeypatch.setattr(MulticommodityScorer, "score", recording)
     return calls
 
 
-class _CountingPool:
-    """An in-process stand-in for the scoring pool: runs each chunk when
-    its result is collected and tracks the pass-1 chunks submitted but
-    not yet collected or cancelled."""
-
-    last = None
-
-    def __init__(self, max_workers, initializer, initargs):
-        initializer(*initargs)
-        self.in_flight = self.peak = self.submitted = 0
-        _CountingPool.last = self
-
-    def submit(self, fn, stage, chunk):
-        coarse = stage == "coarse"
-        if coarse:
-            self.in_flight += 1
-            self.submitted += 1
-            self.peak = max(self.peak, self.in_flight)
-        return _CountingFuture(self, coarse, partial(fn, stage, chunk))
-
-    def shutdown(self, wait=True):
-        pass
-
-
-class _CountingFuture:
-    def __init__(self, pool, coarse, call):
-        self.pool, self.coarse, self.call = pool, coarse, call
-
-    def _settle(self):
-        self.pool.in_flight -= self.coarse
-        self.coarse = False
-
-    def result(self):
-        self._settle()
-        return self.call()
-
-    def cancel(self):
-        self._settle()
-        return True
+#: Identical searches run back to back in one process: a search keeps
+#: no state (networks, LP solver) for the next one, so every run stops
+#: at the same batch and ranks the same.
+RUNS = [1, 2]
 
 
 class TestEquivalence:
@@ -224,64 +183,24 @@ class TestEquivalence:
         # same top-k ordering, placement by placement
         assert _ranking(result.scored) == _ranking(ref_rows)
 
-    def test_parallel_matches_serial(self):
+    @pytest.mark.parametrize("runs", RUNS)
+    def test_pass2_scores_every_finalist_in_one_stage(self, lp_calls, runs):
+        """Pass 2 LP-scores every finalist exactly once, and a repeated
+        search ranks the same.  Machine B 2/4 has finalists whose
+        pass-1 bound cannot beat the top-k exact floor; they are scored
+        all the same."""
         machine = machine_b()
-        serial = run_search(_request(machine, 2, 4))
-        parallel = run_search(_request(machine, 2, 4, workers=2))
-        assert parallel.workers == 2
-        assert _ranking(parallel.scored) == _ranking(serial.scored)
-        assert parallel.num_candidates == serial.num_candidates
-        assert parallel.num_unique == serial.num_unique
-
-    def test_pool_runs_pass1_in_waves(self, monkeypatch):
-        """Pass 1 keeps at most ``workers`` batches in flight and drops
-        what is in flight at the stop, so a pool stops at the serial
-        boundary with the serial counters and ranking.  Checked on the
-        real pool, and on an in-process pool that counts the batches
-        submitted and not yet collected."""
-        machine = machine_b()
-        request = partial(_request, machine, 2, 4, lp_top_k=48, top_k=48)
-        serial = run_search(request())
-        assert PASS1_BATCH < serial.num_pass1_scored < serial.num_unique
-
-        def counters(result):
-            return (
-                result.num_unique,
-                result.num_pass1_scored,
-                result.ceiling_hits,
-                result.num_batches,
-                result.num_lp_scored,
-                _ranking(result.scored),
-            )
-
-        assert counters(run_search(request(workers=2))) == counters(serial)
-        monkeypatch.setattr(search_module, "ProcessPoolExecutor", _CountingPool)
-        monkeypatch.setattr(search_module, "_WORKER_RUNTIME", None)
-        for workers in (2, 3):
-            result = run_search(request(workers=workers))
-            pool = _CountingPool.last
-            assert pool.peak == workers
-            assert pool.submitted <= serial.num_batches + workers - 1
-            assert counters(result) == counters(serial)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_pass2_scores_every_finalist_in_one_stage(
-        self, stage_calls, workers
-    ):
-        """Pass 2 LP-scores every finalist in one ``"exact"`` stage cut
-        into one chunk per worker, and any worker count ranks the same.
-        Machine B 2/4 has finalists whose pass-1 bound cannot beat the
-        top-k exact floor; they are scored all the same."""
-        machine = machine_b()
-        serial = run_search(_request(machine, 2, 4))
-        stage_calls.clear()
-        result = run_search(_request(machine, 2, 4, workers=workers))
-        n = min(LP_TOP_K, result.num_unique)
-        assert result.num_lp_scored == n
-        exact = [call for call in stage_calls if call[0] == "exact"]
-        assert exact == [("exact", n, -(-n // workers))]
-        assert _ranking(result.scored) == _ranking(serial.scored)
-        assert result.best.throughput == serial.best.throughput
+        results = []
+        for _ in range(runs):
+            lp_calls.clear()
+            result = run_search(_request(machine, 2, 4))
+            n = min(LP_TOP_K, result.num_unique)
+            assert result.num_lp_scored == len(lp_calls) == n
+            results.append(result)
+        first = results[0]
+        for result in results[1:]:
+            assert _ranking(result.scored) == _ranking(first.scored)
+            assert result.best.throughput == first.best.throughput
 
     def test_pruning_settings_are_gone(self):
         machine = machine_b()
@@ -379,48 +298,45 @@ class TestNoTopologyRetention:
 
 
 class TestKnobDefaults:
-    def test_set_default_workers_roundtrip(self):
-        try:
-            set_default_workers(3)
-            assert default_workers() == 3
-        finally:
-            set_default_workers(None)
-        assert default_workers() >= 1
+    def test_search_workers_are_gone(self, monkeypatch, capsys):
+        """Nothing selects how a search executes: no request field, no
+        optimizer field, no CLI flag, and the old environment variable
+        is not read."""
+        import repro.experiments.__main__ as cli
 
-    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
-    def test_malformed_env_workers_rejected(self, raw, monkeypatch):
-        """A malformed ``REPRO_SEARCH_WORKERS`` is an error naming the
-        variable and the value, not a silent 1."""
-        monkeypatch.setenv("REPRO_SEARCH_WORKERS", raw)
-        set_default_workers(None)
-        with pytest.raises(ValueError, match=f"REPRO_SEARCH_WORKERS.*'{raw}'"):
-            default_workers()
-        monkeypatch.setenv("REPRO_SEARCH_WORKERS", "2")
-        assert default_workers() == 2
-
-    @pytest.mark.parametrize("workers", [0, -2])
-    def test_workers_below_one_rejected(self, workers):
-        """Every other way to set the scoring parallelism rejects a
-        count below 1 the same way, instead of running it as 1."""
-        message = f"workers must be an integer >= 1, got {workers}"
-        with pytest.raises(ValueError, match=message):
-            run_search(_request(machine_a(), 2, 4, workers=workers))
-        with pytest.raises(ValueError, match=message):
-            set_default_workers(workers)
-        assert default_workers() >= 1  # the default was left alone
-        with pytest.raises(ValueError, match=message):
-            ParallelExecutor(
-                machine_a(),
-                None,
-                FlexibleMaxFlowScorer(FRACTIONS),
-                MulticommodityScorer(fractions=FRACTIONS),
-                workers=workers,
+        with pytest.raises(TypeError):
+            SearchRequest(
+                machine=machine_b(), num_gpus=2, num_ssds=4,
+                fractions=FRACTIONS, workers=2,
             )
+        with pytest.raises(TypeError):
+            OptimizerConfig(search_workers=2)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["table1", "--quick", "--search-workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--search-workers" in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_SEARCH_WORKERS", "2")
+        assert default_workers() == 1
+
+    @pytest.mark.parametrize("name", ["lp_top_k", "top_k"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_funnel_widths_below_one_rejected(self, name, value):
+        """A funnel width below 1 is an error naming it, not a silent 1,
+        from a request and from an optimizer configuration alike."""
+        message = f"{name} must be an integer >= 1, got {value}"
+        with pytest.raises(ValueError, match=message):
+            run_search(_request(machine_a(), 2, 4, **{name: value}))
+        field = "report_top_k" if name == "top_k" else name
+        optimizer = MomentOptimizer(
+            machine_a(), 2, 4, OptimizerConfig(**{field: value})
+        )
+        with pytest.raises(ValueError, match=message):
+            run_search(optimizer.search_request(FRACTIONS))
 
     def test_pass1_defaults_are_constants(self):
-        """Batch size is fixed, not a knob: pass 1 stops only at a batch
-        end, so identical batches for every worker count is a
-        determinism requirement.  No solve is warm-started."""
+        """Batch size is fixed, not a knob: pass 1 checks its stop only
+        at a batch end, so the stop point is the same on every run.  No
+        solve is warm-started."""
         assert default_batch_size() == PASS1_BATCH == 32
         assert default_warm_starts() is False
 
@@ -444,7 +360,7 @@ class TestOptimizerIntegration:
         plan = opt.optimize(dataset)
         text = plan.summary()
         assert "pass-2 multicommodity LP" in text
-        assert "search engine: workers=" in text
+        assert f"search engine: {plan.search.num_lp_scored} LP-scored" in text
         search = plan.search
         assert (
             f"pass 1 scored all {search.num_unique}: "
@@ -613,14 +529,15 @@ class TestDifferentialEquivalence:
         ],
         ids=["machine_a", "machine_b", "gen:7"],
     )
-    def test_workers_do_not_change_selection(self, make_machine, pool):
-        """Every pass-1 solve depends only on its own candidate, batch
-        boundaries (where pass 1 may stop) are worker-independent, and
-        each pool worker LP-scores on its own HiGHS instance, so any
-        worker count picks the same plan — bit for bit."""
+    def test_workers_do_not_change_selection(
+        self, make_machine, pool, monkeypatch
+    ):
+        """The search reads no worker count: a ``REPRO_SEARCH_WORKERS``
+        left in the environment picks the same plan — bit for bit."""
         machine = make_machine()
         one = run_search(_request(machine, *pool))
-        two = run_search(_request(machine, *pool, workers=2))
+        monkeypatch.setenv("REPRO_SEARCH_WORKERS", "2")
+        two = run_search(_request(machine, *pool))
         assert _ranking(two.scored) == _ranking(one.scored)
         assert two.best.throughput == one.best.throughput
 
@@ -665,34 +582,15 @@ def _funnel(pass1, count, lp_top_k):
     return sorted(range(count), key=lambda i: -pass1[i].throughput)[:lp_top_k]
 
 
-@pytest.fixture()
-def finalists_seen(monkeypatch):
-    """Each search's finalists as ``(placement, pass-1 prediction)``, in
-    the order the ``"exact"`` stage receives them."""
-    seen = []
-    run_stage = ParallelExecutor.run_stage
-
-    def recording(self, stage, items, chunk_size):
-        items = list(items)
-        if stage == "exact":
-            seen.append([(placement, p1) for _, placement, p1 in items])
-        return run_stage(self, stage, items, chunk_size)
-
-    monkeypatch.setattr(ParallelExecutor, "run_stage", recording)
-    return seen
-
-
 class TestCeilingStop:
     """Pass 1 stops at the first batch end by which ``lp_top_k``
     candidates reached the storage-egress ceiling.  No candidate beats
     the ceiling, so the finalists, the ranking and the winner are the
-    full scan's under ``==``, for every worker count."""
+    full scan's under ``==``, on every run."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("runs", RUNS)
     @pytest.mark.parametrize("name", [row[0] for row in CEILING_ROWS])
-    def test_stop_keeps_the_full_scan_outcome(
-        self, finalists_seen, name, workers
-    ):
+    def test_stop_keeps_the_full_scan_outcome(self, lp_calls, name, runs):
         machine, pool, ceiling, scan = _ceiling_scan(name)
         pass1, finalists, rows, _, num_unique = scan
         times = [p1.time for p1 in pass1]
@@ -700,22 +598,25 @@ class TestCeilingStop:
             assert min(times) >= ceiling.time
         boundary = _stop_boundary(times, ceiling, LP_TOP_K)
 
-        result = run_search(
-            _request(machine, *pool, top_k=LP_TOP_K, workers=workers)
-        )
-        assert result.num_unique == num_unique
-        assert result.num_pass1_scored == boundary
-        assert result.ceiling_hits == (
-            sum(t <= ceiling.time for t in times[:boundary]) if ceiling else 0
-        )
-        assert result.ceiling_cut == (ceiling.cut if ceiling else None)
-        assert [(p.as_tuple(), p1) for p, p1 in finalists_seen[-1]] == [
-            (p.as_tuple(), p1) for p, p1 in finalists
-        ]
-        assert _ranking(result.scored) == _ranking(rows)
-        assert result.best.placement.as_tuple() == rows[0].placement.as_tuple()
-        assert result.best.throughput == rows[0].throughput
-        assert result.num_lp_scored == len(finalists)
+        for _ in range(runs):
+            lp_calls.clear()
+            result = run_search(_request(machine, *pool, top_k=LP_TOP_K))
+            assert result.num_unique == num_unique
+            assert result.num_pass1_scored == boundary
+            assert result.ceiling_hits == (
+                sum(t <= ceiling.time for t in times[:boundary])
+                if ceiling
+                else 0
+            )
+            assert result.ceiling_cut == (ceiling.cut if ceiling else None)
+            assert [(p.as_tuple(), p1) for p, p1 in lp_calls] == [
+                (p.as_tuple(), p1) for p, p1 in finalists
+            ]
+            assert _ranking(result.scored) == _ranking(rows)
+            best = result.best
+            assert best.placement.as_tuple() == rows[0].placement.as_tuple()
+            assert best.throughput == rows[0].throughput
+            assert result.num_lp_scored == len(finalists)
 
     def test_the_stop_fires_on_the_storage_bound_shapes(self):
         for name in ("machine_b", "machine_a-4x8", "machine_b-4x8"):
@@ -969,21 +870,19 @@ class TestMaskedSearchDifferential:
     prediction is that topology's own solve, key order included, and
     with no storage-egress ceiling the candidates are scanned whole."""
 
-    @pytest.mark.parametrize("workers", [1, 2], ids=["workers1", "workers2"])
     @pytest.mark.parametrize(
         "pool,nvlink_pairs,mask",
         [row[1:] for row in MASKED_ROWS],
         ids=[row[0] for row in MASKED_ROWS],
     )
     def test_pass1_equals_masked_topology_solves(
-        self, pool, nvlink_pairs, mask, workers
+        self, pool, nvlink_pairs, mask
     ):
         machine = machine_a()
         result = run_search(
             SearchRequest(
                 machine, *pool, FRACTIONS,
-                nvlink_pairs=nvlink_pairs, top_k=1000, workers=workers,
-                mask=mask,
+                nvlink_pairs=nvlink_pairs, top_k=1000, mask=mask,
             )
         )
         assert result.ceiling_cut is None and result.ceiling_hits == 0

@@ -609,7 +609,6 @@ class TestPlanStore:
         new = {
             "plan": {
                 "search": {
-                    "workers": 1,
                     "num_lp_scored": 48,
                     "num_pass1_scored": 288,
                     "ceiling_hits": 48,

@@ -6,6 +6,7 @@ gating) plus the seed derivation the repeated benchmarks rely on.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,8 @@ from tools.warehouse import (
     welch_t,
 )
 from tools.warehouse.__main__ import main as warehouse_main
+
+BASELINES = Path(__file__).resolve().parent.parent / "benchmarks" / "baselines"
 
 
 def obs_record(
@@ -184,6 +187,22 @@ class TestIngest:
         t.save(table_path)
         merged, report = ingest_jsonl(str(table_path))
         assert len(merged) == 1 and not report.errors
+
+    def test_ingest_saved_table_with_schema_key_last(self, tmp_path):
+        """``RunTable.save`` sorts keys, so ``"schema"`` comes after the
+        columns: a table larger than a few KB is still one table, not
+        malformed JSONL."""
+        baseline = BASELINES / "warehouse_baseline.json"
+        text = baseline.read_text()
+        assert len(text) > 2000
+        assert text.rindex('"schema"') > 2000
+        expected = RunTable.load(baseline)
+        merged, report = ingest_jsonl(str(baseline))
+        assert not report.errors
+        assert len(merged) == len(expected) > 0
+        out = tmp_path / "t.json"
+        assert warehouse_main(["ingest", str(out), str(baseline), "--strict"]) == 0
+        assert len(RunTable.load(out)) == len(expected)
 
     def test_missing_file_is_an_error_not_a_crash(self):
         table, report = ingest_jsonl("/nonexistent/never.jsonl")

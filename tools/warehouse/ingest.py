@@ -276,16 +276,11 @@ def ingest_jsonl(
         except OSError as err:
             report.errors.append(f"{path}: {err}")
             continue
-        stripped = text.lstrip()
-        if stripped.startswith("{") and '"repro.table/v1"' in stripped[:2000]:
-            # a whole-table JSON file (indented, multi-line)
-            try:
-                record = json.loads(text)
-            except json.JSONDecodeError as err:
-                report.errors.append(f"{path}: {err}")
-                continue
+        whole = _whole_table(text)
+        if whole is not None:
+            # a whole-table JSON file (indented, multi-line, keys sorted)
             report.num_lines += 1
-            ingest_records([record], table, report)
+            ingest_records([whole], table, report)
             continue
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
@@ -304,6 +299,18 @@ def ingest_jsonl(
                 continue
             ingest_records([record], table, report)
     return table, report
+
+
+def _whole_table(text: str) -> Optional[Dict]:
+    """``text`` as a run-table record when the whole text is one JSON
+    object whose ``schema`` is :data:`TABLE_SCHEMA`; else ``None``."""
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    if isinstance(record, dict) and record.get("schema") == TABLE_SCHEMA:
+        return record
+    return None
 
 
 def _expand(paths: Iterable[str]) -> List[str]:
