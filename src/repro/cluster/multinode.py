@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.ddak import (
     Bin,
     DataPlacement,
@@ -271,28 +269,18 @@ class MultiNodeMoment:
                 else:
                     bins.append(b)
 
-        data_placement = _global_ddak(
-            bins, hotness, dataset.feature_bytes, self.config.ddak_pool_size
-        )
+        # cluster-wide DDAK: the per-node replicated GPU bins all sit in
+        # the top tier, and DDAK fills the highest tier first and splits
+        # within a tier by traffic targets, so each node's cache absorbs
+        # (its share of) the hottest vertices and the SSD tier spreads
+        # the rest cluster-wide
+        data_placement = ddak_place(bins, hotness, dataset.feature_bytes)
         return MultiNodePlan(
             topology=topology,
             nodes=builder.nodes,
             data_placement=data_placement,
             node_throughput=node_throughput,
         )
-
-
-def _global_ddak(
-    bins: List[Bin], hotness: np.ndarray, feature_bytes: int, pool: int
-) -> DataPlacement:
-    """Cluster-wide DDAK.
-
-    Per-node replicated GPU bins all sit in the top tier; because DDAK
-    fills the highest tier first and splits within a tier by traffic
-    targets, each node's cache absorbs (its share of) the hottest
-    vertices, and the SSD tier spreads the rest cluster-wide.
-    """
-    return ddak_place(bins, hotness, feature_bytes, pool_size=pool)
 
 
 def node_local_bins(placement: DataPlacement, node: str) -> List[str]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from repro.core.search import (
     ScoredPlacement,
     SearchRequest,
     SearchResult,
+    _check_count,
     run_search,
 )
 from repro.core.topology import Topology
@@ -150,10 +151,9 @@ class MomentPlan:
     fractions: Tuple[float, float, float]
     hotness: np.ndarray
     #: DDAK inputs of :attr:`data_placement`: the winner's storage bins
-    #: (max-flow traffic targets), bytes per vertex and pooling factor.
+    #: (max-flow traffic targets) and bytes per vertex.
     bins: List[Bin] = field(default_factory=list)
     feature_bytes: int = 0
-    ddak_pool_size: int = 100
     #: All candidates scored, best first.
     scored: List[ScoredPlacement] = field(default_factory=list)
     #: Search-space statistics (before/after symmetry pruning).
@@ -172,17 +172,13 @@ class MomentPlan:
 
     @cached_property
     def data_placement(self) -> DataPlacement:
-        """DDAK over :attr:`bins`, computed on first read.
+        """DDAK over :attr:`bins` (the paper's pool of n = 100 vertices),
+        computed on first read.
 
         Raises ``ValueError`` there if the bins cannot hold the dataset.
         """
-        with obs.span("optimizer.ddak", pool_size=self.ddak_pool_size):
-            return ddak_place(
-                self.bins,
-                self.hotness,
-                self.feature_bytes,
-                pool_size=self.ddak_pool_size,
-            )
+        with obs.span("optimizer.ddak"):
+            return ddak_place(self.bins, self.hotness, self.feature_bytes)
 
     @property
     def predicted_throughput(self) -> float:
@@ -234,7 +230,6 @@ class OptimizerConfig:
 
     gpu_cache_fraction: float = 0.6
     cpu_cache_vertex_fraction: float = 0.01
-    ddak_pool_size: int = 100
     #: Batches of pre-sampling; None = one full epoch (most faithful).
     presample_batches: Optional[int] = None
     #: GPU embedding-cache policy: "replicated" (default) or
@@ -248,6 +243,10 @@ class OptimizerConfig:
     lp_top_k: int = 48
     nvlink_pairs: Optional[Tuple[Tuple[int, int], ...]] = None
     seed: SeedLike = 0
+
+    def __post_init__(self) -> None:
+        _check_count(self.lp_top_k, "lp_top_k")
+        _check_count(self.report_top_k, "report_top_k")
 
 
 class MomentOptimizer:
@@ -400,7 +399,6 @@ class MomentOptimizer:
             hotness=hotness,
             bins=bins,
             feature_bytes=dataset.feature_bytes,
-            ddak_pool_size=cfg.ddak_pool_size,
             scored=result.scored,
             num_candidates=result.num_candidates,
             num_unique=result.num_unique,

@@ -222,19 +222,6 @@ class Placement:
         """Devices of ``kind`` installed in ``group``."""
         return self._counts.get(group, {}).get(kind, 0)
 
-    def rebind(self, chassis: Chassis, name: Optional[str] = None) -> "Placement":
-        """The same counts bound to a structurally equivalent chassis.
-
-        Useful when two construction paths produce equal chassis (e.g.
-        a legacy constructor and a compiled fabric spec): placements
-        compare and build against ``placement.chassis``, so a layout
-        made for one instance must be rebound before use on the other.
-        Raises if ``chassis`` lacks any group this placement populates.
-        """
-        return Placement(
-            chassis, self._counts, name if name is not None else self.name
-        )
-
     def total(self, kind: str) -> int:
         """Total devices of ``kind`` across all groups."""
         return sum(row.get(kind, 0) for row in self._counts.values())

@@ -129,7 +129,6 @@ class Topology:
         self._nodes: Dict[str, Node] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
         self._succ: Dict[str, List[str]] = {}
-        self._pred: Dict[str, List[str]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -140,7 +139,6 @@ class Topology:
             raise ValueError(f"duplicate node name: {node.name!r}")
         self._nodes[node.name] = node
         self._succ[node.name] = []
-        self._pred[node.name] = []
         return node
 
     def add(
@@ -161,7 +159,6 @@ class Topology:
             raise ValueError(f"duplicate link {link.src}->{link.dst}")
         self._links[link.key] = link
         self._succ[link.src].append(link.dst)
-        self._pred[link.dst].append(link.src)
         return link
 
     def add_link(
@@ -215,10 +212,6 @@ class Topology:
     def successors(self, name: str) -> List[str]:
         """Names of nodes reachable over one outgoing link."""
         return list(self._succ[name])
-
-    def predecessors(self, name: str) -> List[str]:
-        """Names of nodes with a link into ``name``."""
-        return list(self._pred[name])
 
     def nodes_of_kind(self, *kinds: NodeKind) -> List[Node]:
         """All nodes whose kind is one of ``kinds``."""

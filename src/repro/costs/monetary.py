@@ -108,11 +108,6 @@ class CloudPrice:
     usd_per_hour: float
     num_gpus: int
 
-    @property
-    def usd_per_gpu_hour(self) -> float:
-        """Hourly price normalised per GPU."""
-        return self.usd_per_hour / self.num_gpus
-
 
 #: Indicative AWS-style on-demand prices: one 4-GPU instance vs four
 #: 1-GPU instances.  Multi-GPU boxes amortise host overhead, which is

@@ -208,7 +208,3 @@ class FaultInjector:
             egress_factors=tuple(sorted(egress)),
             link_factors=tuple(sorted(links)),
         )
-
-    def evictions_at(self, step: int) -> Dict[str, float]:
-        """gpu -> evicted cache fraction at ``step`` (for replanning)."""
-        return dict(self.view(step).evict_fraction)

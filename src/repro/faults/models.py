@@ -8,8 +8,9 @@ The models mirror the failure classes the out-of-core GNN literature
 actually observes on multi-GPU storage servers:
 
 * :class:`SsdFailure` — a drive drops off the bus entirely.  Reads
-  against it time out (K retries with backoff, see
-  :class:`repro.simulator.iostack.RetryPolicy`), after which its pages
+  against it time out (:data:`~repro.simulator.iostack.MAX_RETRIES`
+  retries with backoff, costing
+  :data:`~repro.simulator.iostack.DETECTION_STALL_S`), after which its pages
   are served from the surviving replica tier at a bounded recovery
   bandwidth until a replan migrates them.
 * :class:`SsdSlowdown` — thermal throttling / internal GC: the drive's

@@ -71,11 +71,6 @@ class FaultSchedule:
         """Faults whose onset is exactly ``step`` (detection events)."""
         return tuple(f for f in self.faults if f.step == step)
 
-    @property
-    def first_step(self) -> Optional[int]:
-        """Earliest onset step, or None for an empty schedule."""
-        return min((f.step for f in self.faults), default=None)
-
     def describe(self) -> str:
         """Human-readable multi-line summary."""
         if not self.faults:

@@ -77,29 +77,15 @@ CPU_PARTS: Dict[str, CpuSpec] = {
 }
 
 
-def _register(library: Dict[str, object], spec: object) -> str:
-    existing = library.get(spec.name)
+def register_cpu_part(spec: CpuSpec) -> str:
+    """Add a CPU model to the part library (idempotent by name)."""
+    existing = CPU_PARTS.get(spec.name)
     if existing is not None and existing != spec:
         raise ValueError(
             f"part {spec.name!r} already registered with different values"
         )
-    library[spec.name] = spec
+    CPU_PARTS[spec.name] = spec
     return spec.name
-
-
-def register_gpu_part(spec: GpuSpec) -> str:
-    """Add a GPU model to the part library (idempotent by name)."""
-    return _register(GPU_PARTS, spec)
-
-
-def register_ssd_part(spec: SsdSpec) -> str:
-    """Add an SSD model to the part library (idempotent by name)."""
-    return _register(SSD_PARTS, spec)
-
-
-def register_cpu_part(spec: CpuSpec) -> str:
-    """Add a CPU model to the part library (idempotent by name)."""
-    return _register(CPU_PARTS, spec)
 
 
 def _resolve(library: Dict[str, object], name: str, what: str):

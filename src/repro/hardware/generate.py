@@ -10,16 +10,14 @@ optional NIC-attached NVMe shelf.
 Every fabric is generated from a single integer seed through one
 ``numpy`` generator, so ``generate_fabric(seed)`` is bit-stable across
 runs and machines — a failing sweep seed reproduces exactly.  Capacity
-floors (:attr:`GeneratorConfig.min_gpu_slots` /
-:attr:`~GeneratorConfig.min_ssd_slots`) guarantee the sweep's device
-pool always physically fits, so every generated fabric admits at least
-one placement.
+floors (:data:`MIN_GPU_SLOTS` / :data:`MIN_SSD_SLOTS`) guarantee the
+sweep's device pool always physically fits, so every generated fabric
+admits at least one placement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -46,27 +44,25 @@ from repro.hardware.specs import (
 from repro.utils.units import GB
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Knobs of the fabric fuzzer (all probabilities per socket)."""
-
-    max_sockets: int = 2
-    #: Max top-level switches per socket (0..N sampled uniformly).
-    max_switches_per_socket: int = 2
-    #: Chance a switch carries a cascaded child switch (Machine-B style).
-    p_cascade: float = 0.35
-    #: Chance the fabric mixes GPU generations across banks.
-    p_mixed_gpus: float = 0.35
-    #: Chance a bay bank uses a different SSD model than the primary.
-    p_mixed_ssds: float = 0.25
-    #: Chance a socket carries a CXL.mem expander.
-    p_cxl: float = 0.30
-    #: Chance a socket carries a NIC-attached NVMe shelf.
-    p_nic_storage: float = 0.20
-    #: Capacity floors: the generated machine must physically seat at
-    #: least this many GPUs / SSDs (patched in if sampling fell short).
-    min_gpu_slots: int = 2
-    min_ssd_slots: int = 4
+# Shape of the fuzzed fabrics (probabilities are per socket unless
+# noted).
+MAX_SOCKETS = 2
+#: Max top-level switches per socket (0..N sampled uniformly).
+MAX_SWITCHES_PER_SOCKET = 2
+#: Chance a switch carries a cascaded child switch (Machine-B style).
+P_CASCADE = 0.35
+#: Chance the fabric mixes GPU generations across banks.
+P_MIXED_GPUS = 0.35
+#: Chance a bay bank uses a different SSD model than the primary.
+P_MIXED_SSDS = 0.25
+#: Chance a socket carries a CXL.mem expander.
+P_CXL = 0.30
+#: Chance a socket carries a NIC-attached NVMe shelf.
+P_NIC_STORAGE = 0.20
+#: Capacity floors: the generated machine must physically seat at least
+#: this many GPUs / SSDs (patched in if sampling fell short).
+MIN_GPU_SLOTS = 2
+MIN_SSD_SLOTS = 4
 
 
 #: GPU parts the fuzzer draws from (selection weights alongside).
@@ -118,7 +114,6 @@ def _slot_bank(
 
 def _switch(
     rng: np.random.Generator,
-    config: GeneratorConfig,
     primary_gpu,
     mixed: bool,
     depth: int,
@@ -134,10 +129,8 @@ def _switch(
     )
     bank = _slot_bank(rng, gpu_part, primary_gpu, next_bus())
     children: Tuple[SwitchSpec, ...] = ()
-    if depth > 0 and rng.random() < config.p_cascade:
-        children = (
-            _switch(rng, config, primary_gpu, mixed, depth - 1, bus_counter),
-        )
+    if depth > 0 and rng.random() < P_CASCADE:
+        children = (_switch(rng, primary_gpu, mixed, depth - 1, bus_counter),)
     return SwitchSpec(
         uplink=LinkWidth(int(rng.choice((4, 4, 5))), 16),
         bus=next_bus(),
@@ -146,19 +139,16 @@ def _switch(
     )
 
 
-def generate_fabric(
-    seed: int, config: Optional[GeneratorConfig] = None
-) -> FabricSpec:
+def generate_fabric(seed: int) -> FabricSpec:
     """One reproducible random fabric for ``seed`` (named
     ``fabric-gen-<seed>``, provenance in ``generator_seed``)."""
-    config = config or GeneratorConfig()
     rng = np.random.default_rng(seed)
     bus_counter = [0]
 
     primary_gpu = _pick(rng, _GPU_POOL, _GPU_WEIGHTS)
     primary_ssd = _pick(rng, _SSD_POOL, _SSD_WEIGHTS)
-    mixed = bool(rng.random() < config.p_mixed_gpus)
-    nsock = int(rng.integers(1, config.max_sockets + 1))
+    mixed = bool(rng.random() < P_MIXED_GPUS)
+    nsock = int(rng.integers(1, MAX_SOCKETS + 1))
 
     sockets: List[SocketSpec] = []
     for i in range(nsock):
@@ -166,7 +156,7 @@ def generate_fabric(
         if rng.random() < 0.8:  # NVMe bays directly on the RC
             ssd_part = (
                 _pick(rng, _SSD_POOL, _SSD_WEIGHTS)
-                if rng.random() < config.p_mixed_ssds
+                if rng.random() < P_MIXED_SSDS
                 else primary_ssd
             )
             bus_counter[0] += 1
@@ -186,10 +176,9 @@ def generate_fabric(
                     bus=f"gbus{bus_counter[0]}",
                 )
             )
-        n_switches = int(rng.integers(0, config.max_switches_per_socket + 1))
+        n_switches = int(rng.integers(0, MAX_SWITCHES_PER_SOCKET + 1))
         switches = tuple(
-            _switch(rng, config, primary_gpu, mixed, depth=1,
-                    bus_counter=bus_counter)
+            _switch(rng, primary_gpu, mixed, depth=1, bus_counter=bus_counter)
             for _ in range(n_switches)
         )
         sockets.append(
@@ -197,9 +186,7 @@ def generate_fabric(
                 cpu_part="Xeon-Gold-5320",
                 banks=tuple(banks),
                 switches=switches,
-                cxl=(
-                    CxlMemSpec() if rng.random() < config.p_cxl else None
-                ),
+                cxl=CxlMemSpec() if rng.random() < P_CXL else None,
                 nic_storage=(
                     NicStorageSpec(
                         bays=_bay_bank(
@@ -207,7 +194,7 @@ def generate_fabric(
                         ),
                         nic_bw=float(rng.choice((12.5, 25.0))) * GB,
                     )
-                    if rng.random() < config.p_nic_storage
+                    if rng.random() < P_NIC_STORAGE
                     else None
                 ),
             )
@@ -220,18 +207,18 @@ def generate_fabric(
         ssd_part=primary_ssd.name,
         generator_seed=int(seed),
     )
-    spec = _ensure_capacity(spec, config)
+    spec = _ensure_capacity(spec)
     spec.validate()
     return spec
 
 
-def _ensure_capacity(spec: FabricSpec, config: GeneratorConfig) -> FabricSpec:
+def _ensure_capacity(spec: FabricSpec) -> FabricSpec:
     """Patch in a fallback switch/bay bank when sampling under-provisioned
     the fabric (floors guarantee the sweep's device pool always fits)."""
     import dataclasses
 
     sockets = list(spec.sockets)
-    if gpu_slot_capacity(spec) < config.min_gpu_slots:
+    if gpu_slot_capacity(spec) < MIN_GPU_SLOTS:
         fallback = SwitchSpec(
             uplink=LinkWidth(4, 16),
             bus="gbus-fallback",
@@ -245,10 +232,10 @@ def _ensure_capacity(spec: FabricSpec, config: GeneratorConfig) -> FabricSpec:
             sockets[0], switches=sockets[0].switches + (fallback,)
         )
         spec = dataclasses.replace(spec, sockets=tuple(sockets))
-    if ssd_slot_capacity(spec) < config.min_ssd_slots:
+    if ssd_slot_capacity(spec) < MIN_SSD_SLOTS:
         extra = SlotBankSpec(
             "bays-extra",
-            max(4, config.min_ssd_slots),
+            MIN_SSD_SLOTS,
             LinkWidth(4, 4),
             (SSD,),
             "gbus-fb-bays",
@@ -259,13 +246,6 @@ def _ensure_capacity(spec: FabricSpec, config: GeneratorConfig) -> FabricSpec:
         )
         spec = dataclasses.replace(spec, sockets=tuple(sockets))
     return spec
-
-
-def fleet(
-    seeds: Iterable[int], config: Optional[GeneratorConfig] = None
-) -> List[FabricSpec]:
-    """Generated fabrics for every seed, in order."""
-    return [generate_fabric(s, config) for s in seeds]
 
 
 # ----------------------------------------------------------------------
@@ -307,30 +287,6 @@ def is_asymmetric(spec: FabricSpec) -> bool:
 def has_cxl(spec: FabricSpec) -> bool:
     """Whether any socket carries a CXL memory expander."""
     return any(s.cxl is not None for s in spec.sockets)
-
-
-def has_nic_storage(spec: FabricSpec) -> bool:
-    """Whether any socket carries a NIC-attached NVMe shelf."""
-    return any(s.nic_storage is not None for s in spec.sockets)
-
-
-def has_mixed_gpus(spec: FabricSpec) -> bool:
-    """Whether any bank overrides the primary GPU part."""
-
-    def banks(sw: SwitchSpec):
-        yield from sw.banks
-        for c in sw.children:
-            yield from banks(c)
-
-    for sock in spec.sockets:
-        for bank in sock.banks:
-            if bank.gpu_part and bank.gpu_part != spec.gpu_part:
-                return True
-        for sw in sock.switches:
-            for bank in banks(sw):
-                if bank.gpu_part and bank.gpu_part != spec.gpu_part:
-                    return True
-    return False
 
 
 def gpu_slot_capacity(spec: FabricSpec) -> int:

@@ -33,7 +33,7 @@ from repro.graphs.datasets import ScaledDataset
 from repro.hardware.fabric import fabric_summary
 from repro.hardware.machines import MachineSpec
 from repro.simulator.binding import static_ssd_binding
-from repro.simulator.iostack import IoStackConfig
+from repro.simulator.iostack import PAGE_BYTES, QUEUE_DEPTH, QUEUE_PAIRS
 from repro.simulator.memory import (
     MemoryLedger,
     OutOfMemoryError,
@@ -257,7 +257,6 @@ def gpu_memory_budget(
     dataset: ScaledDataset,
     model_name: str,
     num_gpus: int,
-    io: IoStackConfig,
     extra: Optional[Dict[str, float]] = None,
 ) -> MemoryLedger:
     """Paper-scale HBM ledger for one GPU of a training system.
@@ -279,7 +278,7 @@ def gpu_memory_budget(
     )
     ledger.reserve(
         "io_buffers",
-        io_buffer_bytes(io.num_queue_pairs, io.queue_depth, io.page_bytes),
+        io_buffer_bytes(QUEUE_PAIRS, QUEUE_DEPTH, PAGE_BYTES),
     )
     for label, nbytes in (extra or {}).items():
         ledger.reserve(label, nbytes)
@@ -349,7 +348,6 @@ class GnnSystem:
         dataset: ScaledDataset,
         model: str,
         num_gpus: int,
-        io: Optional[IoStackConfig] = None,
     ) -> float:
         """Effective per-GPU embedding-cache bytes for this system.
 
@@ -361,10 +359,9 @@ class GnnSystem:
         sweep's monotonicity invariant) can call this without running an
         epoch.
         """
-        io = io or IoStackConfig()
         extra = self.extra_gpu_reservations(dataset, num_gpus)
         ledger = gpu_memory_budget(
-            self.machine, dataset, model, num_gpus, io, extra
+            self.machine, dataset, model, num_gpus, extra
         )
         cache_bytes = (
             ledger.free_bytes
@@ -451,7 +448,6 @@ class GnnSystem:
         sample_batches = spec.sample_batches
         nvlink_pairs = spec.nvlink_pairs
         hotness = spec.hotness
-        io = IoStackConfig()
         declared = spec.resolve_machine()
         if declared is not None and declared.name != self.machine.name:
             raise ValueError(
@@ -469,9 +465,7 @@ class GnnSystem:
             seed=self.seed if isinstance(self.seed, int) else None,
         )
         try:
-            cache_bytes = self.hbm_cache_budget(
-                dataset, model, num_gpus, io
-            )
+            cache_bytes = self.hbm_cache_budget(dataset, model, num_gpus)
         except OutOfMemoryError as err:
             result.oom = str(err)
             return result
@@ -546,7 +540,6 @@ class GnnSystem:
                 fanouts=tuple(fanouts),
                 model_name=model,
                 sample_batches=sample_batches,
-                io=io,
                 io_amplification=self.io_amplification,
                 seed=self.seed,
             ),

@@ -1,5 +1,5 @@
 """Hardware simulator: max-min fair bandwidth sharing, routing, NVMe
-queue model, memory ledgers, traffic accounting, and the epoch engine."""
+read ceilings, memory ledgers, traffic accounting, and the epoch engine."""
 
 from repro.simulator.bandwidth import (
     FairShareResult,
@@ -9,8 +9,6 @@ from repro.simulator.bandwidth import (
 )
 from repro.simulator.routing import Router, egress_key, link_key
 from repro.simulator.iostack import (
-    GpuIoQueues,
-    IoStackConfig,
     effective_read_bw,
     pages_for_bytes,
 )
@@ -33,8 +31,6 @@ __all__ = [
     "Router",
     "egress_key",
     "link_key",
-    "GpuIoQueues",
-    "IoStackConfig",
     "effective_read_bw",
     "pages_for_bytes",
     "MemoryLedger",

@@ -6,80 +6,40 @@ directly to SSDs, with the drive DMA-ing data into GPU application
 buffers.  For the epoch simulator the relevant behaviour is the
 *attainable read bandwidth per drive* as a function of request size and
 aggregate queue depth — a small-page random-read workload is IOPS-bound
-before it is bandwidth-bound — plus the (tiny) GPU-side cost of driving
-the queues (the paper reports ~1% of GPU cores).
+before it is bandwidth-bound.
 
-:class:`GpuIoQueues` also provides an explicit queue-occupancy model
-used by tests and the I/O micro-benchmarks: submissions beyond the
-queue capacity must wait for completions.
+The per-GPU stack shape (BaM-style) and the failed-read retry ladder
+are module constants: when a drive drops off the bus, in-flight reads
+time out and the stack retries each :data:`MAX_RETRIES` times with
+exponential backoff before declaring the drive dead and re-routing the
+page to the surviving replica tier.  The one-time detection cost per
+failure event is :data:`DETECTION_STALL_S`; afterwards the re-routed
+reads run at the recovery tier's bandwidth (see
+:class:`repro.faults.injector.FaultInjector`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
-
 from repro.hardware.specs import SsdSpec
 from repro.utils.validation import check_positive
 
-
-@dataclass(frozen=True)
-class IoStackConfig:
-    """Per-GPU I/O stack parameters (BaM-style defaults)."""
-
-    num_queue_pairs: int = 128
-    queue_depth: int = 1024
-    page_bytes: int = 4096
-    #: Per-request GPU-side bookkeeping (doorbell write, poll slot).
-    submit_overhead_s: float = 150e-9
-    #: Fraction of one GPU's SMs consumed by the I/O threads.
-    gpu_core_fraction: float = 0.01
-
-    def __post_init__(self) -> None:
-        check_positive("num_queue_pairs", self.num_queue_pairs)
-        check_positive("queue_depth", self.queue_depth)
-        check_positive("page_bytes", self.page_bytes)
-
-    @property
-    def max_outstanding(self) -> int:
-        """Ring capacity: queue pairs times queue depth."""
-        return self.num_queue_pairs * self.queue_depth
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Failed-read retry/timeout model (fault injection).
-
-    When a drive drops off the bus, in-flight reads time out; the stack
-    retries each ``max_retries`` times with exponential backoff before
-    declaring the drive dead and re-routing the page to the surviving
-    replica tier.  The one-time detection cost per failure event is
-    :attr:`detection_stall_s`; afterwards the re-routed reads run at the
-    recovery tier's bandwidth (see
-    :class:`repro.faults.injector.FaultInjector`).
-    """
-
-    max_retries: int = 3
-    timeout_s: float = 2e-3
-    backoff: float = 2.0
-
-    def __post_init__(self) -> None:
-        check_positive("max_retries", self.max_retries)
-        check_positive("timeout_s", self.timeout_s)
-        check_positive("backoff", self.backoff)
-
-    @property
-    def detection_stall_s(self) -> float:
-        """Wall-clock lost detecting one dead drive: the full retry
-        ladder (timeout, then backoff-scaled timeouts)."""
-        return sum(
-            self.timeout_s * self.backoff**i for i in range(self.max_retries)
-        )
-
-    def retries_for_bytes(self, nbytes: float, page_bytes: int) -> int:
-        """Retry submissions burned before giving up on ``nbytes`` worth
-        of page reads against a dead drive."""
-        return pages_for_bytes(nbytes, page_bytes) * self.max_retries
+#: NVMe submission/completion queue pairs per GPU.
+QUEUE_PAIRS = 128
+#: Entries per queue.
+QUEUE_DEPTH = 1024
+#: Bytes per page request.
+PAGE_BYTES = 4096
+#: Failed-read timeout before the first retry.
+RETRY_TIMEOUT_S = 2e-3
+#: Retries per page before a drive is declared dead.
+MAX_RETRIES = 3
+#: Timeout multiplier per retry.
+RETRY_BACKOFF = 2.0
+#: Wall-clock lost detecting one dead drive: the full retry ladder
+#: (timeout, then backoff-scaled timeouts).
+DETECTION_STALL_S = sum(
+    RETRY_TIMEOUT_S * RETRY_BACKOFF**i for i in range(MAX_RETRIES)
+)
 
 
 def effective_read_bw(
@@ -97,76 +57,6 @@ def effective_read_bw(
     saturation = queue_depth / (queue_depth + qd_half)
     iops_bound = ssd.read_iops * page_bytes * saturation
     return min(ssd.read_bw, iops_bound)
-
-
-class GpuIoQueues:
-    """Explicit SQ/CQ occupancy bookkeeping for one GPU.
-
-    Tracks outstanding requests; :meth:`submit` returns the queueing
-    delay incurred when the rings are full (completions must drain
-    first, at the drive's command rate).
-    """
-
-    def __init__(self, config: IoStackConfig, drives: List[SsdSpec]) -> None:
-        if not drives:
-            raise ValueError("need at least one drive")
-        self.config = config
-        self.drives = list(drives)
-        self.outstanding = 0
-        self.total_submitted = 0
-        self.total_stall_s = 0.0
-
-    @property
-    def aggregate_iops(self) -> float:
-        """Summed rated IOPS of the GPU's drives."""
-        return sum(d.read_iops for d in self.drives)
-
-    def submit(self, num_requests: int) -> float:
-        """Submit a burst; returns stall seconds spent waiting for room."""
-        if num_requests < 0:
-            raise ValueError("num_requests must be >= 0")
-        self.total_submitted += num_requests
-        room = self.config.max_outstanding - self.outstanding
-        overflow = max(0, num_requests - room)
-        stall = overflow / self.aggregate_iops if overflow else 0.0
-        self.total_stall_s += stall
-        self.outstanding = min(
-            self.config.max_outstanding, self.outstanding + num_requests
-        )
-        return stall
-
-    def complete(self, num_requests: int) -> None:
-        """Retire finished requests from the rings."""
-        if num_requests < 0:
-            raise ValueError("num_requests must be >= 0")
-        self.outstanding = max(0, self.outstanding - num_requests)
-
-    def drain(self) -> None:
-        """Clear all outstanding requests (epoch boundary)."""
-        self.outstanding = 0
-
-    def submit_cost_s(self, num_requests: int) -> float:
-        """GPU-side cost of issuing a burst (doorbells + polling)."""
-        return num_requests * self.config.submit_overhead_s / max(
-            1, self.config.num_queue_pairs
-        )
-
-    def export_metrics(self, gpu: str = "gpu0") -> None:
-        """Publish queue totals to the active obs session (no-op when
-        telemetry is disabled): submitted requests, stall seconds, and
-        the current ring occupancy as a fraction of capacity.
-        """
-        from repro import obs
-
-        if obs.active() is None:
-            return
-        obs.add("io.requests_submitted", self.total_submitted, gpu=gpu)
-        obs.add("io.stall_seconds", self.total_stall_s, gpu=gpu)
-        obs.set_gauge(
-            "io.queue_occupancy",
-            self.outstanding / self.config.max_outstanding,
-            gpu=gpu,
-        )
 
 
 def pages_for_bytes(nbytes: float, page_bytes: int) -> int:

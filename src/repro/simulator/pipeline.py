@@ -38,9 +38,12 @@ from repro.hardware.machines import MachineSpec
 from repro.sampling.neighbor import sample_batch
 from repro.simulator.bandwidth import Flow, progressive_fill
 from repro.simulator.iostack import (
-    IoStackConfig,
-    RetryPolicy,
+    DETECTION_STALL_S,
+    MAX_RETRIES,
+    PAGE_BYTES,
+    QUEUE_DEPTH,
     effective_read_bw,
+    pages_for_bytes,
 )
 from repro.simulator.routing import Router, egress_key
 from repro.simulator.traffic import TrafficAccount
@@ -51,6 +54,16 @@ from repro.utils.rng import SeedLike, ensure_rng, spawn_rngs
 #: bounded ``("recovery", ssd)`` resource instead of the dead drive.
 _RECOVERY_SUFFIX = "!recovery"
 
+#: Output classes of the simulated model's head.
+NUM_CLASSES = 16
+#: Adjacency bytes read from CPU memory per sampled edge (CSR neighbour
+#: lookup + wash: two 8-byte words).
+TOPO_READ_BYTES_PER_EDGE = 16.0
+#: Fraction of a congestion-prone fetch relayed through the GPU's NVLink
+#: partner (the relay costs an extra HBM hop and partner SM time, so it
+#: only offloads).
+NVLINK_RELAY_FRACTION = 0.25
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -58,31 +71,12 @@ class SimConfig:
 
     fanouts: Tuple[int, ...] = (25, 10)
     model_name: str = "graphsage"  # "graphsage" | "gat"
-    num_classes: int = 16
     #: Steps actually simulated; the epoch extrapolates their mean.
     sample_batches: int = 10
-    #: Adjacency bytes read from CPU memory per sampled edge (CSR
-    #: neighbour lookup + wash: two 8-byte words).
-    topo_read_bytes_per_edge: float = 16.0
     #: Multiplier on external feature bytes — systems without cross-hop
     #: request deduplication / with page-granular over-fetch (M-GIDS's
     #: BaM path) read more than the unique working set.
     io_amplification: float = 1.0
-    io: IoStackConfig = field(default_factory=IoStackConfig)
-    #: Extra in-flight mini-batches per GPU (double buffering): their
-    #: prefetch flows keep the fabric busy while the gating batch's
-    #: tail finishes, as pipelined out-of-core runtimes do.  0 disables.
-    prefetch_batches: int = 1
-    #: Relay part of congestion-prone fetches through an NVLink partner
-    #: when the partner's route avoids a contended trunk (paper Section
-    #: 4.7: "alternative paths ... when PCIe channels become
-    #: congested").
-    nvlink_multipath: bool = True
-    #: Fraction of such a fetch that takes the relay path (the relay
-    #: costs an extra HBM hop and partner SM time, so it only offloads).
-    nvlink_relay_fraction: float = 0.25
-    #: Failed-read retry ladder (only exercised under fault injection).
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     seed: SeedLike = 0
 
     def __post_init__(self) -> None:
@@ -131,12 +125,6 @@ class EpochResult:
     #: throughput trajectory fault experiments plot.  Includes any
     #: replan migration charges returned by ``run_epoch``'s ``on_step``.
     step_seconds: List[float] = field(default_factory=list)
-
-    @property
-    def paper_throughput_bytes_per_s(self) -> float:
-        """Fabric throughput is scale-invariant (bytes and time both
-        scale by the same factor)."""
-        return self.throughput_bytes_per_s
 
 
 class EpochSimulator:
@@ -194,7 +182,7 @@ class EpochSimulator:
             machine.gpu,
             self.config.model_name,
             in_dim=dataset.graph.feature_dim,
-            num_classes=self.config.num_classes,
+            num_classes=NUM_CLASSES,
         )
         self._capacities = self._build_capacities()
         self.injector = None
@@ -227,8 +215,8 @@ class EpochSimulator:
         # SSD egress limited by page-granular IOPS, not just rated bw
         eff = effective_read_bw(
             self.machine.ssd,
-            page_bytes=self.config.io.page_bytes,
-            queue_depth=self.config.io.queue_depth,
+            page_bytes=PAGE_BYTES,
+            queue_depth=QUEUE_DEPTH,
         )
         self._ssd_eff_bw = eff
         for ssd in self.topo.ssds():
@@ -241,13 +229,13 @@ class EpochSimulator:
         d = self.dataset.graph.feature_dim
         if self.config.model_name == "graphsage":
             hidden = 256
-            return 4.0 * (2 * d * hidden + 2 * hidden * self.config.num_classes)
+            return 4.0 * (2 * d * hidden + 2 * hidden * NUM_CLASSES)
         if self.config.model_name == "gcn":
             hidden = 256
-            return 4.0 * (d * hidden + hidden * self.config.num_classes)
+            return 4.0 * (d * hidden + hidden * NUM_CLASSES)
         hidden, heads = 64, 8
         width = hidden * heads
-        return 4.0 * (d * width + width * self.config.num_classes)
+        return 4.0 * (d * width + width * NUM_CLASSES)
 
     # ------------------------------------------------------------------
     def _bin_source(self, bin_name: str, gpu: str) -> Optional[str]:
@@ -398,7 +386,7 @@ class EpochSimulator:
             # graph topology is replicated per node, so reads stay on
             # the GPU's own machine in multi-node clusters)
             topo_bytes = (
-                sample.num_edges * cfg.topo_read_bytes_per_edge * self._ratio
+                sample.num_edges * TOPO_READ_BYTES_PER_EDGE * self._ratio
             )
             banks = self._local_mem_banks(gpu)
             if topo_bytes > 0 and banks:
@@ -411,25 +399,23 @@ class EpochSimulator:
                             tag=("topo", gpu),
                         )
                     )
-            # double buffering: the next batches' prefetch flows share
+            # double buffering: the next batch's prefetch flows share
             # the fabric so the gating batch's tail never leaves links
-            # idle (their bytes are accounted in *their own* step)
-            for _ in range(max(0, cfg.prefetch_batches)):
-                pre_seeds = rng.choice(part, size=take, replace=False)
-                pre = sample_batch(ds.graph, pre_seeds, cfg.fanouts, seed=rng)
-                pre_bins, _ = self._gpu_demand(gpu, pre.unique_vertices, view)
-                for bin_name, nbytes in sorted(pre_bins.items()):
-                    for f in self._route_flows(bin_name, gpu, nbytes):
-                        flows.append(
-                            Flow(f.path, f.demand, ("prefetch", gpu))
-                        )
+            # idle (its bytes are accounted in *its own* step)
+            pre_seeds = rng.choice(part, size=take, replace=False)
+            pre = sample_batch(ds.graph, pre_seeds, cfg.fanouts, seed=rng)
+            pre_bins, _ = self._gpu_demand(gpu, pre.unique_vertices, view)
+            for bin_name, nbytes in sorted(pre_bins.items()):
+                for f in self._route_flows(bin_name, gpu, nbytes):
+                    flows.append(Flow(f.path, f.demand, ("prefetch", gpu)))
         capacities = self._capacities if view is None else view.capacities
         fair = progressive_fill(flows, capacities)
         finish = fair.finish_by_tag()
-        # steady-state pipelining: 1 + prefetch batches drain together,
-        # so the per-step I/O time is the joint makespan amortised over
-        # the batches in flight (tails overlap neighbouring steps)
-        in_flight = 1 + max(0, cfg.prefetch_batches)
+        # steady-state pipelining: the gating batch and its prefetch
+        # drain together, so the per-step I/O time is the joint makespan
+        # amortised over the batches in flight (tails overlap
+        # neighbouring steps)
+        in_flight = 2
         io_t = max(
             (
                 max(
@@ -468,18 +454,16 @@ class EpochSimulator:
         dead drive are counted from the bytes that had to re-route.
         """
         from repro.faults.models import SsdFailure
-        from repro.simulator.iostack import pages_for_bytes
 
         tel = obs.active()
         if tel is not None:
             for f in view.activated:
                 obs.add("faults.injected", 1, kind=f.kind, target=f.target)
         stall = 0.0
-        retry = self.config.retry
         for f in view.activated:
             if not isinstance(f, SsdFailure):
                 continue
-            stall += retry.detection_stall_s
+            stall += DETECTION_STALL_S
             if tel is not None:
                 rerouted = sum(
                     nbytes
@@ -488,8 +472,7 @@ class EpochSimulator:
                 )
                 obs.add(
                     "io.retries",
-                    pages_for_bytes(rerouted, self.config.io.page_bytes)
-                    * retry.max_retries,
+                    pages_for_bytes(rerouted, PAGE_BYTES) * MAX_RETRIES,
                     ssd=f.ssd,
                 )
         return stall
@@ -550,19 +533,19 @@ class EpochSimulator:
     def _feature_flows(
         self, bin_name: str, gpu: str, nbytes: float
     ) -> List[Flow]:
-        """Flows for one (bin, gpu) fetch, with optional NVLink relay.
+        """Flows for one (bin, gpu) fetch, with NVLink relay.
 
         When the direct route traverses a contended trunk (QPI P2P pool
         or a switch/root trunk) that an NVLink partner's route avoids,
-        ``nvlink_relay_fraction`` of the bytes relay through the partner
-        (partner fetches, then forwards over NVLink) — the paper's
-        Section-4.7 behaviour.
+        :data:`NVLINK_RELAY_FRACTION` of the bytes relay through the
+        partner (partner fetches, then forwards over NVLink) — the
+        paper's Section-4.7 "alternative paths ... when PCIe channels
+        become congested".
         """
         direct = self.router.path(bin_name, gpu)
         tag = ("feat", gpu)
         partner = self._nv_partner.get(gpu)
-        frac = self.config.nvlink_relay_fraction
-        if not self.config.nvlink_multipath or partner is None or frac <= 0:
+        if partner is None:
             return [Flow(direct, nbytes, tag)]
         direct_trunks = self._trunk_keys(direct)
         if not direct_trunks:
@@ -574,8 +557,8 @@ class EpochSimulator:
 
         relay = via + (link_key(partner, gpu),)
         return [
-            Flow(direct, nbytes * (1 - frac), tag),
-            Flow(relay, nbytes * frac, tag),
+            Flow(direct, nbytes * (1 - NVLINK_RELAY_FRACTION), tag),
+            Flow(relay, nbytes * NVLINK_RELAY_FRACTION, tag),
         ]
 
     def _sync_bw(self) -> float:

@@ -2,6 +2,8 @@
 identity, generator properties, rate reconciliation, and fabric-keyed
 run records."""
 
+import hashlib
+import json
 import os
 
 import pytest
@@ -216,6 +218,17 @@ class TestGeneratorProperties:
         specs = [generate_fabric(s) for s in SWEEP_SEEDS]
         assert sum(1 for s in specs if is_asymmetric(s)) >= 1
         assert sum(1 for s in specs if has_cxl(s)) >= 1
+
+    def test_sweep_fabrics_match_golden_digests(self):
+        """Every CI-fleet fabric is byte-identical to its recorded JSON:
+        the generator's draws, their order and its constants are pinned."""
+        with open(os.path.join(DATA, "generated_fabric_sha256.json")) as fh:
+            golden = json.load(fh)
+        assert sorted(map(int, golden)) == list(SWEEP_SEEDS)
+        for seed in SWEEP_SEEDS:
+            text = generate_fabric(seed).to_json()
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest == golden[str(seed)], seed
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))

@@ -134,6 +134,33 @@ def test_env_knobs_pinned():
     assert not undocumented, f"undocumented env knobs: {undocumented}"
 
 
+
+def test_one_value_settings_are_constants():
+    """Settings that every run held at one value are module constants,
+    not fields or parameters: the simulator keeps five knobs, the I/O
+    stack and the fabric generator none, and DDAK's pool of n = 100
+    is no optimizer field."""
+    import dataclasses
+    import inspect
+
+    from repro.core.optimizer import MomentPlan, OptimizerConfig
+    from repro.hardware import generate
+    from repro.simulator import iostack
+    from repro.simulator.pipeline import SimConfig
+
+    assert [f.name for f in dataclasses.fields(SimConfig)] == [
+        "fanouts", "model_name", "sample_batches", "io_amplification", "seed",
+    ]
+    for name in ("IoStackConfig", "RetryPolicy", "GpuIoQueues"):
+        assert not hasattr(iostack, name), name
+    for name in ("GeneratorConfig", "fleet"):
+        assert not hasattr(generate, name), name
+    for cls in (OptimizerConfig, MomentPlan):
+        names = {f.name for f in dataclasses.fields(cls)}
+        assert "ddak_pool_size" not in names, cls.__name__
+    params = inspect.signature(generate.generate_fabric).parameters
+    assert list(params) == ["seed"]
+
 def _perfbench_tracing():
     """``perfbench/tracing.py``, loaded by file path (``perfbench`` is a
     script directory, not a package)."""

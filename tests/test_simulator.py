@@ -12,12 +12,7 @@ from repro.hardware.specs import P5510
 from repro.sampling.hotness import degree_proxy_hotness
 from repro.sampling.neighbor import sample_batch
 from repro.simulator.binding import static_ssd_binding
-from repro.simulator.iostack import (
-    GpuIoQueues,
-    IoStackConfig,
-    effective_read_bw,
-    pages_for_bytes,
-)
+from repro.simulator.iostack import effective_read_bw, pages_for_bytes
 from repro.simulator.memory import (
     MemoryLedger,
     OutOfMemoryError,
@@ -123,26 +118,6 @@ class TestIoStack:
         assert pages_for_bytes(4097, 4096) == 2
         with pytest.raises(ValueError):
             pages_for_bytes(-1, 4096)
-
-    def test_queue_occupancy(self):
-        q = GpuIoQueues(IoStackConfig(num_queue_pairs=2, queue_depth=4), [P5510])
-        assert q.submit(8) == 0.0  # fits exactly
-        stall = q.submit(4)  # overflow
-        assert stall > 0
-        q.complete(8)
-        assert q.outstanding == 0
-        q.drain()
-
-    def test_submit_cost(self):
-        q = GpuIoQueues(IoStackConfig(), [P5510])
-        assert q.submit_cost_s(1000) > 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GpuIoQueues(IoStackConfig(), [])
-        q = GpuIoQueues(IoStackConfig(), [P5510])
-        with pytest.raises(ValueError):
-            q.submit(-1)
 
 
 class TestMemoryLedger:
@@ -363,6 +338,36 @@ class TestEpochSimulator:
             )
             times[model] = sim.run_epoch().compute_seconds
         assert times["gat"] > times["graphsage"]
+
+    def test_nvlink_relay_golden(self, monkeypatch):
+        """Machine B's Figure-7 layout with bridges (0, 3) and (1, 2)
+        relays part of its contended fetches through the NVLink partner;
+        the epoch time is pinned bit-for-bit to the recorded golden."""
+        from repro.graphs.datasets import IGB_HOM
+        from repro.hardware.machines import moment_paper_layout_b
+        from repro.runtime.spec import RunSpec
+        from repro.runtime.system import MomentSystem
+
+        feature_flows = EpochSimulator._feature_flows
+        relays = []
+
+        def counting_feature_flows(self, bin_name, gpu, nbytes):
+            flows = feature_flows(self, bin_name, gpu, nbytes)
+            relays.append(len(flows) == 2)
+            return flows
+
+        monkeypatch.setattr(
+            EpochSimulator, "_feature_flows", counting_feature_flows
+        )
+        machine = machine_b()
+        result = MomentSystem(machine).run(RunSpec(
+            dataset=IGB_HOM.build(scale=IGB_HOM.default_scale * 16, seed=0),
+            placement=moment_paper_layout_b(machine),
+            sample_batches=2,
+            nvlink_pairs=[(0, 3), (1, 2)],
+        ))
+        assert sum(relays) > 0
+        assert result.paper_epoch_seconds == 14.411331106580644
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from repro.graphs.datasets import CLUEWEB, IGB_HOM, PAPER100M, UK_2014
 from repro.hardware.machines import classic_layouts, machine_a
 from repro.runtime.spec import RunSpec
 from repro.runtime.system import MomentSystem, gpu_memory_budget
-from repro.simulator.iostack import IoStackConfig
 
 QUICK = 40  # extra scale factor so graphs stay test-sized
 
@@ -31,7 +30,7 @@ def placement_c(machine):
 
 class TestGpuMemoryBudget:
     def test_fits_common_case(self, machine, ig):
-        ledger = gpu_memory_budget(machine, ig, "graphsage", 4, IoStackConfig())
+        ledger = gpu_memory_budget(machine, ig, "graphsage", 4)
         assert ledger.free_bytes > 0
         assert "activations" in ledger.entries
 
@@ -40,8 +39,7 @@ class TestGpuMemoryBudget:
 
         with pytest.raises(OutOfMemoryError):
             gpu_memory_budget(
-                machine, ig, "graphsage", 4, IoStackConfig(),
-                extra={"huge": 100e9},
+                machine, ig, "graphsage", 4, extra={"huge": 100e9},
             )
 
 
