@@ -16,6 +16,23 @@ from typing import Optional, Sequence
 import numpy as np
 
 
+def sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``ids``, equal to ``np.unique(ids)``.
+
+    One sort and a neighbour-inequality mask.  NumPy 2.x's ``np.unique``
+    takes a hash-based path: on a sampled hop of a few hundred ids its
+    per-call overhead dominates, and on the 2.5 M edge keys of a
+    1/1600 IGB-HOM build it took 2.3 s against this sort's 0.03 s.
+    """
+    out = np.sort(ids, axis=None)
+    if out.size > 1:
+        keep = np.empty(out.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(out[1:], out[:-1], out=keep[1:])
+        out = out[keep]
+    return out
+
+
 @dataclass(frozen=True)
 class CSRGraph:
     """An immutable directed graph in CSR form.
@@ -101,9 +118,13 @@ class CSRGraph:
         dst: Sequence[int],
         feature_dim: int = 1024,
         feature_bytes_per_elem: int = 4,
-        dedupe: bool = True,
     ) -> "CSRGraph":
-        """Build from an edge list (vectorised sort-based construction)."""
+        """Build from an edge list, dropping duplicate edges.
+
+        Each edge becomes the key ``src * num_vertices + dst``; the sorted
+        distinct keys are the edges in ``(src, dst)`` order, so one sort
+        gives both the deduplication and the CSR order.
+        """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         if src.shape != dst.shape:
@@ -115,12 +136,10 @@ class CSRGraph:
             or dst.max() >= num_vertices
         ):
             raise ValueError("edge endpoints out of range")
-        if dedupe and src.size:
-            key = src * num_vertices + dst
-            _, keep = np.unique(key, return_index=True)
-            src, dst = src[keep], dst[keep]
-        order = np.argsort(src, kind="stable")
-        src, dst = src[order], dst[order]
+        key = src * num_vertices
+        key += dst
+        key = sorted_unique(key)
+        src, dst = np.divmod(key, num_vertices)
         counts = np.bincount(src, minlength=num_vertices)
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])

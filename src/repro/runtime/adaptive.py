@@ -30,10 +30,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.ddak import Bin, DataPlacement, ddak_place
+from repro.graphs.csr import sorted_unique
 from repro.graphs.datasets import ScaledDataset
 from repro.hardware.machines import MachineSpec
 from repro.core.topology import Topology
-from repro.sampling.neighbor import sorted_unique
 from repro.simulator.pipeline import EpochResult, EpochSimulator, SimConfig
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_fraction, check_positive

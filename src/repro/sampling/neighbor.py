@@ -17,7 +17,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.graphs.csr import CSRGraph
+from repro.graphs.csr import CSRGraph, sorted_unique
 from repro.utils.rng import SeedLike, ensure_rng
 
 
@@ -61,22 +61,6 @@ class MiniBatchSample:
     def feature_bytes(self, bytes_per_vertex: int) -> int:
         """Bytes of embeddings this batch must gather."""
         return self.num_unique * bytes_per_vertex
-
-
-def sorted_unique(ids: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of ``ids``, equal to ``np.unique(ids)``.
-
-    One sort and a neighbour-inequality mask.  A sampled hop holds a few
-    hundred ids, where ``np.unique``'s per-call overhead (a hash-based
-    path on NumPy 2.x) dominates; this is several times cheaper there.
-    """
-    out = np.sort(ids, axis=None)
-    if out.size > 1:
-        keep = np.empty(out.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(out[1:], out[:-1], out=keep[1:])
-        out = out[keep]
-    return out
 
 
 def sample_neighbors(

@@ -22,6 +22,11 @@ vectorized production code to them.
   :func:`repro.core.mcmf.multicommodity_min_time` reproduces;
 * DDAK — :func:`reference_ddak_place`, the NumPy-per-pool pooled
   greedy :func:`repro.core.ddak.ddak_place` reproduces as a scalar loop;
+* graph construction — :func:`reference_from_edges` (``np.unique`` with
+  ``return_index`` plus a stable argsort of ``src``) and
+  :func:`reference_power_law_graph` (two ``rng.choice(..., p=weights)``
+  draws), the builds :meth:`repro.graphs.csr.CSRGraph.from_edges` and
+  :func:`repro.graphs.generators.power_law_graph` reproduce bit for bit;
 * :func:`legacy_machine_a` / :func:`legacy_machine_b` — the hand-built
   chassis the compiled fabric specs must equal.
 """
@@ -49,6 +54,7 @@ from repro.core.mcmf import McfPrediction, _build_edges, _commodity_kind
 from repro.core.placement import GPU, SSD, Chassis, Placement, SlotGroup
 from repro.core.symmetry import _preimage, slot_group_symmetries
 from repro.core.topology import LinkKind, NodeKind, Topology
+from repro.graphs.csr import CSRGraph
 from repro.hardware.machines import MachineSpec
 from repro.hardware.specs import (
     A100_40GB,
@@ -67,6 +73,7 @@ from repro.simulator.bandwidth import (
     _check_capacities,
     _path_classes,
 )
+from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.validation import check_positive
 
 
@@ -1091,6 +1098,53 @@ def dedupe_placements(
     chassis = chassis or placements[0].chassis
     filt = CanonicalFilter(chassis)
     return [p for p in placements if filt.admit(p) is not None]
+
+
+# ----------------------------------------------------------------------
+# Graph construction
+# ----------------------------------------------------------------------
+def reference_from_edges(
+    num_vertices: int,
+    src: Sequence[int],
+    dst: Sequence[int],
+    feature_dim: int = 1024,
+    feature_bytes_per_elem: int = 4,
+) -> CSRGraph:
+    """Deduplicate by the first occurrence of each ``(src, dst)`` key, then
+    stable-argsort by ``src`` into CSR order."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if src.size:
+        key = src * num_vertices + dst
+        _, keep = np.unique(key, return_index=True)
+        src, dst = src[keep], dst[keep]
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    counts = np.bincount(src, minlength=num_vertices)
+    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return CSRGraph(indptr, dst, feature_dim, feature_bytes_per_elem)
+
+
+def reference_power_law_graph(
+    num_vertices: int,
+    avg_degree: float,
+    exponent: float = 0.8,
+    seed: SeedLike = None,
+    feature_dim: int = 1024,
+) -> CSRGraph:
+    """Chung–Lu graph with both endpoints drawn by ``Generator.choice``."""
+    rng = ensure_rng(seed)
+    num_edges = int(num_vertices * avg_degree)
+    weights = (np.arange(1, num_vertices + 1, dtype=np.float64)) ** (-exponent)
+    weights /= weights.sum()
+    perm = rng.permutation(num_vertices)
+    src = perm[rng.choice(num_vertices, size=num_edges, p=weights)]
+    dst = perm[rng.choice(num_vertices, size=num_edges, p=weights)]
+    keep = src != dst
+    return reference_from_edges(
+        num_vertices, src[keep], dst[keep], feature_dim=feature_dim
+    )
 
 
 # ----------------------------------------------------------------------

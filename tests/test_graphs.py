@@ -1,9 +1,14 @@
 """Tests for the CSR container, generators, and dataset registry."""
 
+import hashlib
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.graphs import generators
 from repro.graphs.csr import CSRGraph
 from repro.graphs.datasets import (
     DATASETS,
@@ -13,6 +18,8 @@ from repro.graphs.datasets import (
     tiny_dataset,
 )
 from repro.graphs.generators import (
+    _guide_table,
+    _weighted_choice,
     degree_gini,
     erdos_renyi_graph,
     power_law_graph,
@@ -25,6 +32,9 @@ from repro.graphs.partition import (
     validate_partition,
 )
 from repro.utils.units import GB
+from tests.oracles import reference_from_edges, reference_power_law_graph
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 class TestCSRGraph:
@@ -39,6 +49,11 @@ class TestCSRGraph:
         assert list(g.neighbors(0)) == [1, 2]
         assert list(g.neighbors(1)) == [2]
         assert list(g.neighbors(2)) == []
+        empty = CSRGraph.from_edges(3, [], [])
+        assert empty.num_vertices == 3
+        assert empty.num_edges == 0
+        assert list(empty.indptr) == [0, 0, 0, 0]
+        assert empty.indices.dtype == np.int64
 
     def test_degrees(self):
         g = self.simple()
@@ -48,8 +63,9 @@ class TestCSRGraph:
     def test_dedupe(self):
         g = CSRGraph.from_edges(2, [0, 0, 0], [1, 1, 1])
         assert g.num_edges == 1
-        g2 = CSRGraph.from_edges(2, [0, 0, 0], [1, 1, 1], dedupe=False)
-        assert g2.num_edges == 3
+        g2 = CSRGraph.from_edges(3, [2, 0, 2, 0, 2], [1, 2, 0, 1, 1])
+        assert list(g2.indptr) == [0, 2, 2, 4]
+        assert list(g2.indices) == [1, 2, 0, 1]
 
     def test_feature_bytes(self):
         g = self.simple()
@@ -129,7 +145,115 @@ class TestGenerators:
             assert g.indices.max() < n
 
 
+def _same_graph(got, want):
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.feature_dim == want.feature_dim
+
+
+class TestReferenceConstruction:
+    """The dataset build equals the ``Generator.choice`` + ``np.unique``
+    construction in ``tests/oracles.py`` bit for bit, random stream
+    included: a drift of one index anywhere fails these."""
+
+    @pytest.mark.parametrize("avg_degree", [0.5, 14.87])
+    @pytest.mark.parametrize("exponent", [0.0, 0.75, 2.5, 6.0])
+    @pytest.mark.parametrize("n", [2, 3, 17, 1000])
+    def test_power_law_graph(self, n, exponent, avg_degree):
+        # exponent 6.0 underflows the tail's CDF steps: a plateau at 1.0
+        for seed in range(3):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = power_law_graph(n, avg_degree, exponent, seed=rng, feature_dim=8)
+            want = reference_power_law_graph(
+                n, avg_degree, exponent, seed=ref_rng, feature_dim=8
+            )
+            _same_graph(got, want)
+            assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [1.0],
+            [0.0, 1.0],
+            [0.5, 0.5],
+            [3.0, 0.0, 0.0, 0.0, 1.0, 0.0, 2.0, 0.0],
+            [1e-300, 1.0, 1e-300, 1e-300, 1.0],
+        ],
+    )
+    def test_weighted_choice_equals_generator_choice(self, weights):
+        p = np.asarray(weights) / np.sum(weights)
+        cdf, guide = _guide_table(p)
+        for seed in range(3):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _weighted_choice(rng, cdf, guide, 5000)
+            want = ref_rng.choice(p.size, size=5000, p=p)
+            assert np.array_equal(got, want)
+            assert rng.random() == ref_rng.random()
+
+    def test_from_edges(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 5, 300):
+            for m in (0, 1, 10, 5000):
+                src = rng.integers(0, n, m)
+                dst = rng.integers(0, n, m)
+                _same_graph(
+                    CSRGraph.from_edges(n, src, dst),
+                    reference_from_edges(n, src, dst),
+                )
+
+    def test_generators_and_to_undirected(self, monkeypatch):
+        # through the module, so the patched power_law_graph is used too
+        builds = {
+            "rmat": lambda rng: generators.rmat_graph(1000, 8000, seed=rng),
+            "erdos_renyi": lambda rng: generators.erdos_renyi_graph(500, 6.5, seed=rng),
+            "community": lambda rng: generators.community_graph(900, 7.0, 5, seed=rng),
+            "to_undirected": lambda rng: generators.power_law_graph(
+                400, 5.0, seed=rng
+            ).to_undirected(),
+        }
+        got = {}
+        for name, build in builds.items():
+            rng = np.random.default_rng(3)
+            got[name] = (build(rng), rng.random())
+        monkeypatch.setattr(CSRGraph, "from_edges", staticmethod(reference_from_edges))
+        monkeypatch.setattr(generators, "power_law_graph", reference_power_law_graph)
+        for name, build in builds.items():
+            rng = np.random.default_rng(3)
+            graph, after = got[name]
+            _same_graph(graph, build(rng))
+            assert after == rng.random(), name
+
+
+def _digests(ds):
+    return {
+        name: hashlib.sha256(np.ascontiguousarray(a, dtype="<i8").tobytes()).hexdigest()
+        for name, a in (
+            ("indptr", ds.graph.indptr),
+            ("indices", ds.graph.indices),
+            ("train_ids", ds.train_ids),
+        )
+    }
+
+
 class TestDatasets:
+    def test_builds_match_golden_digests(self):
+        """The benchmark's dataset inputs (IGB-HOM at 16x and 4x the
+        default scale, perfbench sessions 0-2) and the TINY graph are
+        byte-identical to the recorded SHA-256 of their arrays."""
+        with open(os.path.join(DATA, "dataset_sha256.json")) as fh:
+            golden = json.load(fh)
+        builds = {}
+        for mult in (16, 4):
+            for seed in range(3):
+                builds[f"IG-x{mult}-{seed}"] = lambda m=mult, s=seed: IGB_HOM.build(
+                    scale=IGB_HOM.default_scale * m, seed=s
+                )
+        for seed in range(3):
+            builds[f"TINY-{seed}"] = lambda s=seed: tiny_dataset(seed=s)
+        assert sorted(golden) == sorted(builds)
+        for key, build in builds.items():
+            assert _digests(build()) == golden[key], key
+
     def test_registry_matches_table2(self):
         assert set(DATASETS) == {"PA", "IG", "UK", "CL"}
         assert PAPER100M.num_vertices == 111_000_000
