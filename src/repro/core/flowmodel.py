@@ -44,8 +44,15 @@ probed time), so
   final min cut doubles as an optimality certificate: its crossing
   physical edges are the reported bottlenecks.
 
-Every solve starts at t = 0 and depends only on its own network, so a
-candidate's score, rates and bottlenecks are those of its solo solve.
+A solve starts at t = 0, or at a lower bound on its t* that its
+template carries with that bound's cut: pass 1 starts each
+healthy-fabric candidate at its network's :class:`EgressCeiling`
+(:meth:`ChassisNetwork.template` with ``from_ceiling``), so a
+candidate at the ceiling solves in one max flow.  Either way a solve
+depends only on its own network.  Where several cuts bind at t* and
+float rounding puts their roots an ulp or two apart, the search ends
+on the one its path meets, so the start can move t* by those ulps
+(``tests/test_search.py::TestCeilingStartDifferential``).
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    FrozenSet,
     List,
     Optional,
     Sequence,
@@ -161,8 +169,15 @@ class FlowPrediction:
     #: Optimal bytes served by each concrete storage node (the DDAK
     #: ``Bin_traffic`` targets), normalised to bytes/s.
     storage_rate: Dict[str, float]
-    #: Human-readable saturated links at the optimum (bottlenecks).
+    #: Human-readable saturated links at the optimum (bottlenecks): the
+    #: physical edges of the binding cut the search ended on.  When
+    #: several cuts bind at t*, which one is named depends on where the
+    #: search started: a solve started at the ceiling names the cut the
+    #: solve from t = 0 names, or another binding cut whose cut line's
+    #: root equals :attr:`time` bit for bit.
     bottlenecks: List[str] = field(default_factory=list)
+    #: Max flows the search ran (not part of the prediction's value).
+    max_flows: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -183,6 +198,8 @@ class EgressCeiling:
     time: float
     #: The binding cut, e.g. ``"SSD egress, 8 × 6.0 GB/s"``.
     cut: str
+    #: The class subset S whose cut gives :attr:`time`.
+    classes: FrozenSet[str]
 
 
 #: Bound-report names of the flexible classes.
@@ -227,7 +244,7 @@ def _egress_ceiling(
                         f"{k} × {egress / 1e9:.1f}" for egress, k in counts.items()
                     )
                     parts.append(f"{_CLASS_LABELS[cls]} egress, {terms} GB/s")
-            best = EgressCeiling(t, "; ".join(parts))
+            best = EgressCeiling(t, "; ".join(parts), frozenset(subset))
     return best
 
 
@@ -440,6 +457,9 @@ class FlowTemplate(FlowGraph):
 
     Built from a :class:`~repro.core.topology.Topology` by
     :meth:`from_topology`, or per placement by :class:`ChassisNetwork`.
+    ``start`` is where :func:`solve_template` begins instead of t = 0:
+    a time at or below t* and the node mask of the cut to report if
+    the demand fits there.
     """
 
     def __init__(
@@ -454,6 +474,7 @@ class FlowTemplate(FlowGraph):
         storage: Sequence[str],
         demands_by_sink: Dict[str, float],
         total: float,
+        start: Tuple[float, Optional[bytearray]] = (0.0, None),
     ) -> None:
         super().__init__(labels, tails, heads, source, sink)
         self.base = np.asarray(base, dtype=float)
@@ -463,6 +484,7 @@ class FlowTemplate(FlowGraph):
         self.storage = storage
         self.demands_by_sink = demands_by_sink
         self.total = total
+        self.start = start
 
     @classmethod
     def from_topology(
@@ -768,6 +790,18 @@ class ChassisNetwork:
         for r in range(s):
             into[f"ssd{r}"] = n + 3 * g + r
             out_of[f"ssd{r}"] = n + 3 * g + s + r
+        # the ceiling's cut: {source} ∪ S's class nodes ∪ the "/in"
+        # nodes of S's members, as per-placement node-table entries
+        cut_nodes: List[int] = []
+        if self.ceiling is not None:
+            classes = self.ceiling.classes
+            cut_nodes.append(self.source)
+            cut_nodes += [node(f"{c}/class") for c, _ in per_bin if c in classes]
+            if CPU_CLASS in classes:
+                cut_nodes += [into[m] for m in mem_names]
+            if SSD_CLASS in classes:
+                cut_nodes += [into[f"ssd{r}"] for r in range(s)]
+        self._ceiling_nodes = np.array(cut_nodes, dtype=np.intp)
         labels: List[Optional[str]] = list(net.labels)
         for _, gpu_slots, ssd_slots in self._groups:
             for slot in gpu_slots:
@@ -825,9 +859,17 @@ class ChassisNetwork:
         self._num_nodes = n
         self._hbm = GPU_HBM_BW
 
-    def template(self, placement: Placement) -> Optional[FlowTemplate]:
+    def template(
+        self, placement: Placement, from_ceiling: bool = False
+    ) -> Optional[FlowTemplate]:
         """``placement``'s network as edge arrays, or ``None`` when the
-        demand is zero.  ``placement`` must hold this network's pool."""
+        demand is zero.  ``placement`` must hold this network's pool.
+
+        ``from_ceiling`` starts its solve at :attr:`ceiling` (when there
+        is one) instead of at t = 0, on the ceiling's own cut: the
+        ceiling is at or below every placement's t*, and a placement
+        bound by that cut solves in one max flow.
+        """
 
         if (placement.num_gpus, placement.num_ssds) != (
             self.num_gpus,
@@ -867,6 +909,11 @@ class ChassisNetwork:
         tails = np.concatenate((self._tail[live], node[self._rank_tail]))
         heads = np.concatenate((self._head[live], node[self._rank_head]))
         num_splits = int(np.searchsorted(live, self._num_splits))
+        start: Tuple[float, Optional[bytearray]] = (0.0, None)
+        if from_ceiling and self.ceiling is not None:
+            cut = np.zeros(len(labels), dtype=np.uint8)
+            cut[node[self._ceiling_nodes]] = 1
+            start = (self.ceiling.time, bytearray(cut))
         return FlowTemplate(
             labels,
             tails,
@@ -878,6 +925,7 @@ class ChassisNetwork:
             [labels[u][: -len("/in")] for u in tails[:num_splits].tolist()],
             self.demands_by_sink,
             self.total,
+            start,
         )
 
 
@@ -906,15 +954,17 @@ def solve_template(tpl: Optional[FlowTemplate]) -> FlowPrediction:
     """One minimum-completion-time solve (``None`` or a zero total =
     zero demand).
 
-    Cut-parametric search from t = 0: probe, and after an infeasible
-    probe move to the residual min cut's root, until the demand fits.
+    Cut-parametric search from ``tpl.start`` (t = 0 unless the
+    template carries a lower bound on t* and its cut): probe, and after
+    an infeasible probe move to the residual min cut's root, until the
+    demand fits.  A probe that fits at the start reports the start's
+    cut as the binding one.
     """
     if tpl is None or tpl.total <= _MIN_DEMAND:
         return FlowPrediction(0.0, 0.0, {}, {})
     threshold = tpl.total * (1.0 - _FEAS_TOL)
-    t = 0.0
-    cut_mask: Optional[bytearray] = None
-    for _ in range(_MAX_ITERS):
+    t, cut_mask = tpl.start
+    for solves in range(1, _MAX_ITERS + 1):
         caps = tpl.residual_caps(t)
         got = tpl.max_flow(caps)
         if got < threshold:
@@ -929,7 +979,9 @@ def solve_template(tpl: Optional[FlowTemplate]) -> FlowPrediction:
             if r > _EPS and (tpl.total - b) / r > t:
                 t, cut_mask = (tpl.total - b) / r, reach
                 continue
-        return tpl.prediction(t, caps, cut_mask)
+        prediction = tpl.prediction(t, caps, cut_mask)
+        prediction.max_flows = solves
+        return prediction
     raise RuntimeError(
         f"cut-parametric time search did not converge in {_MAX_ITERS} "
         "iterations"

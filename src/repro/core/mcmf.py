@@ -23,7 +23,10 @@ The LP goes straight to the HiGHS instance inside scipy
 ``scipy.optimize.linprog``: the matrix is assembled directly in CSC
 form and the options are the ones ``linprog(method="highs")`` sets, so
 HiGHS solves the model ``linprog`` would build, bit for bit, minus
-scipy's validation, format conversions and dual post-processing.
+scipy's validation, format conversions and dual post-processing.  The
+model is handed over as arrays, through ``passModel``'s array
+overload, rather than by filling a ``HighsLp`` field by field: the
+same arrays reach HiGHS without a pybind conversion per field.
 ``linprog``'s post-solve feasibility check is kept.  A
 :func:`new_lp_solver` instance is reused across LPs (one ``passModel``
 each); it is neither thread-safe nor picklable, so each scoring runtime
@@ -76,6 +79,11 @@ HIGHS_OPTIONS = {
         _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     ),
 }
+
+#: The array ``passModel`` overload's matrix format and objective
+#: sense, as the integers it takes.
+_COLWISE = int(_highs.MatrixFormat.kColwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
 
 #: ``linprog``'s default ``tol`` widened the way its post-solve check
 #: widens it: ``10 * sqrt(1e-9)``.
@@ -274,23 +282,25 @@ def multicommodity_min_time(
     cost = np.zeros(n_vars)
     cost[-1] = -1.0
 
-    lp = _highs.HighsLp()
-    lp.num_col_ = n_vars
-    lp.num_row_ = n_rows
-    lp.a_matrix_.num_col_ = n_vars
-    lp.a_matrix_.num_row_ = n_rows
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.col_cost_ = cost
-    lp.col_lower_ = np.zeros(n_vars)
-    lp.col_upper_ = col_upper
-    lp.row_lower_ = row_lower
-    lp.row_upper_ = row_upper
-    lp.a_matrix_.start_ = indptr
-    lp.a_matrix_.index_ = indices
-    lp.a_matrix_.value_ = values
-
     highs = solver if solver is not None else new_lp_solver()
-    if highs.passModel(lp) == _highs.HighsStatus.kError:
+    status = highs.passModel(
+        n_vars,
+        n_rows,
+        len(values),
+        _COLWISE,
+        _MINIMIZE,
+        0.0,  # objective offset
+        cost,
+        np.zeros(n_vars),
+        col_upper,
+        row_lower,
+        row_upper,
+        indptr,
+        indices,
+        values,
+        np.zeros(n_vars, dtype=np.int32),  # every column continuous
+    )
+    if status == _highs.HighsStatus.kError:
         raise RuntimeError("multicommodity LP failed: HiGHS rejected the model")
     highs.run()
     status = highs.getModelStatus()

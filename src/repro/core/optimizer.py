@@ -216,11 +216,17 @@ class MomentPlan:
                 scan = f"scored all {s.num_unique}"
             if s.ceiling_cut is None:
                 lines.append(f"  pass 1 {scan} (no storage-egress ceiling)")
+                start = "t = 0"
             else:
                 lines.append(
                     f"  pass 1 {scan}: {s.ceiling_hits} candidates reached "
                     f"the ceiling ({s.ceiling_cut})"
                 )
+                start = "the ceiling"
+            lines.append(
+                f"  pass 1 started every cut search at {start}: "
+                f"{s.num_max_flows} max flows"
+            )
         return "\n".join(lines)
 
 

@@ -380,6 +380,17 @@ def iter_placements(
     stable tie-breaker.  The search engine consumes this generator
     directly and prunes symmetric duplicates as they are produced.
     """
+    for row in pool_rows(chassis, num_gpus, num_ssds):
+        yield placement_of(chassis, row)
+
+
+def pool_rows(
+    chassis: Chassis, num_gpus: int, num_ssds: int
+) -> Iterator[Tuple[int, ...]]:
+    """Every feasible placement of the pool as its count vector — GPU
+    counts per slot group, then SSD counts per slot group — in
+    :func:`iter_placements` order, without building a
+    :class:`Placement`."""
     groups = chassis.slot_groups
     gpu_caps = [g.capacity_for(GPU) for g in groups]
     for gpu_counts in _compositions(num_gpus, gpu_caps):
@@ -389,11 +400,17 @@ def iter_placements(
             free_units = g.units - ng * SLOT_UNITS[GPU]
             ssd_caps.append(free_units if SSD in g.allowed else 0)
         for ssd_counts in _compositions(num_ssds, ssd_caps):
-            counts = {
-                g.name: {GPU: ng, SSD: ns}
-                for g, ng, ns in zip(groups, gpu_counts, ssd_counts)
-            }
-            yield Placement(chassis, counts)
+            yield gpu_counts + ssd_counts
+
+
+def placement_of(chassis: Chassis, row: Sequence[int]) -> Placement:
+    """The :class:`Placement` of a :func:`pool_rows` count vector."""
+    groups = chassis.slot_groups
+    n = len(groups)
+    return Placement(
+        chassis,
+        {g.name: {GPU: row[i], SSD: row[n + i]} for i, g in enumerate(groups)},
+    )
 
 
 def enumerate_placements(

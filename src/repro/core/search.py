@@ -6,13 +6,15 @@ callers (the single-machine optimizer, the multi-node driver, baselines
 and experiments) all speak the same :class:`SearchRequest` /
 :class:`SearchResult` types:
 
-1. **Direct canonical enumeration** — the candidates are
-   :func:`repro.core.symmetry.iter_canonical_placements`, which
-   produces exactly one representative per symmetry orbit *directly*
-   (no rejected duplicates are ever constructed); the raw pre-dedupe
-   candidate count is computed analytically by
-   :func:`repro.core.placement.count_placements`.  A request with an
-   explicit ``candidates`` list scores that list as-is instead.
+1. **Direct canonical enumeration** — the candidates are a
+   :class:`repro.core.symmetry.CanonicalPlacements`, exactly one
+   representative per symmetry orbit (no rejected duplicates are ever
+   constructed), as a sized lazy sequence: its length is exact before
+   any placement is built, and a placement is built only when pass 1
+   reads it.  The raw pre-dedupe candidate count is computed
+   analytically by :func:`repro.core.placement.count_placements`.  A
+   request with an explicit ``candidates`` list scores that list as-is
+   instead.
 2. **Coarse scoring (pass 1)** — :class:`FlexibleMaxFlowScorer`, the
    paper's time-search max flow on *flexible* class demands, solved by
    the cut-parametric kernel (:mod:`repro.core.flowmodel`) over one
@@ -23,14 +25,17 @@ and experiments) all speak the same :class:`SearchRequest` /
    :meth:`~repro.core.flowmodel.FlowTemplate.from_topology`: the
    chassis network only describes the healthy fabric.  Candidates are
    scored in fixed batches of :data:`PASS1_BATCH`, in enumeration
-   order, each solved on its own from t = 0.  Its throughput is an upper bound on the exact score
-   (the class demand is a relaxation of any concrete bin split), which
-   makes it the top-k funnel key.  No candidate's time beats the network's
-   :class:`~repro.core.flowmodel.EgressCeiling`, so pass 1 stops at the
-   first batch end by which ``lp_top_k`` candidates have reached it: a
-   later candidate could at best tie them and would then lose on
-   enumeration index, so the finalists are the full scan's.  A masked
-   search has no ceiling and scans its candidates whole.
+   order, each solved on its own.  Its throughput is an upper bound on
+   the exact score (the class demand is a relaxation of any concrete
+   bin split), which makes it the top-k funnel key.  No candidate's
+   time beats the network's
+   :class:`~repro.core.flowmodel.EgressCeiling`, so each cut search
+   starts there, on the ceiling's own cut (a candidate bound by it
+   solves in one max flow), and pass 1 stops at the first batch end by
+   which ``lp_top_k`` candidates have reached it: a later candidate
+   could at best tie them and would then lose on enumeration index, so
+   the finalists are the full scan's.  A masked search has no ceiling:
+   its solves start at t = 0 and it scans its candidates whole.
 3. **Exact scoring (pass 2)** — :class:`MulticommodityScorer`, the
    multicommodity concurrent-flow LP on the concretised demand.  The
    ``lp_top_k`` best pass-1 candidates reach this stage and every one
@@ -46,13 +51,16 @@ picks the same winner.  Multi-core planning is the planning server's
 ``--solver-processes`` pool, which spreads requests, one search each,
 over cores.
 
-Pass 1 keeps only each candidate's prediction; pass 2 builds the
-topology of each of its ``lp_top_k`` finalists for its LP and keeps
-only the winner's (:attr:`SearchResult.topology`).  Every stage
-reports through :mod:`repro.obs`: ``search.candidates``,
-``search.unique``, ``search.pass1_scored`` (candidates pass 1 scored),
-``search.ceiling_hits``, ``search.pass1_stopped_at`` (only when pass 1
-stopped early) and ``search.lp_scored``.
+Pass 1 keeps only the running ``lp_top_k`` finalists; pass 2 builds
+the topology of each finalist for its LP and keeps only the winner's
+(:attr:`SearchResult.topology`).  A masked search built each
+candidate's topology in pass 1 already: it keeps the finalists'
+topologies (at most ``lp_top_k`` at a batch end) and pass 2 scores
+those.  Every stage reports through :mod:`repro.obs`:
+``search.candidates``, ``search.unique``, ``search.pass1_scored``
+(candidates pass 1 scored), ``search.max_flows`` (max flows pass 1
+ran), ``search.ceiling_hits``, ``search.pass1_stopped_at`` (only when
+pass 1 stopped early) and ``search.lp_scored``.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import count
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -87,7 +96,7 @@ from repro.core.flowmodel import (
 )
 from repro.core.mcmf import McfPrediction, multicommodity_min_time, new_lp_solver
 from repro.core.placement import Chassis, Placement, count_placements
-from repro.core.symmetry import iter_canonical_placements
+from repro.core.symmetry import CanonicalPlacements
 from repro.core.topology import NodeKind, Topology, TopologyMask
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only, avoids import cycle
@@ -127,8 +136,10 @@ def default_batch_size() -> int:
 
 
 def default_warm_starts() -> bool:
-    """Always ``False``: every pass-1 solve starts at t = 0 and no cut
-    is carried from one solve to another.  Kept as a constant only
+    """Always ``False``: no cut is carried from one solve to another.
+    A pass-1 solve starts at its pool's storage-egress ceiling, a
+    bound that holds for every placement of the pool (t = 0 under a
+    mask or for candidates of mixed pools).  Kept as a constant only
     because recorded run environments
     (``perfbench/common.py::env_record``) report it."""
     return False
@@ -252,10 +263,11 @@ def sample_placements(
     a representative candidate set stride-sample ``cap`` of them so a
     restricted search stays bounded on any fabric.  ``cap <= 0``, or a
     space no larger than ``cap``, returns every canonical placement.
+    Only the sampled placements are built.
     """
-    canon = list(iter_canonical_placements(chassis, num_gpus, num_ssds))
+    canon = CanonicalPlacements(chassis, num_gpus, num_ssds)
     if cap <= 0 or len(canon) <= cap:
-        return canon
+        return list(canon)
     stride = len(canon) / cap
     return [canon[int(i * stride)] for i in range(cap)]
 
@@ -344,11 +356,13 @@ class _Scoring:
     """Scores one search's candidates: pass-1 batches and pass-2 LPs.
 
     Pass 1 solves each candidate on its own: over the search's
-    :class:`~repro.core.flowmodel.ChassisNetwork` for the candidates'
-    pool (built on first use), or, under a ``mask``, on the masked
-    topology that pass 2 builds too.  Pass 2 builds each finalist's
-    topology and LP-scores it against its pass-1 prediction on one HiGHS
-    instance, made on the first LP.
+    :class:`~repro.core.flowmodel.ChassisNetwork` for the candidate's
+    pool (built on first use), starting at that network's ceiling when
+    every candidate holds the search's one ``pool``; or, under a
+    ``mask``, on the masked topology, which is kept for pass 2 while
+    the candidate is a finalist (:meth:`retain`).  Pass 2 LP-scores each
+    finalist's topology, built unless pass 1 kept it, against its
+    pass-1 prediction on one HiGHS instance, made on the first LP.
     """
 
     def __init__(
@@ -358,37 +372,42 @@ class _Scoring:
         coarse: FlexibleMaxFlowScorer,
         exact: MulticommodityScorer,
         mask: Optional[TopologyMask] = None,
+        pool: Optional[Tuple[int, int]] = None,
     ) -> None:
         self.machine = machine
         self.nvlink_pairs = nvlink_pairs
         self.coarse = coarse
         self.exact = exact
         self.mask = mask
+        self.pool = None if mask else pool
         self._networks: Dict[Tuple[int, int], ChassisNetwork] = {}
+        self._topologies: Dict[Placement, Topology] = {}
         self._lp_scorer: Optional[MulticommodityScorer] = None
 
-    def network(self, placement: Placement) -> ChassisNetwork:
-        """The pass-1 network for ``placement``'s own GPU/SSD totals."""
-        key = (placement.num_gpus, placement.num_ssds)
-        network = self._networks.get(key)
+    def network(self, pool: Tuple[int, int]) -> ChassisNetwork:
+        """The pass-1 network for a ``(GPUs, SSDs)`` pool."""
+        network = self._networks.get(pool)
         if network is None:
-            network = self._networks[key] = self.coarse.network(
-                self.machine, *key, self.nvlink_pairs
+            network = self._networks[pool] = self.coarse.network(
+                self.machine, *pool, self.nvlink_pairs
             )
         return network
 
-    def ceiling(self, placement: Placement) -> Optional[EgressCeiling]:
-        """The storage-egress bound of ``placement``'s pool network;
-        ``None`` under a mask, whose candidates are scanned whole."""
-        if self.mask:
-            return None
-        return self.network(placement).ceiling
+    @property
+    def ceiling(self) -> Optional[EgressCeiling]:
+        """The storage-egress bound of the search's one pool; ``None``
+        under a mask or for candidates of mixed pools, which are scanned
+        whole."""
+        return None if self.pool is None else self.network(self.pool).ceiling
 
     def template(self, placement: Placement) -> Optional[FlowTemplate]:
         """``placement``'s pass-1 network."""
         if not self.mask:
-            return self.network(placement).template(placement)
-        topo = self.topology(placement)
+            pool = (placement.num_gpus, placement.num_ssds)
+            return self.network(pool).template(
+                placement, from_ceiling=pool == self.pool
+            )
+        topo = self._topologies[placement] = self.topology(placement)
         demand = scoring_demand(
             topo,
             self.coarse.fractions,
@@ -408,6 +427,12 @@ class _Scoring:
             topo = self.mask.apply(topo)
         return topo
 
+    def retain(self, placements: Iterable[Placement]) -> None:
+        """Drop every topology pass 1 built except ``placements``'."""
+        if self._topologies:
+            kept = self._topologies
+            self._topologies = {p: kept[p] for p in placements if p in kept}
+
     def score_pass1(self, batch: Sequence[Placement]) -> List[FlowPrediction]:
         """Pass-1 predictions for one batch, in batch order."""
         return self.coarse.score_batch(batch, self.template)
@@ -418,7 +443,9 @@ class _Scoring:
         """``placement``'s LP prediction and the topology it scored."""
         if self._lp_scorer is None:
             self._lp_scorer = replace(self.exact, solver=new_lp_solver())
-        topo = self.topology(placement)
+        topo = self._topologies.pop(placement, None)
+        if topo is None:
+            topo = self.topology(placement)
         return self._lp_scorer.score(topo, placement, prior), topo
 
 
@@ -476,6 +503,8 @@ class SearchResult:
     seconds: float = 0.0
     #: Pass-1 scoring batches scored.
     num_batches: int = 0
+    #: Max flows pass 1 ran over all its cut searches.
+    num_max_flows: int = 0
     #: The winner's topology as pass 2 scored it (under the request's
     #: ``mask``, if any).
     topology: Optional[Topology] = None
@@ -484,12 +513,15 @@ class SearchResult:
 class _Pass1(NamedTuple):
     """What pass 1 scored, and where and why it stopped."""
 
-    #: ``(index, placement, prediction)`` per scored candidate, in
-    #: enumeration order.
-    entries: List[Tuple[int, Placement, FlowPrediction]]
+    #: Candidates scored.
+    scored: int
+    #: The ``lp_top_k`` best ``(index, placement, prediction)`` rows,
+    #: in funnel order.
+    finalists: List[Tuple[int, Placement, FlowPrediction]]
     ceiling: Optional[EgressCeiling]
     hits: int
     batch_sizes: List[int]
+    max_flows: int
 
 
 # ----------------------------------------------------------------------
@@ -506,7 +538,7 @@ class SearchEngine:
 
     def __init__(
         self,
-        placements: Iterable[Placement],
+        placements: Sequence[Placement],
         num_candidates: int,
         scoring: _Scoring,
         lp_top_k: int = 48,
@@ -519,45 +551,43 @@ class SearchEngine:
         self.top_k = _check_count(top_k, "top_k")
 
     # -- stage 1: coarse-score candidates up to the ceiling ---------------
-    def _ceiling(self, placements: List[Placement]) -> Optional[EgressCeiling]:
-        """The bound every candidate's pass-1 time is at least: the
-        storage-egress ceiling of their one pool (``None`` for a mixed
-        or empty candidate list, or a masked search)."""
-        pools = {(p.num_gpus, p.num_ssds) for p in placements}
-        if len(pools) != 1:
-            return None
-        return self.scoring.ceiling(placements[0])
-
-    def _score_pass1(self, placements: List[Placement]) -> _Pass1:
+    def _score_pass1(self, placements: Sequence[Placement]) -> _Pass1:
         """Pass-1 score candidates in :data:`PASS1_BATCH` batches, in
         enumeration order, up to the first batch end by which
         ``lp_top_k`` of them have reached the ceiling.
 
         Those candidates have the best pass-1 throughput any candidate
         can have, so a later one at best ties them and then loses on
-        enumeration index: the finalists are the full scan's.
+        enumeration index: the finalists are the full scan's.  The
+        finalists are kept as a running top ``lp_top_k``, so pass 1
+        holds nothing else per candidate.
         """
-        ceiling = self._ceiling(placements)
-        entries: List[Tuple[int, Placement, FlowPrediction]] = []
-        hits = 0
+        ceiling = self.scoring.ceiling if placements else None
+        finalists: List[Tuple[int, Placement, FlowPrediction]] = []
+        hits = max_flows = 0
         batch_sizes: List[int] = []
         for start in range(0, len(placements), PASS1_BATCH):
             batch = placements[start : start + PASS1_BATCH]
             batch_sizes.append(len(batch))
             predictions = self.scoring.score_pass1(batch)
-            for idx, prediction in enumerate(predictions, start):
-                entries.append((idx, placements[idx], prediction))
+            rows = list(zip(count(start), batch, predictions))
+            for _, _, prediction in rows:
+                max_flows += prediction.max_flows
                 if ceiling is not None and prediction.time <= ceiling.time:
                     hits += 1
+            finalists = self._select_finalists(finalists + rows)
+            self.scoring.retain(placement for _, placement, _ in finalists)
             if hits >= self.lp_top_k:
                 break
-        return _Pass1(entries, ceiling, hits, batch_sizes)
+        scored = sum(batch_sizes)
+        return _Pass1(scored, finalists, ceiling, hits, batch_sizes, max_flows)
 
     # -- stage 2: top-k funnel + exact scoring ----------------------------
     def _select_finalists(self, entries):
-        """The ``lp_top_k`` best pass-1 candidates, best first: a stable
+        """The ``lp_top_k`` best of ``entries``, best first: a stable
         descending sort on pass-1 throughput (ties keep enumeration
-        order), truncated."""
+        order), truncated.  The key is a total order, so the best of a
+        union is the best of the union of each part's best."""
         return heapq.nsmallest(
             self.lp_top_k,
             entries,
@@ -591,32 +621,32 @@ class SearchEngine:
     def run(self) -> SearchResult:
         """Execute the full pipeline and return the ranked result."""
         with obs.span("search.run", lp_top_k=self.lp_top_k) as root:
-            placements = list(self.placements)
+            placements = self.placements
             with obs.span("search.pass1") as sp:
                 pass1 = self._score_pass1(placements)
                 sp.set(
                     candidates=self.num_candidates,
                     unique=len(placements),
-                    scored=len(pass1.entries),
+                    scored=pass1.scored,
                     ceiling_hits=pass1.hits,
+                    max_flows=pass1.max_flows,
                 )
-            if not pass1.entries:
+            if not pass1.scored:
                 raise ValueError("no placements to score")
             with obs.span("search.pass2") as sp:
-                ranked, topology = self._score_exact(
-                    self._select_finalists(pass1.entries)
-                )
+                ranked, topology = self._score_exact(pass1.finalists)
                 sp.set(lp_scored=len(ranked))
             result = SearchResult(
                 best=ranked[0],
                 scored=ranked[: self.top_k],
                 num_candidates=self.num_candidates,
                 num_unique=len(placements),
-                num_pass1_scored=len(pass1.entries),
+                num_pass1_scored=pass1.scored,
                 ceiling_hits=pass1.hits,
                 ceiling_cut=pass1.ceiling.cut if pass1.ceiling else None,
                 num_lp_scored=len(ranked),
                 num_batches=len(pass1.batch_sizes),
+                num_max_flows=pass1.max_flows,
                 topology=topology,
             )
             root.set(
@@ -627,6 +657,7 @@ class SearchEngine:
         obs.add("search.candidates", result.num_candidates)
         obs.add("search.unique", result.num_unique)
         obs.add("search.pass1_scored", result.num_pass1_scored)
+        obs.add("search.max_flows", result.num_max_flows)
         obs.add("search.ceiling_hits", result.ceiling_hits)
         if result.num_pass1_scored < result.num_unique:
             obs.add("search.pass1_stopped_at", result.num_pass1_scored)
@@ -642,16 +673,15 @@ def run_search(request: SearchRequest) -> SearchResult:
     Raises ``ValueError`` when no placement fits the requested pool.
     """
     machine = request.machine
+    pool: Optional[Tuple[int, int]] = (request.num_gpus, request.num_ssds)
     if request.candidates is not None:
-        placements: Iterable[Placement] = request.candidates
+        placements: Sequence[Placement] = request.candidates
         num_candidates = len(request.candidates)
+        pools = {(p.num_gpus, p.num_ssds) for p in placements}
+        pool = pools.pop() if len(pools) == 1 else None
     else:
-        placements = iter_canonical_placements(
-            machine.chassis, request.num_gpus, request.num_ssds
-        )
-        num_candidates = count_placements(
-            machine.chassis, request.num_gpus, request.num_ssds
-        )
+        placements = CanonicalPlacements(machine.chassis, *pool)
+        num_candidates = count_placements(machine.chassis, *pool)
     scoring = _Scoring(
         machine,
         request.nvlink_pairs,
@@ -664,6 +694,7 @@ def run_search(request: SearchRequest) -> SearchResult:
             gpu_cache_policy=request.gpu_cache_policy,
         ),
         mask=request.mask,
+        pool=pool,
     )
     engine = SearchEngine(
         placements,

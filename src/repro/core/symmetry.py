@@ -18,19 +18,18 @@ mechanisms:
 
 from __future__ import annotations
 
-from itertools import permutations
+from collections.abc import Sequence as SequenceABC
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.placement import (
-    GPU,
-    SLOT_UNITS,
-    SSD,
     Chassis,
     Placement,
-    _compositions,
-    iter_placements,
+    count_placements,
+    placement_of,
+    pool_rows,
 )
 
 
@@ -192,6 +191,88 @@ def _preimage(sym: Dict[str, str], target: str) -> str:
     raise KeyError(target)
 
 
+class CanonicalPlacements(SequenceABC):
+    """The canonical placements of a pool, as a sized lazy sequence.
+
+    Holds the exact count and builds each
+    :class:`~repro.core.placement.Placement` when it is read, so a
+    search that stops early, or a sample, builds only the placements it
+    uses.  On a chassis without a non-trivial symmetry every placement
+    is canonical: the length is
+    :func:`~repro.core.placement.count_placements` and count vectors are
+    drawn from :func:`~repro.core.placement.pool_rows` only as far as
+    the highest index read.  Otherwise every count vector is drawn and
+    the canonical ones kept, with one vectorized test per symmetry (see
+    :func:`iter_canonical_placements`).  Reading returns a new
+    ``Placement`` each time; a slice returns a list.
+    """
+
+    def __init__(
+        self,
+        chassis: Chassis,
+        num_gpus: int,
+        num_ssds: int,
+        symmetries: Optional[Sequence[Dict[str, str]]] = None,
+    ) -> None:
+        if symmetries is None:
+            symmetries = slot_group_symmetries(chassis)
+        nontrivial = [s for s in symmetries if any(k != v for k, v in s.items())]
+        self.chassis = chassis
+        rows = pool_rows(chassis, num_gpus, num_ssds)
+        if nontrivial:
+            self._rows = _canonical_rows(chassis, list(rows), nontrivial)
+            self._len = len(self._rows)
+            self._pending: Iterator[Sequence[int]] = iter(())
+        else:
+            self._rows = []
+            self._len = count_placements(chassis, num_gpus, num_ssds)
+            self._pending = rows
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self._len))]
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError("canonical placement index out of range")
+        rows = self._rows
+        if index >= len(rows):
+            rows.extend(islice(self._pending, index + 1 - len(rows)))
+        return placement_of(self.chassis, rows[index])
+
+
+def _canonical_rows(
+    chassis: Chassis,
+    rows: List[Tuple[int, ...]],
+    symmetries: Sequence[Dict[str, str]],
+) -> List[List[int]]:
+    """The count vectors in ``rows`` that are ``<=`` (concat order)
+    every relabeling of themselves under ``symmetries``, in order."""
+    if not rows:
+        return []
+    groups = chassis.slot_groups
+    n_groups = len(groups)
+    index = {g.name: i for i, g in enumerate(groups)}
+    mat = np.asarray(rows, dtype=np.int64)
+    keep = np.ones(len(rows), dtype=bool)
+    arange = np.arange(len(rows))
+    for sym in symmetries:
+        # relabeled[:, j] = rows[:, pre[j]] where pre[j] indexes the
+        # preimage group; GPU and SSD halves permute identically
+        pre = [index[_preimage(sym, g.name)] for g in groups]
+        cols = pre + [n_groups + p for p in pre]
+        diff = mat[:, cols] - mat
+        nz = diff != 0
+        any_nz = nz.any(axis=1)
+        first_val = diff[arange, np.argmax(nz, axis=1)]
+        # row <= relabeled row  ⇔  equal, or first differing entry grows
+        keep &= ~any_nz | (first_val > 0)
+    return mat[keep].tolist()
+
+
 def iter_canonical_placements(
     chassis: Chassis,
     num_gpus: int,
@@ -218,49 +299,4 @@ def iter_canonical_placements(
     test deliberately uses concat order to reproduce the filter's
     representatives bit-for-bit.
     """
-    if symmetries is None:
-        symmetries = slot_group_symmetries(chassis)
-    nontrivial = [s for s in symmetries if any(k != v for k, v in s.items())]
-    if not nontrivial:
-        yield from iter_placements(chassis, num_gpus, num_ssds)
-        return
-
-    groups = chassis.slot_groups
-    n_groups = len(groups)
-    index = {g.name: i for i, g in enumerate(groups)}
-    # column map per symmetry: relabeled[:, j] = rows[:, pre[j]] where
-    # pre[j] indexes the preimage group; GPU and SSD halves permute
-    # identically
-    col_maps = []
-    for sym in nontrivial:
-        pre = [index[_preimage(sym, g.name)] for g in groups]
-        col_maps.append(pre + [n_groups + p for p in pre])
-
-    rows: List[Tuple[int, ...]] = []
-    gpu_caps = [g.capacity_for(GPU) for g in groups]
-    for gpu_counts in _compositions(num_gpus, gpu_caps):
-        ssd_caps = []
-        for g, ng in zip(groups, gpu_counts):
-            free_units = g.units - ng * SLOT_UNITS[GPU]
-            ssd_caps.append(free_units if SSD in g.allowed else 0)
-        for ssd_counts in _compositions(num_ssds, ssd_caps):
-            rows.append(gpu_counts + ssd_counts)
-    if not rows:
-        return
-    mat = np.asarray(rows, dtype=np.int64)
-    keep = np.ones(len(rows), dtype=bool)
-    arange = np.arange(len(rows))
-    for cols in col_maps:
-        diff = mat[:, cols] - mat
-        nz = diff != 0
-        any_nz = nz.any(axis=1)
-        first_val = diff[arange, np.argmax(nz, axis=1)]
-        # row <= relabeled row  ⇔  equal, or first differing entry grows
-        keep &= ~any_nz | (first_val > 0)
-    group_names = [g.name for g in groups]
-    for row in mat[keep]:
-        counts = {
-            name: {GPU: int(row[i]), SSD: int(row[n_groups + i])}
-            for i, name in enumerate(group_names)
-        }
-        yield Placement(chassis, counts)
+    yield from CanonicalPlacements(chassis, num_gpus, num_ssds, symmetries)

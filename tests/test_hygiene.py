@@ -15,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
@@ -224,8 +226,8 @@ _HIGHS_MODULE = "scipy.optimize._highspy._core"
 _HIGHS_NAMES = (
     "_Highs",
     "HighsOptions",
-    "HighsLp",
     "MatrixFormat.kColwise",
+    "ObjSense.kMinimize",
     "HighsStatus.kError",
     "HighsModelStatus.kOptimal",
     "HighsModelStatus.kInfeasible",
@@ -239,21 +241,29 @@ _HIGHS_NAMES = (
     "_Highs.getSolution",
     "_Highs.getObjectiveValue",
 )
-_HIGHS_LP_FIELDS = (
-    "num_col_",
-    "num_row_",
-    "col_cost_",
-    "col_lower_",
-    "col_upper_",
-    "row_lower_",
-    "row_upper_",
-    "a_matrix_.num_col_",
-    "a_matrix_.num_row_",
-    "a_matrix_.format_",
-    "a_matrix_.start_",
-    "a_matrix_.index_",
-    "a_matrix_.value_",
-)
+
+
+def _array_pass_model(core) -> bool:
+    """Whether ``_Highs.passModel`` still takes the model as arrays:
+    ``(num_col, num_row, num_nz, format, sense, offset, cost, col_lower,
+    col_upper, row_lower, row_upper, start, index, value,
+    integrality)``, here min x subject to 1 <= x <= 2."""
+    try:
+        status = core._Highs().passModel(
+            1, 1, 1,
+            int(core.MatrixFormat.kColwise),
+            int(core.ObjSense.kMinimize),
+            0.0,
+            np.ones(1), np.zeros(1), np.full(1, np.inf),
+            np.ones(1), np.full(1, 2.0),
+            np.array([0, 1], dtype=np.int32),
+            np.zeros(1, dtype=np.int32),
+            np.ones(1),
+            np.zeros(1, dtype=np.int32),
+        )
+    except TypeError:
+        return False
+    return status != core.HighsStatus.kError
 
 
 def _has_path(root, dotted):
@@ -281,13 +291,10 @@ def test_scipy_highs_private_api():
     if not missing:
         from repro.core.mcmf import HIGHS_OPTIONS
 
-        lp, options = core.HighsLp(), core.HighsOptions()
+        options = core.HighsOptions()
         solution = core._Highs().getSolution()
-        missing += [
-            f"HighsLp.{name}"
-            for name in _HIGHS_LP_FIELDS
-            if not _has_path(lp, name)
-        ]
+        if not _array_pass_model(core):
+            missing.append("the array overload of _Highs.passModel")
         missing += [
             f"HighsOptions.{name}"
             for name in HIGHS_OPTIONS

@@ -5,12 +5,15 @@
 ``linprog`` formulation is kept as
 :func:`tests.oracles.reference_multicommodity_min_time`.  These tests
 pin the two to each other bit for bit on every LP a search solves,
+pin the array hand-off to a ``HighsLp`` filled field by field and to
+``linprog`` on every LP of the planning benchmark's searches,
 check the post-solve feasibility guard that replaces ``linprog``'s, and
 check that each search owns its solver (threads, pool workers).
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from types import SimpleNamespace
 
@@ -19,13 +22,49 @@ import pytest
 
 import repro.core.mcmf as mcmf
 import repro.core.search as search
+import tests.oracles as oracles
 from repro.core.flowmodel import TrafficDemand
 from repro.core.mcmf import multicommodity_min_time, new_lp_solver
+from repro.core.optimizer import MomentOptimizer
 from repro.core.search import concrete_demand, run_search
 from repro.core.topology import LinkKind, TopologyMask
+from repro.graphs.datasets import IGB_HOM
 from repro.hardware.machines import classic_layouts, machine_a, machine_b
 from tests.oracles import reference_multicommodity_min_time
 from tests.test_search import DIFFERENTIAL_FABRICS, _ranking, _request
+
+
+@functools.lru_cache(maxsize=None)
+def _plan_fractions():
+    """The tier fractions a ``plan-a`` / ``plan-b`` benchmark operation
+    searches with: its IGB-HOM input (seed 0, 16x the default scale
+    divisor) on a 4-GPU / 8-SSD pool (machines A and B agree)."""
+    dataset = IGB_HOM.build(scale=IGB_HOM.default_scale * 16, seed=0)
+    optimizer = MomentOptimizer(machine_b(), 4, 8)
+    fractions, _ = optimizer.plan_fractions(
+        dataset, optimizer.estimate_hotness(dataset)
+    )
+    return fractions
+
+
+#: The searches of the two planning benchmark workloads.
+PLAN_ROWS = [
+    ("plan-a", machine_a, dict(num_gpus=4, num_ssds=8, fractions="plan",
+                               lp_top_k=48, top_k=10)),
+    ("plan-b", machine_b, dict(num_gpus=4, num_ssds=8, fractions="plan",
+                               lp_top_k=48, top_k=10)),
+]
+
+
+def _resolve(overrides, machine):
+    """``overrides`` with the ``"plan"`` fractions and the layout-``c``
+    candidate filled in."""
+    overrides = dict(overrides)
+    if overrides.get("fractions") == "plan":
+        overrides["fractions"] = _plan_fractions()
+    if overrides.get("candidates") == "c":
+        overrides["candidates"] = (classic_layouts(machine)["c"],)
+    return overrides
 
 
 def _differential_rows():
@@ -62,7 +101,7 @@ def _differential_rows():
             ),
         )
     )
-    return rows
+    return rows + PLAN_ROWS
 
 
 DIFFERENTIAL_ROWS = _differential_rows()
@@ -84,9 +123,7 @@ class TestLinprogDifferential:
         self, monkeypatch, make_machine, overrides
     ):
         machine = make_machine()
-        overrides = dict(overrides)
-        if overrides.get("candidates") == "c":
-            overrides["candidates"] = (classic_layouts(machine)["c"],)
+        overrides = _resolve(overrides, machine)
         solved = []
 
         def recording(topo, demand, solver=None):
@@ -111,6 +148,108 @@ class TestLinprogDifferential:
                     assert got.utilisation[key] >= value
                 else:
                     assert got.utilisation[key] == value
+
+
+class _Recording:
+    """A solver that records every model handed to it and the solution
+    read back."""
+
+    def __init__(self):
+        self._highs = new_lp_solver()
+        self.models, self.solutions = [], []
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def passModel(self, *model):
+        self.models.append(model)
+        return self._highs.passModel(*model)
+
+    def getSolution(self):
+        solution = self._highs.getSolution()
+        self.solutions.append(
+            (np.array(solution.col_value), np.array(solution.row_value))
+        )
+        return solution
+
+
+def _highs_lp_solution(model):
+    """Solve an array-overload model filled into a ``HighsLp`` field by
+    field instead, on a fresh instance."""
+    from scipy.optimize._highspy import _core as highs
+
+    (num_col, num_row, _, _, _, _, cost, col_lower, col_upper, row_lower,
+     row_upper, start, index, value, _) = model
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = num_col
+    lp.num_row_ = lp.a_matrix_.num_row_ = num_row
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, col_lower, col_upper
+    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
+    lp.a_matrix_.start_, lp.a_matrix_.index_ = start, index
+    lp.a_matrix_.value_ = value
+    solver = new_lp_solver()
+    assert solver.passModel(lp) == highs.HighsStatus.kOk
+    solver.run()
+    solution = solver.getSolution()
+    return np.array(solution.col_value), np.array(solution.row_value)
+
+
+class TestArrayHandOff:
+    """The model goes to HiGHS through ``passModel``'s array overload.
+    On every LP of a planning benchmark search the solution is the one
+    the same model gets filled into a ``HighsLp``, and the one
+    ``linprog`` returns, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make_machine,overrides",
+        [row[1:] for row in PLAN_ROWS],
+        ids=[row[0] for row in PLAN_ROWS],
+    )
+    def test_solutions_identical_to_highs_lp_and_linprog(
+        self, monkeypatch, make_machine, overrides
+    ):
+        machine = make_machine()
+        recording = _Recording()
+        problems, linprog_results = [], []
+        solve, linprog = search.multicommodity_min_time, oracles.linprog
+
+        def recording_solve(topo, demand, solver=None):
+            problems.append((topo, demand))
+            return solve(topo, demand, solver)
+
+        def recording_linprog(*args, **kwargs):
+            linprog_results.append(linprog(*args, **kwargs))
+            return linprog_results[-1]
+
+        monkeypatch.setattr(search, "new_lp_solver", lambda: recording)
+        monkeypatch.setattr(search, "multicommodity_min_time", recording_solve)
+        monkeypatch.setattr(oracles, "linprog", recording_linprog)
+        result = run_search(_request(machine, **_resolve(overrides, machine)))
+        assert len(recording.models) == result.num_lp_scored == 48
+        assert len(recording.solutions) == len(problems) == 48
+        for model, (col, row), (topo, demand) in zip(
+            recording.models, recording.solutions, problems
+        ):
+            lp_col, lp_row = _highs_lp_solution(model)
+            assert np.array_equal(col, lp_col)
+            assert np.array_equal(row, lp_row)
+            # linprog reports rows as slack = upper - activity
+            reference_multicommodity_min_time(topo, demand)
+            res = linprog_results[-1]
+            slack = np.concatenate((res.ineqlin.residual, res.eqlin.residual))
+            assert np.array_equal(res.x, col)
+            assert np.array_equal(slack, model[10] - row)  # row upper
+
+    def test_rejected_model_raises(self):
+        """A model HiGHS refuses (here: matrix entries of 1e21 GB, past
+        its infinity) raises instead of solving a stale one."""
+        machine = machine_a()
+        topo = machine.build(classic_layouts(machine)["c"])
+        demand = TrafficDemand()
+        demand.add("ssd0", "gpu0", 1e30)
+        with pytest.raises(RuntimeError, match="HiGHS rejected the model"):
+            multicommodity_min_time(topo, demand, new_lp_solver())
 
 
 class TestFeasibilityCheck:

@@ -21,8 +21,10 @@ from hypothesis import given, settings, strategies as st
 from repro import obs
 from repro.core.flowmodel import (
     ChassisNetwork,
+    FlowTemplate,
     TrafficDemand,
     min_completion_time,
+    solve_template,
 )
 from repro.core.optimizer import (
     CapacityPlan,
@@ -37,6 +39,7 @@ from repro.core.placement import (
     enumerate_placements,
     iter_placements,
 )
+import repro.core.symmetry as symmetry
 from repro.core.search import (
     PASS1_BATCH,
     FlexibleMaxFlowScorer,
@@ -48,9 +51,11 @@ from repro.core.search import (
     default_warm_starts,
     default_workers,
     run_search,
+    sample_placements,
     scoring_demand,
 )
 from repro.core.symmetry import (
+    CanonicalPlacements,
     iter_canonical_placements,
     slot_group_symmetries,
 )
@@ -374,10 +379,19 @@ class TestOptimizerIntegration:
             f"pass 1 stopped at 32 of {search.num_unique}: "
             in stopped.summary()
         )
+        assert search.num_max_flows > 0
+        assert (
+            f"pass 1 started every cut search at the ceiling: "
+            f"{search.num_max_flows} max flows"
+        ) in text
         bare = dataclasses.replace(
             plan, search=dataclasses.replace(search, ceiling_cut=None)
         )
         assert "(no storage-egress ceiling)" in bare.summary()
+        assert (
+            f"pass 1 started every cut search at t = 0: "
+            f"{search.num_max_flows} max flows"
+        ) in bare.summary()
         downgraded = dataclasses.replace(plan, mcf=None, search=None)
         assert "pass-1 max-flow" in downgraded.summary()
 
@@ -836,6 +850,146 @@ class TestChassisNetworkDifferential:
 
 
 # ---------------------------------------------------------------------------
+# Ceiling-started pass 1: every candidate against its solve from t = 0
+# ---------------------------------------------------------------------------
+
+#: (fractions, cache policy) mixes the ceiling-start rows rotate over.
+START_MIXES = [
+    (FRACTIONS, "replicated"),
+    ((0.6, 0.3, 0.1), "partitioned"),
+    ((0.1, 0.6, 0.3), "replicated"),
+    ((0.0, 0.0, 1.0), "partitioned"),
+]
+
+
+def _start_rows():
+    """(id, machine factory, pool, fractions, policy): machines A and B
+    at 2/4, 3/5 and 4/8 under two mixes each, and every ``gen:<seed>``
+    fabric at the largest of 3/5, 2/4, 2/2 and 1/2 with at most 600
+    canonical placements, under one mix each."""
+    rows = []
+    for name, make in (("machine_a", machine_a), ("machine_b", machine_b)):
+        for i, pool in enumerate(((2, 4), (3, 5), (4, 8))):
+            for mix in (START_MIXES[i], START_MIXES[i + 1]):
+                rows.append((f"{name}-{pool[0]}x{pool[1]}-{mix[1]}",
+                             make, pool, *mix))
+    for seed in range(25):
+        chassis = _gen_machine(seed).chassis
+        pool = next(
+            p for p in ((3, 5), (2, 4), (2, 2), (1, 2))
+            if 0 < len(CanonicalPlacements(chassis, *p)) <= 600
+        )
+        rows.append((f"gen:{seed}-{pool[0]}x{pool[1]}",
+                     partial(_gen_machine, seed), pool,
+                     *START_MIXES[seed % len(START_MIXES)]))
+    # the one mix under which a sweep of 244,170 candidates (machines A
+    # and B at six pools, gen:0-24 up to 2,500 candidates a pool, five
+    # fraction mixes, both policies) met binding cuts whose float roots
+    # are 1-2 ulps apart, on three candidates
+    for seed in (10, 21):
+        rows.append((f"gen:{seed}-3x5-tied-roots", partial(_gen_machine, seed),
+                     (3, 5), (0.1, 0.6, 0.3), "partitioned"))
+    return rows
+
+
+START_ROWS = _start_rows()
+
+
+class TestCeilingStartDifferential:
+    """Pass 1 starts each healthy-fabric solve at the ceiling, on its
+    cut (``ChassisNetwork.template(p, from_ceiling=True)``).  On every
+    candidate the started solve equals the solve from t = 0 under
+    ``==`` in time, throughput and rates, key order included.  Its
+    bottlenecks are the cold solve's, or name another binding cut: one
+    whose cut line's root is the time, bit for bit.
+
+    The exception is a tie in float: two binding cuts whose roots
+    rounding puts a few ulps apart, where each search ends on the one
+    its path meets.  Then the two times are at most 4 ulps apart, and
+    the rates agree to 1e-14.  No candidate of
+    machines A or B ties this way."""
+
+    @pytest.mark.parametrize(
+        "make_machine,pool,fractions,policy",
+        [row[1:] for row in START_ROWS],
+        ids=[row[0] for row in START_ROWS],
+    )
+    def test_equals_the_solve_from_zero(
+        self, monkeypatch, make_machine, pool, fractions, policy
+    ):
+        machine = make_machine()
+        network = FlexibleMaxFlowScorer(fractions, policy).network(
+            machine, *pool
+        )
+        cuts = []
+        prediction = FlowTemplate.prediction
+
+        def recording(self, t_star, caps, cut_mask):
+            cuts.append((self, cut_mask))
+            return prediction(self, t_star, caps, cut_mask)
+
+        monkeypatch.setattr(FlowTemplate, "prediction", recording)
+        cold_flows = started_flows = 0
+        tied = []
+        for placement in CanonicalPlacements(machine.chassis, *pool):
+            cold = solve_template(network.template(placement))
+            started = solve_template(
+                network.template(placement, from_ceiling=True)
+            )
+            cold_flows += cold.max_flows
+            started_flows += started.max_flows
+            assert list(started.per_gpu_rate) == list(cold.per_gpu_rate)
+            assert list(started.storage_rate) == list(cold.storage_rate)
+            if started.bottlenecks != cold.bottlenecks:
+                tpl, cut = cuts[-1]
+                b, r = tpl.cut_line(cut)
+                assert (tpl.total - b) / r == started.time, placement
+            if started.time == cold.time:
+                assert started.throughput == cold.throughput
+                assert started.per_gpu_rate == cold.per_gpu_rate
+                assert started.storage_rate == cold.storage_rate, placement
+                continue
+            tied.append(placement)
+            assert abs(started.time - cold.time) <= 4 * np.spacing(cold.time)
+            for got, want in (
+                (started.throughput, cold.throughput),
+                (started.per_gpu_rate, cold.per_gpu_rate),
+                (started.storage_rate, cold.storage_rate),
+            ):
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        if make_machine in (machine_a, machine_b):
+            assert not tied
+        if network.ceiling is not None:
+            assert started_flows < cold_flows
+
+    def test_a_candidate_at_the_ceiling_solves_in_one_max_flow(self):
+        machine = machine_b()
+        network = FlexibleMaxFlowScorer(FRACTIONS).network(machine, 4, 8)
+        hits = 0
+        for placement in CanonicalPlacements(machine.chassis, 4, 8)[:288]:
+            started = solve_template(
+                network.template(placement, from_ceiling=True)
+            )
+            if started.time == network.ceiling.time:
+                hits += 1
+                assert started.max_flows == 1, placement
+        assert hits > 0
+
+    def test_masked_and_cold_templates_start_at_zero(self):
+        machine = machine_a()
+        network = FlexibleMaxFlowScorer(FRACTIONS).network(machine, 2, 4)
+        placement = CanonicalPlacements(machine.chassis, 2, 4)[0]
+        assert network.ceiling is not None
+        assert network.template(placement).start == (0.0, None)
+        assert network.template(placement, True).start[0] == (
+            network.ceiling.time
+        )
+        topo = machine.build(placement)
+        demand = scoring_demand(topo, FRACTIONS)
+        assert FlowTemplate.from_topology(topo, demand).start == (0.0, None)
+
+
+# ---------------------------------------------------------------------------
 # Masked searches: pass 1 solves each candidate's masked topology
 # ---------------------------------------------------------------------------
 
@@ -896,6 +1050,163 @@ class TestMaskedSearchDifferential:
             assert row.prediction == ref, row.placement
             assert list(row.prediction.storage_rate) == list(ref.storage_rate)
             assert list(row.prediction.per_gpu_rate) == list(ref.per_gpu_rate)
+
+
+class TestMaskedTopologyHandOff:
+    """A masked search builds each candidate's topology once: pass 1
+    solves it and keeps it while the candidate is a finalist, and pass
+    2 scores the kept one.  At a batch end no more than ``lp_top_k``
+    are held."""
+
+    MASK = TopologyMask(drop_nodes=("ssd0",))
+
+    def test_each_topology_built_once(self, monkeypatch):
+        builds, live_at_batch = [], []
+        build = MachineSpec.build
+        score_batch = FlexibleMaxFlowScorer.score_batch
+
+        def traced_build(self, *args, **kwargs):
+            topo = build(self, *args, **kwargs)
+            builds.append(weakref.ref(topo))
+            return topo
+
+        def traced_score_batch(self, *args, **kwargs):
+            gc.collect()
+            live_at_batch.append(sum(ref() is not None for ref in builds))
+            return score_batch(self, *args, **kwargs)
+
+        monkeypatch.setattr(MachineSpec, "build", traced_build)
+        monkeypatch.setattr(
+            FlexibleMaxFlowScorer, "score_batch", traced_score_batch
+        )
+        lp_top_k = 3
+        result = run_search(
+            _request(machine_a(), 3, 5, lp_top_k=lp_top_k, mask=self.MASK)
+        )
+        assert result.num_batches > 2
+        assert len(builds) == result.num_pass1_scored == result.num_unique
+        assert max(live_at_batch) <= lp_top_k
+        # the same topologies score the same LPs as fresh builds
+        monkeypatch.undo()
+        rebuilt = run_search(
+            _request(machine_a(), 3, 5, lp_top_k=lp_top_k, mask=self.MASK)
+        )
+        assert _ranking(rebuilt.scored) == _ranking(result.scored)
+
+    def test_replan_shape_builds_one_topology(self, monkeypatch):
+        """The replan request — one pinned candidate under a mask —
+        builds that candidate's topology once, not once per pass."""
+        builds = []
+        build = MachineSpec.build
+
+        def traced_build(self, *args, **kwargs):
+            builds.append(args)
+            return build(self, *args, **kwargs)
+
+        machine = machine_a()
+        placement = run_search(_request(machine, 2, 4)).best.placement
+        monkeypatch.setattr(MachineSpec, "build", traced_build)
+        result = run_search(
+            _request(machine, 2, 4, candidates=(placement,), mask=self.MASK)
+        )
+        assert len(builds) == 1 == result.num_lp_scored
+
+
+# ---------------------------------------------------------------------------
+# Lazy canonical enumeration: only what is read is built
+# ---------------------------------------------------------------------------
+
+
+def _count_builds(monkeypatch):
+    """A list that grows by one per placement the canonical sequence
+    builds."""
+    built = []
+    placement_of = symmetry.placement_of
+
+    def counting(chassis, row):
+        built.append(tuple(row))
+        return placement_of(chassis, row)
+
+    monkeypatch.setattr(symmetry, "placement_of", counting)
+    return built
+
+
+class TestLazyEnumeration:
+    @pytest.mark.parametrize(
+        "make_machine,pool",
+        [(machine_a, (2, 4)), (machine_a, (4, 8)), (machine_b, (3, 5))],
+    )
+    def test_sequence_equals_the_filter(self, make_machine, pool):
+        """Length, order, indexing and slicing agree with the
+        enumerate-then-filter reference, on a symmetric chassis (A) and
+        a symmetry-free one (B)."""
+        chassis = make_machine().chassis
+        canon = CanonicalPlacements(chassis, *pool)
+        ref = [
+            p.as_tuple()
+            for p in dedupe_placements(
+                enumerate_placements(chassis, *pool), chassis
+            )
+        ]
+        # out of order first: the symmetry-free sequence draws lazily
+        assert canon[-1].as_tuple() == ref[-1]
+        assert [p.as_tuple() for p in canon[3:40:7]] == ref[3:40:7]
+        assert len(canon) == len(ref)
+        assert [p.as_tuple() for p in canon] == ref
+        with pytest.raises(IndexError):
+            canon[len(ref)]
+
+    def test_symmetry_free_length_is_the_raw_count(self, monkeypatch):
+        """On machine B every placement is canonical: the length is
+        ``count_placements``, known before any placement is built."""
+        built = _count_builds(monkeypatch)
+        chassis = machine_b().chassis
+        canon = CanonicalPlacements(chassis, 4, 8)
+        assert len(canon) == count_placements(chassis, 4, 8) == 1936
+        assert built == []
+        canon[100]
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("make_machine", [machine_a, machine_b])
+    def test_search_builds_only_scored_placements(
+        self, monkeypatch, make_machine
+    ):
+        built = _count_builds(monkeypatch)
+        result = run_search(_request(make_machine(), 4, 8, lp_top_k=48))
+        assert len(built) == result.num_pass1_scored
+        if make_machine is machine_b:
+            assert result.num_pass1_scored < result.num_unique == 1936
+
+    def test_empty_pool(self):
+        canon = CanonicalPlacements(machine_a().chassis, 64, 64)
+        assert len(canon) == 0 and list(canon) == []
+
+
+def _reference_sample(chassis, num_gpus, num_ssds, cap):
+    """:func:`sample_placements` as it was: materialise every canonical
+    placement (here through the enumerate-then-filter reference), then
+    stride-sample ``cap``."""
+    canon = dedupe_placements(
+        enumerate_placements(chassis, num_gpus, num_ssds), chassis
+    )
+    if cap <= 0 or len(canon) <= cap:
+        return canon
+    stride = len(canon) / cap
+    return [canon[int(i * stride)] for i in range(cap)]
+
+
+class TestSamplePlacements:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_equals_the_materialised_sample(self, monkeypatch, seed):
+        """The fabric sweep's sample (2 GPUs / 3 SSDs, cap 12) of
+        ``gen:<seed>`` is the list the materialise-then-stride recipe
+        gives, and only the sampled placements are built."""
+        chassis = _gen_machine(seed).chassis
+        want = _reference_sample(chassis, 2, 3, 12)
+        built = _count_builds(monkeypatch)
+        got = sample_placements(chassis, 2, 3, cap=12)
+        assert [p.as_tuple() for p in got] == [p.as_tuple() for p in want]
+        assert len(built) == len(got)
 
 
 # ---------------------------------------------------------------------------
@@ -974,3 +1285,26 @@ class TestSearchCounters:
         assert counters["search.pass1_scored"] == full.num_unique
         assert "search.pass1_stopped_at" not in counters
         assert counters["search.ceiling_hits"] == full.ceiling_hits
+
+    @pytest.mark.parametrize("make_machine", [machine_a, machine_b])
+    def test_max_flow_counter(self, make_machine):
+        """``search.max_flows`` counts every max flow pass 1 ran; the
+        ceiling start runs fewer than cold solves of the same
+        candidates."""
+        machine = make_machine()
+        request = _request(machine, 4, 8, lp_top_k=48)
+        with obs.capture() as tel:
+            result = run_search(request)
+        counters = tel.snapshot()["metrics"]["counters"]
+        assert counters["search.max_flows"] == result.num_max_flows
+        network = FlexibleMaxFlowScorer(FRACTIONS).network(machine, 4, 8)
+        canon = CanonicalPlacements(machine.chassis, 4, 8)
+        cold = sum(
+            solve_template(network.template(p)).max_flows
+            for p in canon[: result.num_pass1_scored]
+        )
+        started = sum(
+            solve_template(network.template(p, from_ceiling=True)).max_flows
+            for p in canon[: result.num_pass1_scored]
+        )
+        assert result.num_max_flows == started < cold
