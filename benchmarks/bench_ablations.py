@@ -9,7 +9,7 @@
 import numpy as np
 import pytest
 
-from repro.core.flowmodel import min_completion_time
+from repro.core.flowmodel import FlowTemplate, min_completion_time
 from repro.core.mcmf import multicommodity_min_time
 from repro.core.optimizer import MomentOptimizer, OptimizerConfig
 from repro.core.placement import count_placements
@@ -71,7 +71,8 @@ def test_predictor_variants(benchmark, machine, quick, show):
     measured = epoch.external_bytes / io_epoch
     topo = machine.build(r.placement)
 
-    lp = run_once(benchmark, multicommodity_min_time, topo, epoch.demand)
+    network = FlowTemplate.from_topology(topo, epoch.demand)
+    lp = run_once(benchmark, multicommodity_min_time, network, epoch.demand)
     lp_pred = epoch.demand.total / lp.time
     sc = min_completion_time(topo, epoch.demand)
     sc_pred = epoch.demand.total / sc.time

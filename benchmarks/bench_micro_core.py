@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from repro.core.ddak import ddak_place, hash_place, make_bins
-from repro.core.flowmodel import SSD_CLASS, TrafficDemand, min_completion_time
+from repro.core.flowmodel import (
+    SSD_CLASS,
+    FlowTemplate,
+    TrafficDemand,
+    min_completion_time,
+)
 from repro.core.mcmf import multicommodity_min_time
 from repro.core.search import concrete_demand
 from repro.graphs.generators import power_law_graph
@@ -38,9 +43,10 @@ def test_min_completion_time_on_machine(benchmark, topo, demand):
     assert result.time > 0
 
 
-def test_multicommodity_lp_on_machine(benchmark, topo):
-    d = concrete_demand(topo, (0.0, 0.1, 0.9), {})
-    result = benchmark(multicommodity_min_time, topo, d)
+def test_multicommodity_lp_on_machine(benchmark, topo, demand):
+    network = FlowTemplate.from_topology(topo, demand)
+    d = concrete_demand(network, (0.0, 0.1, 0.9), {})
+    result = benchmark(multicommodity_min_time, network, d)
     assert result.time > 0
 
 

@@ -65,6 +65,7 @@ from typing import (
     Dict,
     FrozenSet,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -248,43 +249,12 @@ def _egress_ceiling(
     return best
 
 
-def _storage_members(topo: Topology, class_key: str) -> List[str]:
-    if class_key == SSD_CLASS:
-        return topo.ssds()
-    if class_key == CPU_CLASS:
-        return sorted(
-            n.name for n in topo.nodes_of_kind(NodeKind.CPU_MEM)
-        )
-    raise KeyError(class_key)
+class Devices(NamedTuple):
+    """A network's sorted GPU, SSD and CPU-memory names."""
 
-
-def storage_egress(topo: Topology) -> Dict[str, float]:
-    """Each storage node's egress ceiling (bytes/s, ``inf`` when
-    unbounded), in ``topo.storage_nodes`` order — the node-split edge
-    both predictors put between ``name/in`` and ``name/out``.
-
-    A GPU cache serving a *peer* physically leaves through the owner
-    GPU's fabric ports, not at HBM speed.  The single-commodity
-    relaxation would otherwise let peer-cache demand be absorbed by the
-    owner's own sink at 1.2 TB/s; capping the cache at the owner's
-    aggregate fabric egress restores the binding constraint (local
-    cache hits are excluded from demands by convention).
-    """
-    gpu_fabric_egress: Dict[str, float] = {}
-    for gpu in topo.gpus():
-        total = 0.0
-        for succ in topo.successors(gpu):
-            if topo.node(succ).kind is not NodeKind.GPU_MEM:
-                total += topo.link(gpu, succ).capacity
-        gpu_fabric_egress[gpu] = total
-    ceilings: Dict[str, float] = {}
-    for node in topo.storage_nodes:
-        egress = node.egress_bw if node.egress_bw is not None else float("inf")
-        if node.kind is NodeKind.GPU_MEM:
-            owner = node.name[: -len(":mem")]
-            egress = min(egress, gpu_fabric_egress.get(owner, egress))
-        ceilings[node.name] = egress
-    return ceilings
+    gpus: List[str]
+    ssds: List[str]
+    memories: List[str]
 
 
 class _EdgeList:
@@ -297,6 +267,8 @@ class _EdgeList:
         self.heads: List[int] = []
         self.base: List[float] = []
         self.rate: List[float] = []
+        #: QPI edge -> the link's full rate (its ``rate`` is P2P-capped)
+        self.qpi: Dict[int, float] = {}
 
     def node_id(self, label: str) -> int:
         """Intern a node label, creating it on first use."""
@@ -314,6 +286,18 @@ class _EdgeList:
         self.base.append(base)
         self.rate.append(rate)
         return len(self.base) - 1
+
+    def add_link(self, u: str, v: str, capacity: float, kind: LinkKind) -> None:
+        """Add link ``u -> v``.  QPI carries device-to-device DMA at the
+        reduced cross-socket P2P forwarding rate; CPU-memory flows are a
+        small minority of what the max flow routes, so the cap applies
+        to the whole edge, and ``qpi`` keeps the full rate for the LP."""
+        if kind is LinkKind.QPI:
+            from repro.hardware.specs import QPI_P2P_BW
+
+            self.qpi[len(self.base)] = float(capacity)
+            capacity = min(capacity, QPI_P2P_BW)
+        self.add_edge(u, v, 0.0, capacity)
 
     def add_split(self, name: str, egress: float) -> int:
         """Split storage node ``name`` (``name/in -> name/out``) at its
@@ -455,8 +439,15 @@ class FlowTemplate(FlowGraph):
     Each edge is stored as ``(base_bytes, rate_bytes_per_s)`` so the
     capacity vector at any probed time is ``base + rate * t``.
 
+    The physical edges (splits, then links) precede every virtual edge;
+    pass 2's LP (:func:`repro.core.mcmf.multicommodity_min_time`) reads
+    them too.  ``qpi`` maps each QPI edge (device DMA at the P2P rate)
+    to the link's full rate; ``devices`` names the GPUs, SSDs and CPU
+    memories.
+
     Built from a :class:`~repro.core.topology.Topology` by
-    :meth:`from_topology`, or per placement by :class:`ChassisNetwork`.
+    :meth:`from_topology`, which keeps it as ``topology``, or per
+    placement by :class:`ChassisNetwork`.
     ``start`` is where :func:`solve_template` begins instead of t = 0:
     a time at or below t* and the node mask of the cut to report if
     the demand fits there.
@@ -474,7 +465,10 @@ class FlowTemplate(FlowGraph):
         storage: Sequence[str],
         demands_by_sink: Dict[str, float],
         total: float,
+        devices: Devices,
+        qpi: Dict[int, float],
         start: Tuple[float, Optional[bytearray]] = (0.0, None),
+        topology: Optional[Topology] = None,
     ) -> None:
         super().__init__(labels, tails, heads, source, sink)
         self.base = np.asarray(base, dtype=float)
@@ -484,7 +478,16 @@ class FlowTemplate(FlowGraph):
         self.storage = storage
         self.demands_by_sink = demands_by_sink
         self.total = total
+        self.devices = devices
+        self.qpi = qpi
         self.start = start
+        self.topology = topology
+
+    @property
+    def num_physical(self) -> int:
+        """Edges before the first one leaving the source."""
+        leaving = np.flatnonzero(self.tails == self.source)
+        return int(leaving[0]) if len(leaving) else self.num_edges
 
     @classmethod
     def from_topology(
@@ -496,38 +499,40 @@ class FlowTemplate(FlowGraph):
         links in ``topo.links`` order, source/class edges by sorted bin
         name, sink edges by sorted GPU name.
         """
-        from repro.hardware.specs import QPI_P2P_BW
-
         net = _EdgeList()
         add_edge = net.add_edge
         storage_names = {n.name for n in topo.storage_nodes}
+        memories = sorted(n.name for n in topo.nodes_of_kind(NodeKind.CPU_MEM))
+        devices = Devices(topo.gpus(), topo.ssds(), memories)
 
-        def out_name(node: str) -> str:
-            return f"{node}/out" if node in storage_names else node
+        # storage egress ceilings (node splitting).  A GPU cache serving
+        # a *peer* leaves through the owner GPU's fabric ports, not at
+        # HBM speed, so it is capped at the owner's fabric egress (local
+        # cache hits are excluded from demands by convention).
+        for node in topo.storage_nodes:
+            egress = node.egress_bw if node.egress_bw is not None else float("inf")
+            owner = node.name[: -len(":mem")]
+            if node.kind is NodeKind.GPU_MEM and owner in topo:
+                fabric = 0.0
+                for succ in topo.successors(owner):
+                    if topo.node(succ).kind is not NodeKind.GPU_MEM:
+                        fabric += topo.link(owner, succ).capacity
+                egress = min(egress, fabric)
+            net.add_split(node.name, egress)
 
-        # storage egress ceilings (node splitting)
-        egress = storage_egress(topo)
-        for name, ceiling in egress.items():
-            net.add_split(name, ceiling)
-
-        # physical links (QPI carries device-to-device DMA at the
-        # reduced cross-socket P2P forwarding rate; CPU-memory flows are
-        # a small minority of what the predictor routes, so the cap
-        # applies globally)
+        # physical links (QPI capped at the P2P rate, see add_link)
         for link in topo.links:
-            src = out_name(link.src)
+            src = f"{link.src}/out" if link.src in storage_names else link.src
             dst = f"{link.dst}/in" if link.dst in storage_names else link.dst
-            cap = link.capacity
-            if link.kind is LinkKind.QPI:
-                cap = min(cap, QPI_P2P_BW)
-            add_edge(src, dst, 0.0, cap)
+            net.add_link(src, dst, link.capacity, link.kind)
 
         # virtual source edges per demanded bin
         for bin_name, nbytes in sorted(demand.per_bin().items()):
             if bin_name in (SSD_CLASS, CPU_CLASS):
                 class_node = f"{bin_name}/class"
                 add_edge(_SOURCE, class_node, nbytes)
-                for member in _storage_members(topo, bin_name):
+                members = devices.ssds if bin_name == SSD_CLASS else memories
+                for member in members:
                     add_edge(class_node, f"{member}/in", float("inf"))
             else:
                 if bin_name not in topo:
@@ -551,9 +556,12 @@ class FlowTemplate(FlowGraph):
             net.node_id(_SINK),
             net.base,
             net.rate,
-            list(egress),
+            [node.name for node in topo.storage_nodes],
             demands_by_sink,
             demand.total,
+            devices,
+            net.qpi,
+            topology=topo,
         )
 
     # -- per-probe machinery -------------------------------------------
@@ -660,7 +668,7 @@ class ChassisNetwork:
         demand: Callable[[List[str]], TrafficDemand],
         nvlink_pairs: Optional[Sequence[Tuple[int, int]]] = None,
     ) -> None:
-        from repro.hardware.specs import GPU_HBM_BW, NVLINK_BW, QPI_P2P_BW
+        from repro.hardware.specs import GPU_HBM_BW, NVLINK_BW
 
         chassis = machine.chassis
         gpu_parts = dict(machine.gpu_overrides)
@@ -696,11 +704,8 @@ class ChassisNetwork:
             )
         self._num_splits = len(net.base)
         for trunk in chassis.trunks:
-            cap = trunk.capacity
-            if trunk.kind is LinkKind.QPI:
-                cap = min(cap, QPI_P2P_BW)
-            add_edge(trunk.a, trunk.b, 0.0, cap)
-            add_edge(trunk.b, trunk.a, 0.0, cap)
+            net.add_link(trunk.a, trunk.b, trunk.capacity, trunk.kind)
+            net.add_link(trunk.b, trunk.a, trunk.capacity, trunk.kind)
         for mem in chassis.memories:
             add_edge(f"{mem.name}/out", mem.attach, 0.0, mem.bandwidth)
             add_edge(mem.attach, f"{mem.name}/in", 0.0, mem.bandwidth)
@@ -740,9 +745,11 @@ class ChassisNetwork:
             self._groups.append((group.name, gpus, ssds))
 
         # -- the demand on the pool's device labels --------------------
-        gpu_names = sorted(f"gpu{r}" for r in range(num_gpus))
-        ssd_names = sorted(f"ssd{r}" for r in range(num_ssds))
-        mem_names = sorted(m.name for m in chassis.memories)
+        gpu_names, ssd_names, mem_names = self.devices = Devices(
+            sorted(f"gpu{r}" for r in range(num_gpus)),
+            sorted(f"ssd{r}" for r in range(num_ssds)),
+            sorted(m.name for m in chassis.memories),
+        )
         scoring = demand(gpu_names)
         self.total = scoring.total
         self.demands_by_sink = scoring.per_gpu()
@@ -843,6 +850,7 @@ class ChassisNetwork:
         # -- per-search arrays ----------------------------------------
         self._labels = labels
         self._alive = np.array([label is not None for label in labels])
+        self._qpi = net.qpi
         self._tail = np.asarray(net.tails, dtype=np.intp)
         self._head = np.asarray(net.heads, dtype=np.intp)
         self._base = np.asarray(net.base)
@@ -861,9 +869,9 @@ class ChassisNetwork:
 
     def template(
         self, placement: Placement, from_ceiling: bool = False
-    ) -> Optional[FlowTemplate]:
-        """``placement``'s network as edge arrays, or ``None`` when the
-        demand is zero.  ``placement`` must hold this network's pool.
+    ) -> FlowTemplate:
+        """``placement``'s network as edge arrays.  ``placement`` must
+        hold this network's pool.
 
         ``from_ceiling`` starts its solve at :attr:`ceiling` (when there
         is one) instead of at t = 0, on the ceiling's own cut: the
@@ -879,8 +887,6 @@ class ChassisNetwork:
                 f"{placement!r} does not hold {self.num_gpus} GPUs / "
                 f"{self.num_ssds} SSDs"
             )
-        if self.total <= _MIN_DEMAND:
-            return None
         labels = list(self._labels)
         gpu_slots, ssd_slots = [], []
         for name, gpus, ssds in self._groups:
@@ -898,7 +904,7 @@ class ChassisNetwork:
         alive = self._alive.copy()
         alive[node[self._num_nodes :]] = True
         # GPU-cache egress: HBM capped at the owner's fabric egress, in
-        # storage_egress's summation order
+        # from_topology's summation order
         rate = self._rate.copy()
         for r, (_, _, _, mem_split, uplink) in enumerate(gpu_slots):
             fabric = rate[uplink]
@@ -909,6 +915,8 @@ class ChassisNetwork:
         tails = np.concatenate((self._tail[live], node[self._rank_tail]))
         heads = np.concatenate((self._head[live], node[self._rank_head]))
         num_splits = int(np.searchsorted(live, self._num_splits))
+        # every trunk edge is live, and the trunks follow the splits
+        shift = num_splits - self._num_splits
         start: Tuple[float, Optional[bytearray]] = (0.0, None)
         if from_ceiling and self.ceiling is not None:
             cut = np.zeros(len(labels), dtype=np.uint8)
@@ -925,6 +933,8 @@ class ChassisNetwork:
             [labels[u][: -len("/in")] for u in tails[:num_splits].tolist()],
             self.demands_by_sink,
             self.total,
+            self.devices,
+            {e + shift: full for e, full in self._qpi.items()},
             start,
         )
 

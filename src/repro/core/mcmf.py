@@ -18,6 +18,10 @@ demand is the minimum completion time; routing is optimal, so this is
 still an optimistic model relative to the fixed-path fair-share
 simulator — by design (prediction vs. measurement, Fig. 13).
 
+Its edges are the physical edges of the network pass 1 solves, a
+:class:`~repro.core.flowmodel.FlowTemplate` (from a topology:
+``FlowTemplate.from_topology(topo, demand)``), at ``base + rate``.
+
 The LP goes straight to the HiGHS instance inside scipy
 (``scipy.optimize._highspy._core._Highs``), not through
 ``scipy.optimize.linprog``: the matrix is assembled directly in CSC
@@ -41,8 +45,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from scipy.optimize._highspy import _core as _highs
 
-from repro.core.flowmodel import TrafficDemand, storage_egress
-from repro.core.topology import LinkKind, NodeKind, Topology
+from repro.core.flowmodel import FlowTemplate, TrafficDemand
 
 
 @dataclass
@@ -64,9 +67,9 @@ class McfPrediction:
         return [e for e, u in self.utilisation.items() if u >= threshold]
 
 
-#: edge restrictions: None = any commodity; "device" = only SSD /
-#: GPU-cache commodities; "mem" = only CPU-memory commodities.
-_ANY, _DEVICE, _MEM = None, "device", "mem"
+#: Edge restrictions: ``_ANY`` commodity; only SSD / GPU-cache
+#: (``_DEVICE``) commodities; only CPU-memory (``_MEM``) commodities.
+_ANY, _DEVICE, _MEM = 0, 1, 2
 
 #: The HiGHS options ``scipy.optimize.linprog(method="highs")`` sets on
 #: a fresh instance (every other option keeps its HiGHS default).
@@ -90,41 +93,24 @@ _MINIMIZE = int(_highs.ObjSense.kMinimize)
 FEASIBILITY_TOL = 10 * np.sqrt(1e-9)
 
 
-def _build_edges(topo: Topology):
-    """Directed edge list ``(u, v, capacity, restriction)``.
-
-    Storage nodes are split (``name/in -> name/out``) to carry their
-    device egress ceiling; GPU caches are capped at the owner's fabric
-    egress (peer service physically leaves through the GPU's ports).
-    QPI links become *two parallel edges*: the full-rate one reserved
-    for CPU-memory commodities and a reduced one for device-to-device
-    DMA (the cross-socket P2P forwarding penalty the simulator also
-    charges).
+def _lp_edges(network: FlowTemplate):
+    """The LP's edges as ``(tails, heads, capacities, restrictions)``:
+    ``network``'s physical edges in edge order at ``base + rate``.  A
+    QPI link is *two parallel edges*: a twin at the link's full rate
+    for CPU-memory commodities, then the template's edge at the
+    cross-socket P2P rate for device-to-device DMA.
     """
-    storage = {n.name for n in topo.storage_nodes}
-    edges: List[Tuple[str, str, float, Optional[str]]] = []
-
-    for name, egress in storage_egress(topo).items():
-        edges.append((f"{name}/in", f"{name}/out", float(egress), _ANY))
-    from repro.hardware.specs import QPI_P2P_BW
-
-    for link in topo.links:
-        src = f"{link.src}/out" if link.src in storage else link.src
-        dst = f"{link.dst}/in" if link.dst in storage else link.dst
-        cap = float(link.capacity)
-        if link.kind is LinkKind.QPI:
-            edges.append((src, dst, cap, _MEM))
-            edges.append((src, dst, min(cap, QPI_P2P_BW), _DEVICE))
-        else:
-            edges.append((src, dst, cap, _ANY))
-    return edges
-
-
-def _commodity_kind(topo: Topology, bin_name: str) -> str:
+    n = network.num_physical
+    qpi = np.fromiter(network.qpi, dtype=np.intp, count=len(network.qpi))
+    full = np.fromiter(network.qpi.values(), dtype=float, count=len(qpi))
+    tails, heads = network.tails[:n], network.heads[:n]
+    restrictions = np.full(n, _ANY)
+    restrictions[qpi] = _DEVICE
     return (
-        _MEM
-        if topo.node(bin_name).kind is NodeKind.CPU_MEM
-        else _DEVICE
+        np.insert(tails, qpi, tails[qpi]),
+        np.insert(heads, qpi, heads[qpi]),
+        np.insert(network.base[:n] + network.rate[:n], qpi, full),
+        np.insert(restrictions, qpi, _MEM),
     )
 
 
@@ -165,11 +151,12 @@ def _check_solution(x, fun, row_value, col_upper, row_upper, n_ub) -> None:
 
 
 def multicommodity_min_time(
-    topo: Topology,
+    network: FlowTemplate,
     demand: TrafficDemand,
     solver: Optional["_highs._Highs"] = None,
 ) -> McfPrediction:
-    """Minimum completion time of a demand under optimal routing.
+    """Minimum completion time of a demand under optimal routing over
+    ``network``'s physical edges (its own demand is not read).
 
     Demands must reference concrete bins (no class keys); local
     (own-GPU-cache) entries should be excluded by the caller.
@@ -191,6 +178,14 @@ def multicommodity_min_time(
     # than solver noise, so drop sub-tolerance entries up front.
     negligible = 1e-7 * demand.total
 
+    tails, heads, caps, restrictions = _lp_edges(network)
+    caps = caps * unit
+    labels = network.labels
+    u_names = [labels[u] for u in tails.tolist()]
+    v_names = [labels[v] for v in heads.tolist()]
+    nodes = sorted(set(u_names) | set(v_names))
+    node_id = {n: i for i, n in enumerate(nodes)}
+
     # demand matrix: commodity = source bin
     per_bin: Dict[str, Dict[str, float]] = {}
     for (bin_name, gpu), nbytes in demand.entries.items():
@@ -199,7 +194,7 @@ def multicommodity_min_time(
                 "multicommodity predictor needs concrete bins, got "
                 f"{bin_name!r}"
             )
-        if bin_name not in topo or gpu not in topo:
+        if f"{bin_name}/in" not in node_id or gpu not in node_id:
             raise KeyError(f"unknown node in demand: {bin_name!r}/{gpu!r}")
         if nbytes <= negligible:
             continue
@@ -207,28 +202,21 @@ def multicommodity_min_time(
             per_bin.get(bin_name, {}).get(gpu, 0.0) + nbytes * unit
         )
     commodities = sorted(per_bin)
-
-    edges = [
-        (u, v, cap * unit, restr) for u, v, cap, restr in _build_edges(topo)
-    ]
-    nodes = sorted({u for u, _, _, _ in edges} | {v for _, v, _, _ in edges})
-    node_id = {n: i for i, n in enumerate(nodes)}
-    n_edges, n_nodes, n_comm = len(edges), len(nodes), len(commodities)
+    n_edges, n_nodes, n_comm = len(caps), len(nodes), len(commodities)
 
     # variables: x[b * n_edges + e] >= 0, then lambda (last).  Rows: one
     # capacity row per finite edge, then conservation rows
     # ``b * n_nodes + node`` per commodity (net outflow = supply).
     n_flow = n_comm * n_edges
     n_vars = n_flow + 1
-    caps = np.array([cap for _, _, cap, _ in edges])
     finite = np.isfinite(caps)
     n_ub = int(finite.sum())
 
     # The constraint matrix in CSC order.  Column (b, e) holds edge e's
     # capacity row (finite edges only), then its two conservation rows
     # for commodity b — outflow +1 at u, inflow -1 at v — ascending.
-    u_ids = np.array([node_id[u] for u, _, _, _ in edges], dtype=np.int32)
-    v_ids = np.array([node_id[v] for _, v, _, _ in edges], dtype=np.int32)
+    u_ids = np.array([node_id[u] for u in u_names], dtype=np.int32)
+    v_ids = np.array([node_id[v] for v in v_names], dtype=np.int32)
     block = n_ub + np.arange(n_comm, dtype=np.int32)[:, None] * n_nodes
     rows = np.empty((n_comm, n_edges, 3), dtype=np.int32)
     rows[:, :, 0] = np.cumsum(finite) - 1
@@ -265,11 +253,11 @@ def multicommodity_min_time(
     )
 
     # restricted edges: zero out forbidden (commodity, edge) variables
-    restrictions = np.array([restr or "" for _, _, _, restr in edges])
+    memories = set(network.devices.memories)
     kinds = np.array(
-        [_commodity_kind(topo, bin_name) for bin_name in commodities]
+        [_MEM if bin_name in memories else _DEVICE for bin_name in commodities]
     )
-    forbidden = (restrictions[None, :] != "") & (
+    forbidden = (restrictions[None, :] != _ANY) & (
         restrictions[None, :] != kinds[:, None]
     )
     col_upper = np.full(n_vars, np.inf)
@@ -326,8 +314,9 @@ def multicommodity_min_time(
     # per-edge totals across commodities in one reshape+sum
     flows = x[:n_flow].reshape(n_comm, n_edges).sum(axis=0)
     utilisation: Dict[Tuple[str, str], float] = {}
-    for e in np.flatnonzero(finite):
-        u, v, cap, _ = edges[e]
+    cap_list = caps.tolist()
+    for e in np.flatnonzero(finite).tolist():
+        u, v, cap = u_names[e], v_names[e], cap_list[e]
         u_name = u[:-4] if u.endswith("/out") else u
         v_name = v[:-3] if v.endswith("/in") else v
         used = min(1.0, float(flows[e]) / cap) if cap else 0.0

@@ -37,9 +37,10 @@ and experiments) all speak the same :class:`SearchRequest` /
    the finalists are the full scan's.  A masked search has no ceiling:
    its solves start at t = 0 and it scans its candidates whole.
 3. **Exact scoring (pass 2)** — :class:`MulticommodityScorer`, the
-   multicommodity concurrent-flow LP on the concretised demand.  The
-   ``lp_top_k`` best pass-1 candidates reach this stage and every one
-   of them is LP-scored; the highest exact score wins.
+   multicommodity concurrent-flow LP on the concretised demand, over
+   the network pass 1 solved.  The ``lp_top_k`` best pass-1 candidates
+   reach this stage and every one of them is LP-scored; the highest
+   exact score wins.
 
 Every search runs inline, in the calling process: pass 1 scores one
 batch per :meth:`FlexibleMaxFlowScorer.score_batch` call and pass 2
@@ -51,12 +52,12 @@ picks the same winner.  Multi-core planning is the planning server's
 ``--solver-processes`` pool, which spreads requests, one search each,
 over cores.
 
-Pass 1 keeps only the running ``lp_top_k`` finalists; pass 2 builds
-the topology of each finalist for its LP and keeps only the winner's
-(:attr:`SearchResult.topology`).  A masked search built each
-candidate's topology in pass 1 already: it keeps the finalists'
-topologies (at most ``lp_top_k`` at a batch end) and pass 2 scores
-those.  Every stage reports through :mod:`repro.obs`:
+Pass 1 keeps only the running ``lp_top_k`` finalists, each with its
+:class:`~repro.core.flowmodel.FlowTemplate`, which pass 2's LP reads
+(on a pool whose demand is zero pass 1 builds none; pass 2 builds the
+finalists').  After pass 2 the search builds one topology, the
+winner's (:attr:`SearchResult.topology`), unless a mask made its
+template from one.  Every stage reports through :mod:`repro.obs`:
 ``search.candidates``, ``search.unique``, ``search.pass1_scored``
 (candidates pass 1 scored), ``search.max_flows`` (max flows pass 1
 ran), ``search.ceiling_hits``, ``search.pass1_stopped_at`` (only when
@@ -73,7 +74,6 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
-    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -92,12 +92,13 @@ from repro.core.flowmodel import (
     FlowPrediction,
     FlowTemplate,
     TrafficDemand,
+    _MIN_DEMAND,
     solve_template,
 )
 from repro.core.mcmf import McfPrediction, multicommodity_min_time, new_lp_solver
 from repro.core.placement import Chassis, Placement, count_placements
 from repro.core.symmetry import CanonicalPlacements
-from repro.core.topology import NodeKind, Topology, TopologyMask
+from repro.core.topology import Topology, TopologyMask
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only, avoids import cycle
     from repro.hardware.machines import MachineSpec
@@ -191,17 +192,18 @@ def _flexible_demand(
 
 
 def concrete_demand(
-    topo: Topology,
+    network: FlowTemplate,
     fractions: Tuple[float, float, float],
     storage_rate: Dict[str, float],
     bytes_per_gpu: float = 1e9,
     gpu_cache_policy: str = "replicated",
 ) -> TrafficDemand:
-    """Concretise a scoring demand: each tier's share is split across
-    that tier's bins by the pass-1 max-flow weights, and every bin's
-    share fans out evenly over all GPUs (shared dataset)."""
+    """Concretise a scoring demand over ``network``'s devices: each
+    tier's share is split across that tier's bins by the pass-1
+    max-flow weights, and every bin's share fans out evenly over all
+    GPUs (shared dataset)."""
     f_gpu, f_cpu, f_ssd = fractions
-    gpus = topo.gpus()
+    gpus, ssds, memories = network.devices
     n = len(gpus)
     demand = TrafficDemand()
 
@@ -217,10 +219,8 @@ def concrete_demand(
             for gpu in gpus:
                 demand.add(name, gpu, share)
 
-    spread(topo.ssds(), f_ssd)
-    spread(
-        sorted(m.name for m in topo.nodes_of_kind(NodeKind.CPU_MEM)), f_cpu
-    )
+    spread(ssds, f_ssd)
+    spread(memories, f_cpu)
     # partitioned-cache ablation: peer reads, even caches, even origins
     if gpu_cache_policy == "partitioned":
         for gpu in gpus:
@@ -338,31 +338,36 @@ class MulticommodityScorer:
     solver: Optional[object] = field(default=None, compare=False, repr=False)
 
     def score(
-        self, topo: Topology, placement: Placement, prior: FlowPrediction = None
+        self, network: FlowTemplate, prior: FlowPrediction = None
     ) -> McfPrediction:
+        """The LP prediction of the candidate whose pass-1 network is
+        ``network``, on its concretised demand."""
         demand = concrete_demand(
-            topo,
+            network,
             self.fractions,
             prior.storage_rate if prior is not None else {},
             gpu_cache_policy=self.gpu_cache_policy,
         )
-        return multicommodity_min_time(topo, demand, self.solver)
+        return multicommodity_min_time(network, demand, self.solver)
 
 
 # ----------------------------------------------------------------------
 # Scoring: the search's scorers, networks and LP solver
 # ----------------------------------------------------------------------
+#: A scored candidate: ``(enumeration index, placement, pass-1
+#: prediction, the template it was solved on or None)``.
+_Row = Tuple[int, Placement, FlowPrediction, Optional[FlowTemplate]]
+
+
 class _Scoring:
     """Scores one search's candidates: pass-1 batches and pass-2 LPs.
 
-    Pass 1 solves each candidate on its own: over the search's
-    :class:`~repro.core.flowmodel.ChassisNetwork` for the candidate's
-    pool (built on first use), starting at that network's ceiling when
-    every candidate holds the search's one ``pool``; or, under a
-    ``mask``, on the masked topology, which is kept for pass 2 while
-    the candidate is a finalist (:meth:`retain`).  Pass 2 LP-scores each
-    finalist's topology, built unless pass 1 kept it, against its
-    pass-1 prediction on one HiGHS instance, made on the first LP.
+    Each candidate's network is its template over the search's
+    :class:`~repro.core.flowmodel.ChassisNetwork` for its pool (built on
+    first use; pass 1 starts at the ceiling when every candidate holds
+    the search's one ``pool``), or, under a ``mask``, the masked
+    topology's.  Pass 2 LP-scores it with ``exact``, bound to the
+    search's one HiGHS instance.
     """
 
     def __init__(
@@ -377,12 +382,10 @@ class _Scoring:
         self.machine = machine
         self.nvlink_pairs = nvlink_pairs
         self.coarse = coarse
-        self.exact = exact
+        self.exact = replace(exact, solver=new_lp_solver())
         self.mask = mask
         self.pool = None if mask else pool
         self._networks: Dict[Tuple[int, int], ChassisNetwork] = {}
-        self._topologies: Dict[Placement, Topology] = {}
-        self._lp_scorer: Optional[MulticommodityScorer] = None
 
     def network(self, pool: Tuple[int, int]) -> ChassisNetwork:
         """The pass-1 network for a ``(GPUs, SSDs)`` pool."""
@@ -400,14 +403,18 @@ class _Scoring:
         whole."""
         return None if self.pool is None else self.network(self.pool).ceiling
 
-    def template(self, placement: Placement) -> Optional[FlowTemplate]:
-        """``placement``'s pass-1 network."""
+    def template(self, placement: Placement, lp=False) -> Optional[FlowTemplate]:
+        """``placement``'s network; for pass 1 (not ``lp``), ``None`` on
+        a healthy pool whose demand is zero."""
         if not self.mask:
             pool = (placement.num_gpus, placement.num_ssds)
-            return self.network(pool).template(
-                placement, from_ceiling=pool == self.pool
-            )
-        topo = self._topologies[placement] = self.topology(placement)
+            network = self.network(pool)
+            if network.total > _MIN_DEMAND or lp:
+                return network.template(placement, pool == self.pool)
+            return None
+        # degraded-fabric search (replanning): every candidate is
+        # scored on the surviving topology
+        topo = self.mask.apply(self.build(placement))
         demand = scoring_demand(
             topo,
             self.coarse.fractions,
@@ -415,38 +422,24 @@ class _Scoring:
         )
         return FlowTemplate.from_topology(topo, demand)
 
-    def topology(self, placement: Placement) -> Topology:
-        # finalists come from the validated enumeration, so the chassis
-        # and topology invariant sweeps are skipped
-        topo = self.machine.build(
+    def build(self, placement: Placement) -> Topology:
+        """``placement``'s healthy topology."""
+        # candidates come from the validated enumeration, so the
+        # chassis and topology invariant sweeps are skipped
+        return self.machine.build(
             placement, nvlink_pairs=self.nvlink_pairs, validate=False
         )
-        if self.mask:
-            # degraded-fabric search (replanning): every candidate is
-            # scored on the surviving topology
-            topo = self.mask.apply(topo)
-        return topo
 
-    def retain(self, placements: Iterable[Placement]) -> None:
-        """Drop every topology pass 1 built except ``placements``'."""
-        if self._topologies:
-            kept = self._topologies
-            self._topologies = {p: kept[p] for p in placements if p in kept}
+    def score_pass1(self, start: int, batch: Sequence[Placement]) -> List[_Row]:
+        """Pass-1 rows of the batch at enumeration index ``start``."""
+        templates: List[Optional[FlowTemplate]] = []
 
-    def score_pass1(self, batch: Sequence[Placement]) -> List[FlowPrediction]:
-        """Pass-1 predictions for one batch, in batch order."""
-        return self.coarse.score_batch(batch, self.template)
+        def template_for(placement: Placement) -> Optional[FlowTemplate]:
+            templates.append(self.template(placement))
+            return templates[-1]
 
-    def score_pass2(
-        self, placement: Placement, prior: FlowPrediction
-    ) -> Tuple[McfPrediction, Topology]:
-        """``placement``'s LP prediction and the topology it scored."""
-        if self._lp_scorer is None:
-            self._lp_scorer = replace(self.exact, solver=new_lp_solver())
-        topo = self._topologies.pop(placement, None)
-        if topo is None:
-            topo = self.topology(placement)
-        return self._lp_scorer.score(topo, placement, prior), topo
+        predictions = self.coarse.score_batch(batch, template_for)
+        return list(zip(count(start), batch, predictions, templates))
 
 
 # ----------------------------------------------------------------------
@@ -515,9 +508,8 @@ class _Pass1(NamedTuple):
 
     #: Candidates scored.
     scored: int
-    #: The ``lp_top_k`` best ``(index, placement, prediction)`` rows,
-    #: in funnel order.
-    finalists: List[Tuple[int, Placement, FlowPrediction]]
+    #: The ``lp_top_k`` best rows, in funnel order.
+    finalists: List[_Row]
     ceiling: Optional[EgressCeiling]
     hits: int
     batch_sizes: List[int]
@@ -559,24 +551,24 @@ class SearchEngine:
         Those candidates have the best pass-1 throughput any candidate
         can have, so a later one at best ties them and then loses on
         enumeration index: the finalists are the full scan's.  The
-        finalists are kept as a running top ``lp_top_k``, so pass 1
-        holds nothing else per candidate.
+        finalists are kept as a running top ``lp_top_k`` with their
+        templates, so pass 1 holds nothing else per candidate.
         """
         ceiling = self.scoring.ceiling if placements else None
-        finalists: List[Tuple[int, Placement, FlowPrediction]] = []
+        finalists: List[_Row] = []
         hits = max_flows = 0
         batch_sizes: List[int] = []
         for start in range(0, len(placements), PASS1_BATCH):
             batch = placements[start : start + PASS1_BATCH]
             batch_sizes.append(len(batch))
-            predictions = self.scoring.score_pass1(batch)
-            rows = list(zip(count(start), batch, predictions))
-            for _, _, prediction in rows:
-                max_flows += prediction.max_flows
-                if ceiling is not None and prediction.time <= ceiling.time:
-                    hits += 1
+            rows = self.scoring.score_pass1(start, batch)
+            max_flows += sum(row[2].max_flows for row in rows)
+            if ceiling is not None:
+                hits += sum(row[2].time <= ceiling.time for row in rows)
             finalists = self._select_finalists(finalists + rows)
-            self.scoring.retain(placement for _, placement, _ in finalists)
+            # the other candidates' templates (and, under a mask, their
+            # topologies) go before the next batch is built
+            del rows
             if hits >= self.lp_top_k:
                 break
         scored = sum(batch_sizes)
@@ -596,26 +588,21 @@ class SearchEngine:
 
     def _score_exact(self, finalists):
         """LP-score every finalist in funnel order and rank by exact
-        throughput.  Returns the ranked rows and the winner's topology.
+        throughput.  Returns the ranked rows and the winner's template.
 
         Finalists arrive in funnel order (pass-1 score descending,
-        enumeration index ascending); sorting on that position breaks
-        throughput ties exactly as the serial reference path does.
-        Only the topology of the first row with the maximum throughput
-        is kept.
+        enumeration index ascending); the stable sort keeps that order
+        among throughput ties exactly as the serial reference path does,
+        so the winner is the first row with the maximum throughput.
         """
         scored = []
-        best_topology, best_throughput = None, 0.0
-        for pos, (_, placement, p1) in enumerate(finalists):
-            mcf, topo = self.scoring.score_pass2(placement, p1)
-            scored.append(
-                (pos, ScoredPlacement(placement, mcf.throughput, p1, mcf))
-            )
-            # the first of a tie stays best
-            if best_topology is None or mcf.throughput > best_throughput:
-                best_topology, best_throughput = topo, mcf.throughput
-        ranked = sorted(scored, key=lambda pair: (-pair[1].throughput, pair[0]))
-        return [row for _, row in ranked], best_topology
+        for _, placement, p1, template in finalists:
+            template = template or self.scoring.template(placement, lp=True)
+            mcf = self.scoring.exact.score(template, p1)
+            row = ScoredPlacement(placement, mcf.throughput, p1, mcf)
+            scored.append((row, template))
+        scored.sort(key=lambda entry: -entry[0].throughput)
+        return [row for row, _ in scored], scored[0][1]
 
     # -- entry point ------------------------------------------------------
     def run(self) -> SearchResult:
@@ -634,8 +621,13 @@ class SearchEngine:
             if not pass1.scored:
                 raise ValueError("no placements to score")
             with obs.span("search.pass2") as sp:
-                ranked, topology = self._score_exact(pass1.finalists)
+                ranked, template = self._score_exact(pass1.finalists)
                 sp.set(lp_scored=len(ranked))
+            # the winner's topology: under a mask, the one its template
+            # read; else the one topology this search builds
+            topology = template.topology or self.scoring.build(
+                ranked[0].placement
+            )
             result = SearchResult(
                 best=ranked[0],
                 scored=ranked[: self.top_k],

@@ -30,6 +30,7 @@ from repro.baselines.distdgl import DistDglSystem
 from repro.baselines.mgids import MGidsSystem
 from repro.baselines.mhyperion import MHyperionSystem
 from repro.core.ddak import hash_place, make_bins
+from repro.core.flowmodel import FlowTemplate
 from repro.core.mcmf import multicommodity_min_time
 from repro.core.optimizer import MomentOptimizer, OptimizerConfig
 from repro.costs.monetary import cloud_cost_ratio, tco_comparison
@@ -579,7 +580,9 @@ def run_fig13_prediction(
                 io_epoch = epoch.io_seconds * epoch.num_steps
                 measured = epoch.external_bytes / max(io_epoch, 1e-9)
                 topo = machine.build(r.placement)
-                pred = multicommodity_min_time(topo, epoch.demand)
+                pred = multicommodity_min_time(
+                    FlowTemplate.from_topology(topo, epoch.demand), epoch.demand
+                )
                 predicted = epoch.demand.total / max(pred.time, 1e-9)
                 err = abs(predicted - measured) / measured
                 errors.append(err)

@@ -30,6 +30,7 @@ pointing at the culprit (``{"field": "dataset.key"}``,
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -227,11 +228,14 @@ def _require_int(value, name, minimum=None, default=None):
 
 
 def _require_float(value, name, minimum=None, maximum=None, default=None):
-    """A float field (ints accepted, bool rejected), range-checked."""
+    """A finite float field (ints accepted, bool rejected), range-checked."""
     if value is None:
         value = default
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise RequestError(f"{name} must be a number", field=name)
+    # NaN and ±Infinity (json.loads reads them) pass every range check
+    if not abs(value) <= sys.float_info.max:
+        raise RequestError(f"{name} must be a finite number", field=name)
     value = float(value)
     if minimum is not None and value < minimum:
         raise RequestError(f"{name} must be >= {minimum}", field=name)

@@ -19,7 +19,9 @@ vectorized production code to them.
   :func:`repro.core.symmetry.iter_canonical_placements` reproduces;
 * multicommodity LP — :func:`reference_multicommodity_min_time`, the
   ``scipy.optimize.linprog`` formulation
-  :func:`repro.core.mcmf.multicommodity_min_time` reproduces;
+  :func:`repro.core.mcmf.multicommodity_min_time` reproduces, and
+  :func:`reference_lp_model`, the ``passModel`` arguments it hands
+  HiGHS, both assembled from a topology (:func:`_build_edges`);
 * DDAK — :func:`reference_ddak_place`, the NumPy-per-pool pooled
   greedy :func:`repro.core.ddak.ddak_place` reproduces as a scalar loop;
 * graph construction — :func:`reference_from_edges` (``np.unique`` with
@@ -48,9 +50,8 @@ from repro.core.flowmodel import (
     SSD_CLASS,
     FlowPrediction,
     TrafficDemand,
-    _storage_members,
 )
-from repro.core.mcmf import McfPrediction, _build_edges, _commodity_kind
+from repro.core.mcmf import _COLWISE, _MINIMIZE, McfPrediction
 from repro.core.placement import GPU, SSD, Chassis, Placement, SlotGroup
 from repro.core.symmetry import _preimage, slot_group_symmetries
 from repro.core.topology import LinkKind, NodeKind, Topology
@@ -610,6 +611,13 @@ def bisect_min_time(
 # ----------------------------------------------------------------------
 # The Figure-9 time network and its bisection solver
 # ----------------------------------------------------------------------
+def _storage_members(topo: Topology, class_key: str) -> List[str]:
+    """The storage nodes a class demand (SSD or CPU memory) may use."""
+    if class_key == SSD_CLASS:
+        return topo.ssds()
+    return sorted(n.name for n in topo.nodes_of_kind(NodeKind.CPU_MEM))
+
+
 def build_time_network(
     topo: Topology,
     demand: TrafficDemand,
@@ -871,6 +879,191 @@ def reference_ddak_place(
 # ----------------------------------------------------------------------
 # Multicommodity concurrent-flow LP through scipy.optimize.linprog
 # ----------------------------------------------------------------------
+def storage_egress(topo: Topology) -> Dict[str, float]:
+    """Each storage node's egress ceiling (bytes/s, ``inf`` when
+    unbounded), in ``topo.storage_nodes`` order: its node-split edge.
+
+    A GPU cache serving a *peer* physically leaves through the owner
+    GPU's fabric ports, not at HBM speed.  The single-commodity
+    relaxation would otherwise let peer-cache demand be absorbed by the
+    owner's own sink at 1.2 TB/s; capping the cache at the owner's
+    aggregate fabric egress restores the binding constraint (local
+    cache hits are excluded from demands by convention).
+    """
+    gpu_fabric_egress: Dict[str, float] = {}
+    for gpu in topo.gpus():
+        total = 0.0
+        for succ in topo.successors(gpu):
+            if topo.node(succ).kind is not NodeKind.GPU_MEM:
+                total += topo.link(gpu, succ).capacity
+        gpu_fabric_egress[gpu] = total
+    ceilings: Dict[str, float] = {}
+    for node in topo.storage_nodes:
+        egress = node.egress_bw if node.egress_bw is not None else float("inf")
+        if node.kind is NodeKind.GPU_MEM:
+            owner = node.name[: -len(":mem")]
+            egress = min(egress, gpu_fabric_egress.get(owner, egress))
+        ceilings[node.name] = egress
+    return ceilings
+
+
+#: edge restrictions: None = any commodity; "device" = only SSD /
+#: GPU-cache commodities; "mem" = only CPU-memory commodities.
+_ANY, _DEVICE, _MEM = None, "device", "mem"
+
+
+def _build_edges(topo: Topology):
+    """The LP's directed edge list ``(u, v, capacity, restriction)``,
+    read off a topology.
+
+    Storage nodes are split (``name/in -> name/out``) to carry their
+    device egress ceiling; GPU caches are capped at the owner's fabric
+    egress (peer service physically leaves through the GPU's ports).
+    QPI links become *two parallel edges*: the full-rate one reserved
+    for CPU-memory commodities and a reduced one for device-to-device
+    DMA (the cross-socket P2P forwarding penalty the simulator also
+    charges).
+    """
+    from repro.hardware.specs import QPI_P2P_BW
+
+    storage = {n.name for n in topo.storage_nodes}
+    edges: List[Tuple[str, str, float, Optional[str]]] = []
+    for name, egress in storage_egress(topo).items():
+        edges.append((f"{name}/in", f"{name}/out", float(egress), _ANY))
+    for link in topo.links:
+        src = f"{link.src}/out" if link.src in storage else link.src
+        dst = f"{link.dst}/in" if link.dst in storage else link.dst
+        cap = float(link.capacity)
+        if link.kind is LinkKind.QPI:
+            edges.append((src, dst, cap, _MEM))
+            edges.append((src, dst, min(cap, QPI_P2P_BW), _DEVICE))
+        else:
+            edges.append((src, dst, cap, _ANY))
+    return edges
+
+
+def _commodity_kind(topo: Topology, bin_name: str) -> str:
+    return (
+        _MEM
+        if topo.node(bin_name).kind is NodeKind.CPU_MEM
+        else _DEVICE
+    )
+
+
+def reference_lp_model(topo: Topology, demand: TrafficDemand) -> Tuple:
+    """The ``passModel`` array-overload arguments of a nonzero
+    demand's LP, assembled from ``topo`` by :func:`_build_edges`:
+    ``(num_col, num_row, num_nz, format, sense, offset, cost,
+    col_lower, col_upper, row_lower, row_upper, start, index, value,
+    integrality)``.
+
+    :func:`repro.core.mcmf.multicommodity_min_time` builds the same
+    model from the candidate's flow template and must hand HiGHS these
+    arrays element for element.
+    """
+    unit = 1e-9
+    negligible = 1e-7 * demand.total
+    per_bin: Dict[str, Dict[str, float]] = {}
+    for (bin_name, gpu), nbytes in demand.entries.items():
+        if nbytes <= negligible:
+            continue
+        per_bin.setdefault(bin_name, {})[gpu] = (
+            per_bin.get(bin_name, {}).get(gpu, 0.0) + nbytes * unit
+        )
+    commodities = sorted(per_bin)
+
+    edges = [
+        (u, v, cap * unit, restr) for u, v, cap, restr in _build_edges(topo)
+    ]
+    nodes = sorted({u for u, _, _, _ in edges} | {v for _, v, _, _ in edges})
+    node_id = {n: i for i, n in enumerate(nodes)}
+    n_edges, n_nodes, n_comm = len(edges), len(nodes), len(commodities)
+
+    # variables: x[b * n_edges + e] >= 0, then lambda (last).  Rows: one
+    # capacity row per finite edge, then conservation rows
+    # ``b * n_nodes + node`` per commodity (net outflow = supply).
+    n_flow = n_comm * n_edges
+    n_vars = n_flow + 1
+    caps = np.array([cap for _, _, cap, _ in edges])
+    finite = np.isfinite(caps)
+    n_ub = int(finite.sum())
+
+    # The constraint matrix in CSC order.  Column (b, e) holds edge e's
+    # capacity row (finite edges only), then its two conservation rows
+    # for commodity b — outflow +1 at u, inflow -1 at v — ascending.
+    u_ids = np.array([node_id[u] for u, _, _, _ in edges], dtype=np.int32)
+    v_ids = np.array([node_id[v] for _, v, _, _ in edges], dtype=np.int32)
+    block = n_ub + np.arange(n_comm, dtype=np.int32)[:, None] * n_nodes
+    rows = np.empty((n_comm, n_edges, 3), dtype=np.int32)
+    rows[:, :, 0] = np.cumsum(finite) - 1
+    rows[:, :, 1] = block + np.minimum(u_ids, v_ids)
+    rows[:, :, 2] = block + np.maximum(u_ids, v_ids)
+    sign = np.where(u_ids < v_ids, 1.0, -1.0)
+    vals = np.empty((n_comm, n_edges, 3))
+    vals[:, :, 0] = 1.0
+    vals[:, :, 1] = sign
+    vals[:, :, 2] = -sign
+    kept = np.ones((n_edges, 3), dtype=bool)
+    kept[:, 0] = finite
+
+    # lambda column: source supplies lambda * total; sinks absorb
+    # lambda * D[b, g] (a handful of entries per commodity)
+    lam_rows: List[int] = []
+    lam_data: List[float] = []
+    for b, bin_name in enumerate(commodities):
+        lam_rows.append(n_ub + b * n_nodes + node_id[f"{bin_name}/in"])
+        lam_data.append(-sum(per_bin[bin_name].values()))
+        for gpu, nbytes in per_bin[bin_name].items():
+            lam_rows.append(n_ub + b * n_nodes + node_id[gpu])
+            lam_data.append(nbytes)
+    lam_order = np.argsort(lam_rows, kind="stable")
+
+    indptr = np.zeros(n_vars + 1, dtype=np.int32)
+    np.cumsum(np.tile(2 + finite, n_comm), out=indptr[1:n_vars])
+    indptr[n_vars] = indptr[n_flow] + len(lam_rows)
+    indices = np.concatenate(
+        [rows[:, kept].ravel(), np.asarray(lam_rows, dtype=np.int32)[lam_order]]
+    )
+    values = np.concatenate(
+        [vals[:, kept].ravel(), np.asarray(lam_data)[lam_order]]
+    )
+
+    # restricted edges: zero out forbidden (commodity, edge) variables
+    restrictions = np.array([restr or "" for _, _, _, restr in edges])
+    kinds = np.array(
+        [_commodity_kind(topo, bin_name) for bin_name in commodities]
+    )
+    forbidden = (restrictions[None, :] != "") & (
+        restrictions[None, :] != kinds[:, None]
+    )
+    col_upper = np.full(n_vars, np.inf)
+    col_upper[:n_flow][forbidden.ravel()] = 0.0
+    n_rows = n_ub + n_comm * n_nodes
+    row_lower = np.zeros(n_rows)
+    row_lower[:n_ub] = -np.inf
+    row_upper = np.zeros(n_rows)
+    row_upper[:n_ub] = caps[finite]
+    cost = np.zeros(n_vars)
+    cost[-1] = -1.0
+    return (
+        n_vars,
+        n_rows,
+        len(values),
+        _COLWISE,
+        _MINIMIZE,
+        0.0,
+        cost,
+        np.zeros(n_vars),
+        col_upper,
+        row_lower,
+        row_upper,
+        indptr,
+        indices,
+        values,
+        np.zeros(n_vars, dtype=np.int32),
+    )
+
+
 def reference_multicommodity_min_time(
     topo: Topology,
     demand: TrafficDemand,

@@ -89,11 +89,14 @@ class TestPredictorConsistency:
     """The optimistic predictor should rarely be slower than measurement."""
 
     def test_lp_prediction_within_envelope(self, machine, moment_result):
+        from repro.core.flowmodel import FlowTemplate
         from repro.core.mcmf import multicommodity_min_time
 
         epoch = moment_result.epoch
         topo = machine.build(moment_result.placement)
-        pred = multicommodity_min_time(topo, epoch.demand)
+        pred = multicommodity_min_time(
+            FlowTemplate.from_topology(topo, epoch.demand), epoch.demand
+        )
         measured_io = epoch.io_seconds * epoch.num_steps
         # optimal routing can beat fair-share by a bit, never by 2x;
         # and it must not be wildly slower either

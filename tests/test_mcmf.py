@@ -1,14 +1,18 @@
 """The multicommodity LP on a reused HiGHS instance.
 
 :func:`repro.core.mcmf.multicommodity_min_time` hands HiGHS the model
-``scipy.optimize.linprog`` would, assembled straight into CSC form; the
-``linprog`` formulation is kept as
-:func:`tests.oracles.reference_multicommodity_min_time`.  These tests
-pin the two to each other bit for bit on every LP a search solves,
-pin the array hand-off to a ``HighsLp`` filled field by field and to
-``linprog`` on every LP of the planning benchmark's searches,
-check the post-solve feasibility guard that replaces ``linprog``'s, and
-check that each search owns its solver (threads, pool workers).
+``scipy.optimize.linprog`` would, assembled straight into CSC form from
+the candidate's flow template; the ``linprog`` formulation, assembled
+from the candidate's topology, is kept as
+:func:`tests.oracles.reference_multicommodity_min_time`, and the
+topology-built model as :func:`tests.oracles.reference_lp_model`.
+These tests pin the template-built model to the topology-built one
+element for element and the two solves to each other bit for bit on
+every LP a search solves, pin the array hand-off to a ``HighsLp``
+filled field by field and to ``linprog`` on every LP of the planning
+benchmark's searches, check the post-solve feasibility guard that
+replaces ``linprog``'s, and check that each search owns its solver
+(threads, pool workers).
 """
 
 from __future__ import annotations
@@ -23,14 +27,14 @@ import pytest
 import repro.core.mcmf as mcmf
 import repro.core.search as search
 import tests.oracles as oracles
-from repro.core.flowmodel import TrafficDemand
+from repro.core.flowmodel import FlowTemplate, TrafficDemand
 from repro.core.mcmf import multicommodity_min_time, new_lp_solver
 from repro.core.optimizer import MomentOptimizer
 from repro.core.search import concrete_demand, run_search
 from repro.core.topology import LinkKind, TopologyMask
 from repro.graphs.datasets import IGB_HOM
 from repro.hardware.machines import classic_layouts, machine_a, machine_b
-from tests.oracles import reference_multicommodity_min_time
+from tests.oracles import reference_lp_model, reference_multicommodity_min_time
 from tests.test_search import DIFFERENTIAL_FABRICS, _ranking, _request
 
 
@@ -111,6 +115,43 @@ def _qpi_keys(topo):
     return {(l.src, l.dst) for l in topo.links if l.kind is LinkKind.QPI}
 
 
+def _network(topo, demand=None):
+    """``topo``'s flow template, the network the LP reads."""
+    return FlowTemplate.from_topology(topo, demand or TrafficDemand())
+
+
+def _search_lps(monkeypatch, machine, overrides):
+    """Run one search; return its result and every LP it solved, in
+    solve order, as ``(topology, template, demand, prediction)``.  The
+    topology is the finalist's, built here the way the search would
+    (under the request's mask)."""
+    request = _request(machine, **overrides)
+    finalists, solved = [], []
+    score_exact = search.SearchEngine._score_exact
+    solve = search.multicommodity_min_time
+
+    def recording_exact(self, rows):
+        finalists.extend(row[1] for row in rows)
+        return score_exact(self, rows)
+
+    def recording(network, demand, solver=None):
+        prediction = solve(network, demand, solver)
+        solved.append((network, demand, prediction))
+        return prediction
+
+    monkeypatch.setattr(search.SearchEngine, "_score_exact", recording_exact)
+    monkeypatch.setattr(search, "multicommodity_min_time", recording)
+    result = run_search(request)
+    assert len(finalists) == len(solved) == result.num_lp_scored
+    lps = []
+    for placement, (network, demand, prediction) in zip(finalists, solved):
+        topo = machine.build(placement, nvlink_pairs=request.nvlink_pairs)
+        if request.mask is not None:
+            topo = request.mask.apply(topo)
+        lps.append((topo, network, demand, prediction))
+    return result, lps
+
+
 class TestLinprogDifferential:
     """Every LP a search solves equals the ``linprog`` formulation."""
 
@@ -124,18 +165,10 @@ class TestLinprogDifferential:
     ):
         machine = make_machine()
         overrides = _resolve(overrides, machine)
-        solved = []
-
-        def recording(topo, demand, solver=None):
-            prediction = multicommodity_min_time(topo, demand, solver)
-            solved.append((topo, demand, prediction))
-            return prediction
-
         # serial, so every LP runs here where the recorder can see it
-        monkeypatch.setattr(search, "multicommodity_min_time", recording)
-        result = run_search(_request(machine, **overrides))
-        assert solved and len(solved) == result.num_lp_scored
-        for topo, demand, got in solved:
+        _, solved = _search_lps(monkeypatch, machine, overrides)
+        assert solved
+        for topo, _, demand, got in solved:
             want = reference_multicommodity_min_time(topo, demand)
             assert got.scale == want.scale
             assert got.time == want.time
@@ -211,24 +244,21 @@ class TestArrayHandOff:
     ):
         machine = make_machine()
         recording = _Recording()
-        problems, linprog_results = [], []
-        solve, linprog = search.multicommodity_min_time, oracles.linprog
-
-        def recording_solve(topo, demand, solver=None):
-            problems.append((topo, demand))
-            return solve(topo, demand, solver)
+        linprog_results = []
+        linprog = oracles.linprog
 
         def recording_linprog(*args, **kwargs):
             linprog_results.append(linprog(*args, **kwargs))
             return linprog_results[-1]
 
         monkeypatch.setattr(search, "new_lp_solver", lambda: recording)
-        monkeypatch.setattr(search, "multicommodity_min_time", recording_solve)
         monkeypatch.setattr(oracles, "linprog", recording_linprog)
-        result = run_search(_request(machine, **_resolve(overrides, machine)))
+        result, problems = _search_lps(
+            monkeypatch, machine, _resolve(overrides, machine)
+        )
         assert len(recording.models) == result.num_lp_scored == 48
         assert len(recording.solutions) == len(problems) == 48
-        for model, (col, row), (topo, demand) in zip(
+        for model, (col, row), (topo, _, demand, _) in zip(
             recording.models, recording.solutions, problems
         ):
             lp_col, lp_row = _highs_lp_solution(model)
@@ -249,7 +279,49 @@ class TestArrayHandOff:
         demand = TrafficDemand()
         demand.add("ssd0", "gpu0", 1e30)
         with pytest.raises(RuntimeError, match="HiGHS rejected the model"):
-            multicommodity_min_time(topo, demand, new_lp_solver())
+            multicommodity_min_time(_network(topo), demand, new_lp_solver())
+
+
+class TestLpModelDifferential:
+    """The LP is written over the candidate's flow template.  On every
+    LP a search solves, the ``passModel`` arguments are the ones the
+    topology-built model (:func:`reference_lp_model`) gives, element for
+    element and bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make_machine,overrides",
+        [row[1:] for row in DIFFERENTIAL_ROWS],
+        ids=[row[0] for row in DIFFERENTIAL_ROWS],
+    )
+    def test_template_model_equals_topology_model(
+        self, monkeypatch, make_machine, overrides
+    ):
+        machine = make_machine()
+        recording = _Recording()
+        monkeypatch.setattr(search, "new_lp_solver", lambda: recording)
+        _, lps = _search_lps(monkeypatch, machine, _resolve(overrides, machine))
+        assert lps and len(recording.models) == len(lps)
+        for model, (topo, _, demand, _) in zip(recording.models, lps):
+            want = reference_lp_model(topo, demand)
+            assert len(model) == len(want)
+            for got, expected in zip(model, want):
+                if isinstance(expected, np.ndarray):
+                    assert got.dtype == expected.dtype
+                    assert got.tobytes() == expected.tobytes()
+                else:
+                    assert type(got) is type(expected) and got == expected
+
+    def test_masked_template_keeps_its_topology(self, monkeypatch):
+        """A masked search's LP reads the template of the masked
+        topology it built in pass 1."""
+        machine = machine_a()
+        rows = {row[0]: row[2] for row in DIFFERENTIAL_ROWS}
+        overrides = _resolve(rows["replan-drop-ssd0"], machine)
+        result, lps = _search_lps(monkeypatch, machine, overrides)
+        (topo, network, _, _), = lps
+        assert "ssd0" not in network.topology
+        assert network.devices.ssds == topo.ssds()
+        assert result.topology is network.topology
 
 
 class TestFeasibilityCheck:
@@ -258,8 +330,8 @@ class TestFeasibilityCheck:
     @pytest.fixture()
     def lp(self):
         machine = machine_a()
-        topo = machine.build(classic_layouts(machine)["c"])
-        return topo, concrete_demand(topo, (0.0, 0.1, 0.9), {})
+        network = _network(machine.build(classic_layouts(machine)["c"]))
+        return network, concrete_demand(network, (0.0, 0.1, 0.9), {})
 
     class _Tampered:
         """A solver whose answer is altered before it is read back."""
@@ -287,9 +359,9 @@ class TestFeasibilityCheck:
             return SimpleNamespace(col_value=list(col), row_value=list(row))
 
     def test_untampered_passes(self, lp):
-        topo, demand = lp
-        pred = multicommodity_min_time(topo, demand, self._Tampered())
-        assert pred == multicommodity_min_time(topo, demand)
+        network, demand = lp
+        pred = multicommodity_min_time(network, demand, self._Tampered())
+        assert pred == multicommodity_min_time(network, demand)
 
     def test_capacity_violation_raises(self, lp):
         # twice the optimal flow: conservation still holds, but every
@@ -323,7 +395,7 @@ class TestQpiUtilisation:
         topo = machine.build(classic_layouts(machine)["c"])
         demand = TrafficDemand()
         demand.add("mem1", "gpu0", 1e9)  # socket 1 memory -> socket 0 GPU
-        pred = multicommodity_min_time(topo, demand)
+        pred = multicommodity_min_time(_network(topo, demand), demand)
         assert pred.utilisation[("rc1", "rc0")] == pytest.approx(1.0)
         assert ("rc1", "rc0") in pred.bottlenecks()
         # the linprog formulation kept only the (idle) device edge

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.ddak import GPU_REPLICATED
-from repro.core.flowmodel import TrafficDemand, min_completion_time
+from repro.core.flowmodel import FlowTemplate, TrafficDemand, min_completion_time
 from repro.core.mcmf import multicommodity_min_time
 from repro.core.optimizer import (
     MomentOptimizer,
@@ -18,6 +18,11 @@ from repro.core.search import concrete_demand, run_search, scoring_demand
 from repro.graphs.datasets import IGB_HOM, tiny_dataset
 from repro.hardware.machines import classic_layouts, machine_a, machine_b
 from repro.utils.units import GB
+
+
+def _network(topo, demand=None):
+    """``topo``'s flow template, the network the LP reads."""
+    return FlowTemplate.from_topology(topo, demand or TrafficDemand())
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +117,7 @@ class TestScoringDemands:
 
     def test_concrete_fans_out_to_all_gpus(self, machine):
         topo = machine.build(classic_layouts(machine)["c"])
-        d = concrete_demand(topo, (0.0, 0.0, 1.0), {})
+        d = concrete_demand(_network(topo), (0.0, 0.0, 1.0), {})
         gpus = set(topo.gpus())
         for ssd in topo.ssds():
             assert {g for (b, g) in d.entries if b == ssd} == gpus
@@ -130,15 +135,16 @@ class TestMulticommodity:
         t.add_link("gpu0", "rc", 24 * GB)
         d = TrafficDemand()
         d.add("ssd0", "gpu0", 6 * GB)
-        pred = multicommodity_min_time(t, d)
+        pred = multicommodity_min_time(_network(t), d)
         assert pred.time == pytest.approx(1.0, rel=1e-3)
         assert pred.throughput == pytest.approx(6 * GB, rel=1e-3)
 
     def test_never_exceeds_single_commodity(self, machine):
         """The LP (exact) can't beat the single-commodity relaxation."""
         topo = machine.build(classic_layouts(machine)["c"])
-        d = concrete_demand(topo, (0.0, 0.1, 0.9), {})
-        lp = multicommodity_min_time(topo, d)
+        network = _network(topo)
+        d = concrete_demand(network, (0.0, 0.1, 0.9), {})
+        lp = multicommodity_min_time(network, d)
         sc = min_completion_time(topo, d)
         assert lp.time >= sc.time * 0.999
 
@@ -149,17 +155,18 @@ class TestMulticommodity:
         d = TrafficDemand()
         d.add(SSD_CLASS, "gpu0", 1e9)
         with pytest.raises(ValueError):
-            multicommodity_min_time(topo, d)
+            multicommodity_min_time(_network(topo, d), d)
 
     def test_zero_demand(self, machine):
         topo = machine.build(classic_layouts(machine)["c"])
-        pred = multicommodity_min_time(topo, TrafficDemand())
+        pred = multicommodity_min_time(_network(topo), TrafficDemand())
         assert pred.time == 0.0
 
     def test_utilisation_bounded(self, machine):
         topo = machine.build(classic_layouts(machine)["b"])
-        d = concrete_demand(topo, (0.0, 0.0, 1.0), {})
-        pred = multicommodity_min_time(topo, d)
+        network = _network(topo)
+        d = concrete_demand(network, (0.0, 0.0, 1.0), {})
+        pred = multicommodity_min_time(network, d)
         assert pred.utilisation
         assert all(0 <= u <= 1.0 for u in pred.utilisation.values())
         assert pred.bottlenecks()  # something saturates at the optimum

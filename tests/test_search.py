@@ -45,6 +45,7 @@ from repro.core.search import (
     FlexibleMaxFlowScorer,
     MulticommodityScorer,
     ScoredPlacement,
+    SearchEngine,
     SearchRequest,
     default_batch_size,
     default_prune_bounds,
@@ -105,12 +106,14 @@ def _reference_scan(machine, num_gpus, num_ssds, fractions,
     pass1 = []
     for placement in unique:
         topo = machine.build(placement)
-        demand = scoring_demand(topo, fractions)
-        pass1.append((placement, topo, min_completion_time(topo, demand)))
+        network = FlowTemplate.from_topology(
+            topo, scoring_demand(topo, fractions)
+        )
+        pass1.append((placement, network, solve_template(network)))
     funnel = sorted(pass1, key=lambda row: -row[2].throughput)  # stable
     rows = []
-    for placement, topo, p1 in funnel[:lp_top_k]:
-        mcf = exact.score(topo, placement, p1)
+    for placement, network, p1 in funnel[:lp_top_k]:
+        mcf = exact.score(network, p1)
         rows.append(ScoredPlacement(placement, mcf.throughput, p1, mcf))
     rows.sort(key=lambda row: -row.throughput)  # stable
     return (
@@ -152,14 +155,21 @@ def _ranking(scored):
 @pytest.fixture()
 def lp_calls(monkeypatch):
     """Every pass-2 LP as ``(placement, pass-1 prediction)``, in the
-    order :meth:`MulticommodityScorer.score` is called."""
-    calls = []
-    score = MulticommodityScorer.score
+    order :meth:`MulticommodityScorer.score` is called (a search calls
+    it once per finalist, in funnel order; a call from outside a search
+    records no placement)."""
+    calls, unscored = [], []
+    score, score_exact = MulticommodityScorer.score, SearchEngine._score_exact
 
-    def recording(self, topo, placement, prior=None):
-        calls.append((placement, prior))
-        return score(self, topo, placement, prior)
+    def recording_exact(self, rows):
+        unscored[:] = [placement for _, placement, _, _ in rows]
+        return score_exact(self, rows)
 
+    def recording(self, network, prior=None):
+        calls.append((unscored.pop(0) if unscored else None, prior))
+        return score(self, network, prior)
+
+    monkeypatch.setattr(SearchEngine, "_score_exact", recording_exact)
     monkeypatch.setattr(MulticommodityScorer, "score", recording)
     return calls
 
@@ -241,9 +251,11 @@ class TestStreamingSource:
 
 
 class TestNoTopologyRetention:
-    """The engine keeps nothing per candidate beyond its prediction:
-    pass 1 scores every candidate over one chassis network without
-    building a topology, and pass 2 builds its finalists."""
+    """The engine keeps nothing per candidate beyond its prediction and,
+    for a finalist, its template: pass 1 scores every candidate over one
+    chassis network and pass 2 LP-scores the finalists' templates, both
+    without a topology; the search builds one, the winner's, after
+    pass 2."""
 
     def _traced_search(self, monkeypatch):
         machine = machine_a()
@@ -256,14 +268,13 @@ class TestNoTopologyRetention:
             built.append(weakref.ref(topo))
             return topo
 
-        def traced_score(self, topo, placement, prior=None):
+        def traced_score(self, network, prior=None):
             if not alive_at_pass2:
                 gc.collect()
-                live = [ref() for ref in built]
                 alive_at_pass2.append(
-                    sum(t is not None and t is not topo for t in live)
+                    sum(ref() is not None for ref in built)
                 )
-            return score(self, topo, placement, prior)
+            return score(self, network, prior)
 
         monkeypatch.setattr(MachineSpec, "build", traced_build)
         monkeypatch.setattr(MulticommodityScorer, "score", traced_score)
@@ -273,33 +284,63 @@ class TestNoTopologyRetention:
     def test_pass1_topologies_released_before_pass2(self, monkeypatch):
         result, _built, alive_at_pass2 = self._traced_search(monkeypatch)
         assert result.num_unique > 1
-        assert alive_at_pass2[0] <= 1
+        assert alive_at_pass2[0] == 0
 
-    def test_pass1_builds_nothing_and_pass2_builds_each_lp(self, monkeypatch):
+    def test_one_topology_built_after_pass2(self, monkeypatch):
         builds = []
-        build = MachineSpec.build
-        score_batch = FlexibleMaxFlowScorer.score_batch
-        stage = ["other"]
+        build, score = MachineSpec.build, MulticommodityScorer.score
+        lps = [0]
 
         def traced_build(self, *args, **kwargs):
-            builds.append(stage[0])
-            return build(self, *args, **kwargs)
+            topo = build(self, *args, **kwargs)
+            builds.append((lps[0], topo))
+            return topo
 
-        def traced_score_batch(self, *args, **kwargs):
-            stage[0] = "pass1"
-            try:
-                return score_batch(self, *args, **kwargs)
-            finally:
-                stage[0] = "other"
+        def traced_score(self, network, prior=None):
+            lps[0] += 1
+            return score(self, network, prior)
 
         monkeypatch.setattr(MachineSpec, "build", traced_build)
-        monkeypatch.setattr(
-            FlexibleMaxFlowScorer, "score_batch", traced_score_batch
-        )
+        monkeypatch.setattr(MulticommodityScorer, "score", traced_score)
         result = run_search(_request(machine_a(), 2, 4))
-        assert result.num_lp_scored > 0
-        assert builds.count("pass1") == 0
-        assert len(builds) == result.num_lp_scored
+        assert result.num_lp_scored > 1
+        assert len(builds) == 1
+        lps_before, topo = builds[0]
+        assert lps_before == result.num_lp_scored
+        assert topo is result.topology
+        assert result.topology.gpus() == ["gpu0", "gpu1"]
+
+
+class TestZeroDemandPool:
+    """On a pool whose demand is zero (every read a local GPU-cache
+    hit, as for a graph that fits in GPU memory) each candidate solves
+    to zero without a template; pass 2 builds its finalists' only, and
+    ranks them as the reference scan does."""
+
+    def test_templates_only_for_finalists(self, monkeypatch):
+        machine, fractions, lp_top_k = machine_a(), (1.0, 0.0, 0.0), 8
+        built = []
+        template = ChassisNetwork.template
+
+        def traced_template(self, placement, from_ceiling=False):
+            built.append(placement)
+            return template(self, placement, from_ceiling)
+
+        monkeypatch.setattr(ChassisNetwork, "template", traced_template)
+        result = run_search(
+            _request(machine, 2, 4, fractions=fractions, lp_top_k=lp_top_k)
+        )
+        assert result.num_pass1_scored == result.num_unique > lp_top_k
+        assert result.num_lp_scored == len(built) == lp_top_k
+        assert all(row.prediction.time == 0.0 for row in result.scored)
+        _, finalists, rows, _, num_unique = _reference_scan(
+            machine, 2, 4, fractions, lp_top_k
+        )
+        assert num_unique == result.num_unique
+        assert _ranking(result.scored) == _ranking(rows[:TOP_K])
+        assert [p.as_tuple() for p in built] == [
+            p.as_tuple() for p, _ in finalists
+        ]
 
 
 class TestKnobDefaults:
@@ -469,14 +510,14 @@ def _legacy_reference(machine, num_gpus, num_ssds, fractions,
         pass1.append(
             (
                 placement,
-                topo,
+                FlowTemplate.from_topology(topo, demand),
                 bisect_min_completion_time(topo, demand, rel_tol=1e-4),
             )
         )
     pass1.sort(key=lambda row: -row[2].throughput)  # stable
     rows = []
-    for placement, topo, p1 in pass1[:lp_top_k]:
-        mcf = exact.score(topo, placement, p1)
+    for placement, network, p1 in pass1[:lp_top_k]:
+        mcf = exact.score(network, p1)
         rows.append(ScoredPlacement(placement, mcf.throughput, p1, mcf))
     rows.sort(key=lambda row: -row.throughput)  # stable
     return rows[:top_k], len(candidates), len(unique)
@@ -523,11 +564,10 @@ class TestDifferentialEquivalence:
                 "winner differs although the reference optimum is unique"
             )
             topo = machine.build(result.best.placement)
-            p1 = bisect_min_completion_time(
-                topo, scoring_demand(topo, FRACTIONS), rel_tol=1e-4
-            )
+            demand = scoring_demand(topo, FRACTIONS)
+            p1 = bisect_min_completion_time(topo, demand, rel_tol=1e-4)
             mcf = MulticommodityScorer(fractions=FRACTIONS).score(
-                topo, result.best.placement, p1
+                FlowTemplate.from_topology(topo, demand), p1
             )
             tie_rel = abs(mcf.throughput - ref_best.throughput) / (
                 ref_best.throughput
@@ -849,6 +889,60 @@ class TestChassisNetworkDifferential:
                 scorer.network(machine, 2, 4, mask=mask)
 
 
+#: The edge-array rows: the chassis rows plus every generated fabric of
+#: the fabric sweep's range at the sweep's 2-GPU / 3-SSD pool.
+EDGE_ROWS = CHASSIS_ROWS + [
+    (f"gen:{seed}-2x3", partial(_gen_machine, seed), (2, 3), None, "replicated")
+    for seed in range(25)
+]
+
+
+def _physical_edges(network):
+    """``network``'s physical edges as ``(tail, head, base, rate, QPI
+    full rate or None)`` rows, in edge order."""
+    labels = network.labels
+    return [
+        (
+            labels[network.tails[e]],
+            labels[network.heads[e]],
+            network.base[e],
+            network.rate[e],
+            network.qpi.get(e),
+        )
+        for e in range(network.num_physical)
+    ]
+
+
+class TestChassisEdgeArrays:
+    """Pass 2 reads the LP off a candidate's chassis template, so its
+    physical edges must be the ones :meth:`FlowTemplate.from_topology`
+    reads off the candidate's topology: labels, ``base``, ``rate`` and
+    QPI full rates equal, in the same order, and the same devices."""
+
+    @pytest.mark.parametrize(
+        "make_machine,pool,nvlink_pairs,policy",
+        [row[1:] for row in EDGE_ROWS],
+        ids=[row[0] for row in EDGE_ROWS],
+    )
+    def test_equals_topology_template(
+        self, make_machine, pool, nvlink_pairs, policy
+    ):
+        machine = make_machine()
+        scorer = FlexibleMaxFlowScorer(FRACTIONS, policy)
+        network = scorer.network(machine, *pool, nvlink_pairs)
+        placements = CanonicalPlacements(machine.chassis, *pool)
+        assert len(placements)
+        for placement in placements:
+            got = network.template(placement)
+            topo = machine.build(placement, nvlink_pairs=nvlink_pairs)
+            want = FlowTemplate.from_topology(
+                topo, scoring_demand(topo, FRACTIONS, gpu_cache_policy=policy)
+            )
+            assert _physical_edges(got) == _physical_edges(want), placement
+            assert got.devices == want.devices
+            assert got.topology is None and want.topology is topo
+
+
 # ---------------------------------------------------------------------------
 # Ceiling-started pass 1: every candidate against its solve from t = 0
 # ---------------------------------------------------------------------------
@@ -1092,6 +1186,38 @@ class TestMaskedTopologyHandOff:
             _request(machine_a(), 3, 5, lp_top_k=lp_top_k, mask=self.MASK)
         )
         assert _ranking(rebuilt.scored) == _ranking(result.scored)
+
+    def test_at_most_lp_top_k_masked_topologies_alive(self, monkeypatch):
+        """The topologies a masked search keeps are ``mask.apply``'s
+        (``MachineSpec.build``'s die at once): at each batch start only
+        the finalists' templates hold one."""
+        applied, live_at_batch = [], []
+        apply = TopologyMask.apply
+        score_batch = FlexibleMaxFlowScorer.score_batch
+
+        def traced_apply(self, topo):
+            masked = apply(self, topo)
+            applied.append(weakref.ref(masked))
+            return masked
+
+        def traced_score_batch(self, *args, **kwargs):
+            gc.collect()
+            live_at_batch.append(sum(ref() is not None for ref in applied))
+            return score_batch(self, *args, **kwargs)
+
+        monkeypatch.setattr(TopologyMask, "apply", traced_apply)
+        monkeypatch.setattr(
+            FlexibleMaxFlowScorer, "score_batch", traced_score_batch
+        )
+        lp_top_k = 3
+        result = run_search(
+            _request(machine_a(), 3, 5, lp_top_k=lp_top_k, mask=self.MASK)
+        )
+        assert result.num_batches > 2
+        assert len(applied) == result.num_pass1_scored
+        assert live_at_batch[0] == 0
+        assert max(live_at_batch) == lp_top_k
+        assert any(ref() is result.topology for ref in applied)
 
     def test_replan_shape_builds_one_topology(self, monkeypatch):
         """The replan request — one pinned candidate under a mask —

@@ -75,6 +75,33 @@ class TestParseRequest:
                 {"dataset": {"key": "TINY"}, "optimizer": {"lp_top_k": 2}},
                 "optimizer",
             ),
+            (
+                {"dataset": {"key": "TINY"}, "timeout_s": float("nan")},
+                "timeout_s",
+            ),
+            (
+                {"dataset": {"key": "TINY"}, "timeout_s": float("inf")},
+                "timeout_s",
+            ),
+            ({"dataset": {"key": "TINY"}, "timeout_s": 10**400}, "timeout_s"),
+            (
+                {
+                    "dataset": {"key": "TINY"},
+                    "optimizer": {"gpu_cache_fraction": float("nan")},
+                },
+                "optimizer.gpu_cache_fraction",
+            ),
+            (
+                {
+                    "dataset": {"key": "TINY"},
+                    "optimizer": {"cpu_cache_vertex_fraction": float("-inf")},
+                },
+                "optimizer.cpu_cache_vertex_fraction",
+            ),
+            (
+                {"dataset": {"key": "PA", "scale": float("inf")}},
+                "dataset.scale",
+            ),
         ],
     )
     def test_rejections_carry_field(self, payload, field):
@@ -940,6 +967,34 @@ class TestHttpServer:
         assert exc.value.code == 400
         body = json.loads(exc.value.read())
         assert body["error"]["code"] == "invalid_json"
+
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            (b'{"dataset": {"key": "TINY"}, "timeout_s": NaN}', "timeout_s"),
+            (
+                b'{"dataset": {"key": "TINY"}, '
+                b'"optimizer": {"gpu_cache_fraction": Infinity}}',
+                "optimizer.gpu_cache_fraction",
+            ),
+        ],
+    )
+    def test_non_finite_number_is_400(self, live_server, body, field):
+        """``json.loads`` accepts the ``NaN`` / ``Infinity`` literals; the
+        request is still a 400 naming the field, not a 504 at once."""
+        url, _ = live_server
+        req = urllib.request.Request(
+            url + "/v1/plan",
+            data=body,
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            urllib.request.urlopen(req, timeout=10)
+        assert exc.value.code == 400
+        error = json.loads(exc.value.read())["error"]
+        assert error["code"] == "bad_request"
+        assert error["detail"]["field"] == field
 
     def test_unknown_route_is_404(self, live_server):
         url, _ = live_server
