@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from scipy.optimize._highspy import _core as _highs
 
-from repro.core.flowmodel import FlowTemplate, TrafficDemand
+from repro.core.flowmodel import _MIN_DEMAND, FlowTemplate, TrafficDemand
 
 
 @dataclass
@@ -82,6 +82,10 @@ HIGHS_OPTIONS = {
         _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     ),
 }
+
+#: HiGHS's default ``small_matrix_value``: it drops matrix coefficients
+#: at or below this magnitude.
+_HIGHS_SMALL_MATRIX_VALUE = 1e-9
 
 #: The array ``passModel`` overload's matrix format and objective
 #: sense, as the integers it takes.
@@ -161,22 +165,25 @@ def multicommodity_min_time(
     Demands must reference concrete bins (no class keys); local
     (own-GPU-cache) entries should be excluded by the caller.
     ``solver`` is a :func:`new_lp_solver` instance to reuse; without
-    one, a fresh instance solves this LP.
+    one, a fresh instance solves this LP.  A demand of at most
+    ``_MIN_DEMAND`` bytes is zero, as in pass 1.
     """
-    if demand.total <= 0:
+    if demand.total <= _MIN_DEMAND:
         return McfPrediction(scale=np.inf, time=0.0, throughput=0.0)
 
     # HiGHS misbehaves on byte-magnitude coefficients; work in GB.
     # lambda is invariant when demands and capacities scale together.
     unit = 1e-9
 
-    # HiGHS zeroes matrix coefficients below ~1e-9 of the scaled
-    # problem, so a commodity carrying a vanishing share of the demand
-    # (a degenerate tier split like fractions=(0, 1e-9, ...)) loses its
-    # lambda-column entries and makes the whole LP read as unroutable.
-    # Such a commodity cannot move the concurrent-flow scale by more
-    # than solver noise, so drop sub-tolerance entries up front.
-    negligible = 1e-7 * demand.total
+    # HiGHS zeroes matrix coefficients at or below its
+    # ``small_matrix_value`` (1e-9: one byte in GB), and below ~1e-9 of
+    # the scaled problem, so an entry carrying a vanishing share of the
+    # demand (a degenerate tier split like fractions=(0, 1e-9, ...)) or
+    # under one byte loses its lambda-column entries and makes the
+    # whole LP read as unroutable or unbounded.  Such an entry cannot
+    # move the concurrent-flow scale by more than solver noise, so drop
+    # it up front; a demand with no entry left is zero.
+    negligible = max(1e-7 * demand.total, _HIGHS_SMALL_MATRIX_VALUE / unit)
 
     tails, heads, caps, restrictions = _lp_edges(network)
     caps = caps * unit
@@ -201,6 +208,8 @@ def multicommodity_min_time(
         per_bin.setdefault(bin_name, {})[gpu] = (
             per_bin.get(bin_name, {}).get(gpu, 0.0) + nbytes * unit
         )
+    if not per_bin:
+        return McfPrediction(scale=np.inf, time=0.0, throughput=0.0)
     commodities = sorted(per_bin)
     n_edges, n_nodes, n_comm = len(caps), len(nodes), len(commodities)
 

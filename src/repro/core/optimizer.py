@@ -336,20 +336,6 @@ class MomentOptimizer:
             candidates=tuple(candidates) if candidates is not None else None,
         )
 
-    def search(
-        self,
-        dataset: ScaledDataset,
-        hotness: np.ndarray,
-        candidates: Optional[Sequence[Placement]] = None,
-    ) -> SearchResult:
-        """Run only the hardware-placement search (no DDAK).
-
-        Multi-node and experiment drivers use this when they place data
-        globally themselves; :meth:`optimize` builds on the same path.
-        """
-        fractions, _ = self.plan_fractions(dataset, hotness)
-        return run_search(self.search_request(fractions, candidates))
-
     def optimize(
         self,
         dataset: ScaledDataset,

@@ -2,8 +2,8 @@
 
 Moment's automatic module scores every feasible hardware placement and
 keeps the best.  This module runs that search as one fixed pipeline so
-callers (the single-machine optimizer, the multi-node driver, baselines
-and experiments) all speak the same :class:`SearchRequest` /
+callers (the optimizer, and through it the baselines and experiments,
+and the replan policy) all speak the same :class:`SearchRequest` /
 :class:`SearchResult` types:
 
 1. **Direct canonical enumeration** — the candidates are a

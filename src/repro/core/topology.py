@@ -69,7 +69,6 @@ class LinkKind(enum.Enum):
     NVLINK = "nvlink"
     MEMORY = "memory"
     INTERNAL = "internal"
-    NETWORK = "network"
 
 
 @dataclass(frozen=True)
@@ -369,8 +368,10 @@ class TopologyMask:
     computed for the *surviving* fabric without mutating the healthy
     machine model.  :meth:`apply` is the one place a fault degrades a
     planning network; the search's chassis network always describes
-    the healthy fabric.  All fields are tuples so a mask pickles
-    cleanly into search worker processes.
+    the healthy fabric.  Every field is normalised to tuples, so two
+    masks built from lists or tuples compare equal by value:
+    :class:`~repro.runtime.replan.ReplanPolicy` replans only when a
+    step's mask differs from the one it last planned on.
 
     Unknown node names are skipped leniently — strict validation
     against a concrete topology belongs to

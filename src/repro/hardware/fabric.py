@@ -259,9 +259,8 @@ class NicStorageSpec:
 
     The shelf's drives sit behind a forwarding NIC node whose uplink
     caps aggregate shelf bandwidth.  The uplink is modelled as a PCIe
-    trunk (not a :data:`~repro.core.topology.LinkKind.NETWORK` link):
-    on a single machine the shelf contends on the local fabric, while
-    NETWORK links mean *cluster* all-reduce paths to the simulator.
+    trunk, so the shelf contends on the local fabric like any other
+    switch subtree.
     """
 
     bays: SlotBankSpec

@@ -241,27 +241,14 @@ class EpochSimulator:
     def _bin_source(self, bin_name: str, gpu: str) -> Optional[str]:
         """Routable source node for a bin read by ``gpu``.
 
-        ``None`` means the read is local (free): the GPU's own cache or
-        its node's replicated cache.  A *foreign* node's replicated
-        cache (multi-node clusters) is served P2P from one of that
-        node's GPU HBMs, picked deterministically for load spread.
+        ``None`` means the read is local (free): the replicated cache or
+        the GPU's own partitioned cache.  A peer's ``gpuN:mem`` bin is
+        served P2P from that GPU's HBM.
         """
         from repro.core.ddak import GPU_REPLICATED
 
         if bin_name == GPU_REPLICATED or bin_name == f"{gpu}:mem":
             return None
-        suffix = "/" + GPU_REPLICATED
-        if bin_name.endswith(suffix):
-            node_prefix = bin_name[: -len(suffix)] + "/"
-            if gpu.startswith(node_prefix):
-                return None
-            donors = [g for g in self.gpus if g.startswith(node_prefix)]
-            if not donors:
-                raise ValueError(
-                    f"replicated bin {bin_name!r} has no owning GPUs"
-                )
-            donor = donors[hash(gpu) % len(donors)]
-            return f"{donor}:mem"
         return bin_name
 
     def set_placement(self, placement: DataPlacement) -> None:
@@ -287,7 +274,7 @@ class EpochSimulator:
 
         Under a fault view, reads against failed drives are re-keyed to
         the drive's recovery source and a ``GpuEvict``'s share of local
-        hits becomes CPU-memory reads over the GPU's local banks.
+        hits becomes CPU-memory reads spread over every DRAM bank.
         """
         fb = (
             float(self.dataset.feature_bytes)
@@ -329,10 +316,9 @@ class EpochSimulator:
             if evicted > 0 and local > 0:
                 moved = local * evicted
                 local -= moved
-                banks = self._local_mem_banks(gpu)
-                if banks:
-                    share = moved / len(banks)
-                    for bank in banks:
+                if self._mem_banks:
+                    share = moved / len(self._mem_banks)
+                    for bank in self._mem_banks:
                         demand[bank] = demand.get(bank, 0.0) + share
         return demand, local
 
@@ -382,16 +368,14 @@ class EpochSimulator:
             for bin_name, nbytes in sorted(per_bin.items()):
                 demand.add(bin_name, gpu, nbytes)
                 flows.extend(self._route_flows(bin_name, gpu, nbytes))
-            # adjacency reads from CPU memory during sampling (the
-            # graph topology is replicated per node, so reads stay on
-            # the GPU's own machine in multi-node clusters)
+            # adjacency reads from CPU memory during sampling, spread
+            # over every DRAM bank
             topo_bytes = (
                 sample.num_edges * TOPO_READ_BYTES_PER_EDGE * self._ratio
             )
-            banks = self._local_mem_banks(gpu)
-            if topo_bytes > 0 and banks:
-                share = topo_bytes / len(banks)
-                for bank in banks:
+            if topo_bytes > 0 and self._mem_banks:
+                share = topo_bytes / len(self._mem_banks)
+                for bank in self._mem_banks:
                     flows.append(
                         Flow(
                             path=self.router.path(bank, gpu),
@@ -487,14 +471,6 @@ class EpochSimulator:
             return "cpu"
         return "peer_gpu"
 
-    def _local_mem_banks(self, gpu: str) -> List[str]:
-        """DRAM banks on the GPU's own machine (all banks when the
-        topology is a single machine)."""
-        if "/" not in gpu:
-            return self._mem_banks
-        prefix = gpu.split("/", 1)[0] + "/"
-        return [b for b in self._mem_banks if b.startswith(prefix)]
-
     def _trunk_keys(self, path) -> set:
         """Resource keys of inter-interconnect trunks (and the QPI P2P
         pool) on a path — the links that actually congest."""
@@ -515,12 +491,12 @@ class EpochSimulator:
         A ``"{ssd}!recovery"`` source models the failed drive's pages
         being served from the host-side replica: the flow squeezes
         through the bounded ``("recovery", ssd)`` resource, then follows
-        the CPU-memory route into the GPU (spread over its local banks).
+        the CPU-memory route into the GPU (spread over every DRAM bank).
         """
         if not source.endswith(_RECOVERY_SUFFIX):
             return self._feature_flows(source, gpu, nbytes)
         ssd = source[: -len(_RECOVERY_SUFFIX)]
-        banks = self._local_mem_banks(gpu)
+        banks = self._mem_banks
         if not banks:
             raise ValueError(f"no CPU banks to recover {ssd!r} reads through")
         share = nbytes / len(banks)
@@ -562,15 +538,10 @@ class EpochSimulator:
         ]
 
     def _sync_bw(self) -> float:
-        """Gradient all-reduce bandwidth: the slowest ring hop — a
-        network link in clusters, else NVLink, else the GPU PCIe link."""
+        """Gradient all-reduce bandwidth: the slowest ring hop — NVLink
+        when bridged, else the GPU PCIe link."""
         from repro.core.topology import LinkKind
 
-        net = [
-            l.capacity for l in self.topo.links if l.kind is LinkKind.NETWORK
-        ]
-        if net:
-            return min(net)
         nv = [
             l.capacity for l in self.topo.links if l.kind is LinkKind.NVLINK
         ]

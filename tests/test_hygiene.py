@@ -113,6 +113,40 @@ def test_package_ships_no_measurement_tooling():
     assert "RunTable" not in repro.__all__
 
 
+def _builtin_hash_calls(tree):
+    """``hash(...)`` calls in ``tree`` outside a ``__hash__`` method."""
+    allowed = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__hash__"
+        for node in ast.walk(fn)
+    }
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "hash"
+        and id(node) not in allowed
+    ]
+
+
+def test_no_builtin_hash_outside_dunder_hash():
+    """String hashes change with ``PYTHONHASHSEED``, so a result keyed
+    on the builtin ``hash()`` differs between processes.  Only a
+    ``__hash__`` method (whose value never reaches an output) may call
+    it."""
+    offenders = sorted(
+        f"{py.relative_to(SRC.parent)}:{node.lineno}"
+        for py in SRC.rglob("*.py")
+        for node in _builtin_hash_calls(ast.parse(py.read_text()))
+    )
+    assert not offenders, f"builtin hash() calls: {offenders}"
+    assert _builtin_hash_calls(
+        ast.parse("def pick(g, d):\n    return d[hash(g) % len(d)]\n")
+    )
+
+
 #: Every ``REPRO_*`` environment variable the package reads.  A new one
 #: is a new global knob: add it here only together with its docs.
 ENV_KNOBS = {

@@ -342,6 +342,21 @@ class TestZeroDemandPool:
             p.as_tuple() for p, _ in finalists
         ]
 
+    @pytest.mark.parametrize(
+        "fractions",
+        [(1.0, 1e-16, 0.0), (0.999999999999999, 0.0, 1e-15)],
+    )
+    def test_vanishing_demand_solves_to_zero(self, fractions):
+        """A demand of a few float residues (every LP entry under one
+        byte, which HiGHS drops from its matrix) reads as zero in pass
+        2 instead of failing the LP as unbounded."""
+        result = run_search(
+            SearchRequest(machine_a(), 2, 4, fractions=fractions)
+        )
+        assert result.num_lp_scored > 1
+        assert all(row.mcf.time == 0.0 for row in result.scored)
+        assert result.best.throughput == 0.0
+
 
 class TestKnobDefaults:
     def test_search_workers_are_gone(self, monkeypatch, capsys):

@@ -369,6 +369,41 @@ class TestEpochSimulator:
         assert sum(relays) > 0
         assert result.paper_epoch_seconds == 14.411331106580644
 
+    def test_partitioned_cache_golden(self):
+        """Machine A layout (c) with one cache bin per GPU: every GPU
+        reads its peers' ``gpuN:mem`` bins over the fabric; the epoch is
+        pinned bit-for-bit to the recorded golden."""
+        from repro.core.optimizer import capacity_plan
+        from repro.graphs.datasets import IGB_HOM
+
+        machine = machine_a()
+        topo = machine.build(classic_layouts(machine)["c"])
+        ds = IGB_HOM.build(scale=IGB_HOM.default_scale * 16, seed=0)
+        cap = capacity_plan(machine, ds)
+        bins = make_bins(
+            topo,
+            gpu_cache_bytes=cap.gpu_cache_bytes,
+            cpu_cache_bytes=cap.cpu_cache_bytes,
+            ssd_capacity_bytes=cap.ssd_capacity_bytes,
+            gpu_cache_policy="partitioned",
+        )
+        placement = ddak_place(
+            bins, degree_proxy_hotness(ds.graph), ds.feature_bytes
+        )
+        result = EpochSimulator(
+            topo, machine, ds, placement, SimConfig(sample_batches=2)
+        ).run_epoch()
+        peer = {
+            (b, g) for (b, g) in result.demand.entries if b.endswith(":mem")
+        }
+        gpus = topo.gpus()
+        assert peer == {
+            (f"{src}:mem", dst) for src in gpus for dst in gpus if src != dst
+        }
+        assert result.epoch_seconds == 22.25590080000001
+        assert result.io_seconds == 0.24695466666666677
+        assert result.external_bytes == 724654080000.0
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             SimConfig(model_name="transformer")
